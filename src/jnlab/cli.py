@@ -9,15 +9,21 @@ Four subcommands:
 
 Option precedence is flags > config file > built-in defaults; the config
 file (--config) is a flat ``key = value`` text file using the long option
-names.  Exit codes: 0 all checks passed, 1 at least one check failed,
-2 usage or input error.  Identical arguments and seed produce byte-identical
-output files.
+names.  Identical arguments and seed produce byte-identical output files.
+
+Exit codes:
+
+  0  all checks passed (or the command has no checks and succeeded)
+  1  at least one check failed, or a verify run produced no checks
+  2  usage or input error, reported in one line
+  3  internal error: an unexpected exception, reported in one line
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -91,7 +97,19 @@ def _resolve(args: argparse.Namespace) -> dict:
     for key in ("command", "kind", "source", "claim"):
         if hasattr(args, key):
             cfg[key] = getattr(args, key)
+    _check_inputs(cfg)
     return cfg
+
+
+def _check_inputs(cfg: dict) -> None:
+    """Reject sizes and levels no command can use, before any work."""
+    for key in ("m", "side", "n_lambda"):
+        if cfg[key] < 1:
+            raise ValueError(f"--{key.replace('_', '-')} must be >= 1, got {cfg[key]}")
+    for key in ("p", "lam", "b"):
+        val = cfg.get(key)
+        if val is not None and not math.isfinite(val):
+            raise ValueError(f"--{key} must be finite, got {val}")
 
 
 # ------------------------------------------------------------------ sources
@@ -211,6 +229,9 @@ def _emit_reports(reports, cfg: dict) -> int:
             write_reports_json(reports, out)
     else:
         _dump_json([r.to_dict() for r in reports], None)
+    if not reports:
+        print("FAIL: no checks ran", file=sys.stderr)
+        return 1
     n_fail = sum(0 if r.passed else 1 for r in reports)
     if n_fail:
         print(f"FAIL: {n_fail} of {len(reports)} checks failed", file=sys.stderr)
@@ -483,6 +504,9 @@ def main(argv=None) -> int:
     except InvariantViolation as exc:
         print(f"jnlab: check failed: {exc}", file=sys.stderr)
         return 1
+    except Exception as exc:
+        print(f"jnlab: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

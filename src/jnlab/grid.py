@@ -27,9 +27,7 @@ __all__ = [
     "GridFunction",
     "RootCube",
     "average",
-    "children",
     "cube_from_zindex",
-    "cube_measure",
     "mean_oscillation",
 ]
 
@@ -124,11 +122,6 @@ class DyadicCube:
         return z
 
 
-def children(cube: DyadicCube) -> tuple[DyadicCube, ...]:
-    """The 2**n children of a cube, in lexicographic index order."""
-    return cube.children()
-
-
 def cube_from_zindex(root: RootCube, depth: int, z: int) -> DyadicCube:
     """Inverse of :meth:`DyadicCube.zindex` at a fixed depth."""
     index = [0] * root.dim
@@ -137,10 +130,6 @@ def cube_from_zindex(root: RootCube, depth: int, z: int) -> DyadicCube:
             bit = (z >> (level * root.dim + (root.dim - 1 - j))) & 1
             index[j] |= bit << level
     return DyadicCube(root, depth, tuple(index))
-
-
-def cube_measure(cube: DyadicCube) -> float:
-    return cube.measure
 
 
 @functools.lru_cache(maxsize=64)

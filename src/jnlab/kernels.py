@@ -1,16 +1,23 @@
-"""Numeric kernels with two interchangeable backends (numba / pure numpy).
+"""Numeric kernels.
 
-Backend selection: numba is used when importable unless the environment
+The four grid kernels (``halve_pairs``, ``build_pyramid``,
+``maximal_sweep``, ``dp_sweep``) have two interchangeable backends, numba
+and pure numpy.  numba is used when importable unless the environment
 variable ``JNLAB_NUMBA`` is set to ``0``, ``false``, ``off`` or ``no``.
-``JNLAB_THREADS`` caps the numba thread count.  Results are identical
-across backends and thread counts: every cube sum is a fixed-shape tree
-of adjacent-pair additions, and per-center prefix sums run in a fixed
-sequential order.
+Results are identical across backends: every cube sum is a fixed-shape
+tree of adjacent-pair additions.
 
 Pyramid layout: a function on ``A**L`` leaves (``A = 2**nbits`` children
 per node) is stored level by level in one flat buffer.  Level ``k`` holds
 ``A**k`` entries and starts at ``offsets[k]``; entries are in depth-first
 (bit-interleaved) order so each node's leaves form a contiguous block.
+
+The metric kernels are numpy only.  ``ball_tables`` gives the per-center
+prefix sums of weight and weighted values along the distance order, which
+is all the maximal functions and witness tables need.  ``osc_table`` builds
+the O(m^3) table of prefix oscillations that only the BMO norm reads.
+Both sum left to right along each center's order, so their entries are
+bitwise those of the direct per-center loops.
 """
 
 from __future__ import annotations
@@ -28,6 +35,7 @@ __all__ = [
     "halve_pairs",
     "ball_tables",
     "maximal_sweep",
+    "osc_table",
     "pyramid_offsets",
     "use_backend",
 ]
@@ -38,8 +46,7 @@ def _env_disables_numba() -> bool:
 
 
 try:
-    import numba
-    from numba import njit, prange
+    from numba import njit
 
     HAVE_NUMBA = True
 except ImportError:  # pragma: no cover - exercised only without numba installed
@@ -102,27 +109,11 @@ def _np_dp_sweep(tbuf, off, nbits):
     return vbuf, split
 
 
-def _np_ball_tables(orders, w, f):
-    m = w.shape[0]
-    ws = w[orders]
-    fs = f[orders]
-    wcum = np.cumsum(ws, axis=1)
-    fcum = np.cumsum(ws * fs, axis=1)
-    osc = np.empty((m, m), dtype=np.float64)
-    diag = np.arange(m)
-    for c in range(m):
-        avg = fcum[c] / wcum[c]
-        dev = np.abs(fs[c][None, :] - avg[:, None]) * ws[c][None, :]
-        osc[c] = np.cumsum(dev, axis=1)[diag, diag]
-    return wcum, fcum, osc
-
-
 _NUMPY_IMPL = {
     "halve_pairs": _np_halve_pairs,
     "pyramid_fill": _np_pyramid_fill,
     "maximal_sweep": _np_maximal_sweep,
     "dp_sweep": _np_dp_sweep,
-    "ball_tables": _np_ball_tables,
 }
 
 
@@ -199,40 +190,12 @@ if HAVE_NUMBA:
                     vbuf[off[k] + j] = term
         return vbuf, split
 
-    @njit(cache=True, parallel=True)
-    def _nb_ball_tables(orders, w, f):
-        m = w.shape[0]
-        wcum = np.empty((m, m), dtype=np.float64)
-        fcum = np.empty((m, m), dtype=np.float64)
-        osc = np.empty((m, m), dtype=np.float64)
-        for c in prange(m):
-            sw = 0.0
-            sf = 0.0
-            for k in range(m):
-                j = orders[c, k]
-                sw += w[j]
-                sf += w[j] * f[j]
-                wcum[c, k] = sw
-                fcum[c, k] = sf
-                avg = sf / sw
-                dev = 0.0
-                for i in range(k + 1):
-                    jj = orders[c, i]
-                    dev += w[jj] * abs(f[jj] - avg)
-                osc[c, k] = dev
-        return wcum, fcum, osc
-
     _NUMBA_IMPL = {
         "halve_pairs": _nb_halve_pairs,
         "pyramid_fill": _nb_pyramid_fill,
         "maximal_sweep": _nb_maximal_sweep,
         "dp_sweep": _nb_dp_sweep,
-        "ball_tables": _nb_ball_tables,
     }
-
-    _threads = os.environ.get("JNLAB_THREADS", "").strip()
-    if _threads:
-        numba.set_num_threads(max(1, min(int(_threads), numba.config.NUMBA_NUM_THREADS)))
 
 
 _IMPL: dict = {}
@@ -297,15 +260,52 @@ def dp_sweep(tbuf: np.ndarray, off: np.ndarray, nbits: int) -> tuple[np.ndarray,
     return _IMPL["dp_sweep"](tbuf, off, nbits)
 
 
-def ball_tables(orders: np.ndarray, w: np.ndarray, f: np.ndarray):
-    """Prefix tables over distance-sorted points, one row per center.
+# ---------------------------------------------------------------- ball tables
 
-    Returns (wcum, fcum, osc): cumulative weight, cumulative weighted f,
-    and osc[c, k] = sum_{i<=k} w_i |f_i - avg_{c,k}| where avg_{c,k} is the
-    weighted mean of the first k+1 points in center c's distance order.
+
+def ball_tables(orders: np.ndarray, w: np.ndarray,
+                f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Prefix sums over distance-sorted points, one row per center.
+
+    Returns (wcum, fcum): cumulative weight and cumulative weighted f along
+    each row of `orders`, summed left to right, so entry [c, k] covers the
+    first k+1 points in center c's distance order.
     """
-    return _IMPL["ball_tables"](
-        np.ascontiguousarray(orders, dtype=np.int64),
-        np.ascontiguousarray(w, dtype=np.float64),
-        np.ascontiguousarray(f, dtype=np.float64),
-    )
+    orders = np.ascontiguousarray(orders, dtype=np.int64)
+    w = np.ascontiguousarray(w, dtype=np.float64)
+    f = np.ascontiguousarray(f, dtype=np.float64)
+    wcum = w[orders]
+    fcum = f[orders]
+    fcum *= wcum
+    np.cumsum(fcum, axis=1, out=fcum)
+    np.cumsum(wcum, axis=1, out=wcum)
+    return wcum, fcum
+
+
+def osc_table(orders: np.ndarray, w: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """osc[c, k] = sum_{i<=k} w_i |f_i - avg_{c,k}|, where avg_{c,k} is the
+    weighted mean of the first k+1 points in center c's distance order.
+
+    O(m^3) work.  The sum runs left to right over i, as in the direct
+    per-entry loop, but position-major: step i adds point i's term to every
+    prefix k >= i of every center at once, on (position x center) arrays.
+    The result is the transpose of that layout, a (center x position) view.
+    """
+    orders = np.ascontiguousarray(orders, dtype=np.int64)
+    w = np.ascontiguousarray(w, dtype=np.float64)
+    f = np.ascontiguousarray(f, dtype=np.float64)
+    m = w.shape[0]
+    wcum, fcum = ball_tables(orders, w, f)
+    avg = np.ascontiguousarray(np.divide(fcum, wcum, out=fcum).T)
+    del wcum, fcum
+    cols = orders.T  # cols[i] = the sorted position-i point of every center
+    acc = np.zeros((m, m), dtype=np.float64)
+    buf = np.empty((m, m), dtype=np.float64)
+    for i in range(m):
+        pts = cols[i]
+        dev = buf[i:]
+        np.subtract(f[pts], avg[i:], out=dev)
+        np.abs(dev, out=dev)
+        dev *= w[pts]
+        acc[i:] += dev
+    return acc.T

@@ -93,6 +93,24 @@ def _validate_metric(d: np.ndarray, w: np.ndarray) -> None:
             )
 
 
+def _tie_group_ends(sd: np.ndarray) -> np.ndarray:
+    """True where a sorted-distance row (last axis) ends a tie group."""
+    ends = np.ones(sd.shape, dtype=bool)
+    ends[..., :-1] = sd[..., 1:] != sd[..., :-1]
+    return ends
+
+
+def _radius_at(sd: np.ndarray) -> np.ndarray:
+    """Radius of the realized ball ending at each position of a sorted-
+    distance row (last axis): the midpoint to the next distance, or
+    1.5 * last + 1 past the farthest point.  Read at tie-group ends."""
+    rad = np.empty_like(sd)
+    np.add(sd[..., :-1], sd[..., 1:], out=rad[..., :-1])
+    rad[..., :-1] *= 0.5
+    rad[..., -1] = 1.5 * sd[..., -1] + 1.0
+    return rad
+
+
 class MetricMeasureSpace:
     """Validated finite metric measure space (distances, weights, optional
     coordinates used only for plotting/regeneration)."""
@@ -148,21 +166,13 @@ class MetricMeasureSpace:
     def group_ends(self, center: int) -> np.ndarray:
         """Sorted positions ending a tie group of equal distances; prefixes
         up to these positions are exactly the realized ball member sets."""
-        ds = self.sorted_d[center]
-        ends = np.flatnonzero(np.append(ds[1:] != ds[:-1], True))
-        return ends
+        return np.flatnonzero(_tie_group_ends(self.sorted_d[center]))
 
     def critical_radii(self, center: int) -> np.ndarray:
         """One radius per realized member set of balls at this center:
         midpoints between consecutive distinct distances, then one value
         past the largest distance."""
-        ds = self.sorted_d[center]
-        vals = np.unique(ds)
-        if vals.size == 1:  # single point space
-            return np.array([1.0])
-        mids = 0.5 * (vals[:-1] + vals[1:])
-        beyond = 1.5 * float(vals[-1]) + 1.0
-        return np.append(mids, beyond)
+        return _radius_at(self.sorted_d[center])[self.group_ends(center)]
 
     # ------------------------------------------------------- ball algebra
 
@@ -299,38 +309,49 @@ def vitali_subcover(space: MetricMeasureSpace, balls) -> list[int]:
 # ------------------------------------------------------------------ maximal
 
 
-def _maximal(space: MetricMeasureSpace, g: np.ndarray, mask0: np.ndarray) -> np.ndarray:
-    """Per-point sup of ball averages of g >= 0 over realized balls whose
-    member sets contain the point and sit inside mask0; -inf where no ball
-    qualifies (point outside mask0)."""
-    orders = space.orders
-    wcum, fcum, _ = kernels.ball_tables(orders, space.w, g)
-    out = np.full(space.m, -np.inf)
-    for c in range(space.m):
-        if not mask0[c]:
-            continue
-        ends = space.group_ends(c)
-        inb = mask0[orders[c]]
-        bad = np.flatnonzero(~inb)
-        first_out = bad[0] if bad.size else space.m
-        allowed = ends[ends < first_out]
-        if allowed.size == 0:
-            continue
-        avg = fcum[c][allowed] / wcum[c][allowed]
-        sufmax = np.maximum.accumulate(avg[::-1])[::-1]
-        # position k of a point maps to its tie group's end, then to the
-        # best average over allowed enclosing balls
-        grp = np.searchsorted(ends, np.arange(space.m), side="left")
-        n_allowed = allowed.size
-        for k in range(space.m):
-            gi = grp[k]
-            if gi >= n_allowed:
-                break  # sorted order: later points only lie in larger balls
-            j = orders[c, k]
-            v = sufmax[gi]
-            if v > out[j]:
-                out[j] = v
-    return out
+def _witness_arrays(space: MetricMeasureSpace, g: np.ndarray, mask0: np.ndarray):
+    """Per point: the largest g-average over realized balls containing it
+    whose member sets sit inside mask0, and the ball attaining it (ties:
+    smaller radius, then smaller center).  Returns (values, radii, centers);
+    -inf, inf and -1 where no ball qualifies (points outside mask0).
+
+    Rows are the centers in mask0, columns their sorted positions.  A ball
+    ending at position k qualifies when k ends a tie group and no position
+    up to k leaves mask0.  A point at position k lies in exactly the balls
+    ending at k or later, so its best ball is a suffix maximum.  Each
+    (row x position) temporary is freed once spent, to bound peak memory.
+    """
+    m = space.m
+    values = np.full(m, -np.inf)
+    radii = np.full(m, np.inf)
+    centers = np.full(m, -1, dtype=np.int64)
+    cent = np.flatnonzero(mask0)
+    orders, sd = space.orders[cent], space.sorted_d[cent]
+    wcum, fcum = kernels.ball_tables(orders, space.w, g)
+    avg = np.divide(fcum, wcum, out=fcum)
+    del wcum
+    allowed = np.logical_and.accumulate(mask0[orders], axis=1)
+    allowed &= _tie_group_ends(sd)
+    avg[~allowed] = -np.inf
+    best = np.maximum.accumulate(avg[:, ::-1], axis=1)[:, ::-1]
+    # earliest allowed end attaining the suffix maximum = smaller radius
+    end = np.where(avg == best, np.arange(m), m)
+    del avg
+    np.minimum.accumulate(end[:, ::-1], axis=1, out=end[:, ::-1])
+    np.minimum(end, m - 1, out=end)
+    rad = np.take_along_axis(_radius_at(sd), end, axis=1)
+    del end
+    # merge centers in ascending order; each row of orders is a permutation
+    for r, c in enumerate(cent):
+        pts, val, rr = orders[r], best[r], rad[r]
+        cur_val, cur_rad = values[pts], radii[pts]
+        win = (val > cur_val) | ((val == cur_val) & (rr < cur_rad))
+        win &= val > -np.inf
+        pts = pts[win]
+        values[pts] = val[win]
+        radii[pts] = rr[win]
+        centers[pts] = c
+    return values, radii, centers
 
 
 def hl_maximal_restricted(space: MetricMeasureSpace, f, b0: Ball) -> np.ndarray:
@@ -339,7 +360,7 @@ def hl_maximal_restricted(space: MetricMeasureSpace, f, b0: Ball) -> np.ndarray:
     with member set inside b0; NaN outside b0."""
     g = np.abs(space.check_values(f))
     mask0 = space.members(b0)
-    out = _maximal(space, g, mask0)
+    out, _, _ = _witness_arrays(space, g, mask0)
     if np.any(~np.isfinite(out[mask0])):
         # every point of B0 sees at least its own singleton ball
         raise InvariantViolation("point of B0 with no admissible ball")
@@ -350,20 +371,15 @@ def hl_maximal_restricted(space: MetricMeasureSpace, f, b0: Ball) -> np.ndarray:
 def global_maximal(space: MetricMeasureSpace, f) -> np.ndarray:
     """Unrestricted maximal |f|-average over all realized balls."""
     g = np.abs(space.check_values(f))
-    return _maximal(space, g, np.ones(space.m, dtype=bool))
+    return _witness_arrays(space, g, np.ones(space.m, dtype=bool))[0]
 
 
 def bmo_norm_metric(space: MetricMeasureSpace, f) -> float:
     """Largest weighted mean oscillation of f over all realized balls."""
     v = space.check_values(f)
-    wcum, _, osc = kernels.ball_tables(space.orders, space.w, v)
-    best = 0.0
-    for c in range(space.m):
-        ends = space.group_ends(c)
-        cand = float(np.max(osc[c][ends] / wcum[c][ends]))
-        if cand > best:
-            best = cand
-    return best
+    osc = kernels.osc_table(space.orders, space.w, v)
+    ends = _tie_group_ends(space.sorted_d)
+    return max(0.0, float(np.max(osc[ends] / space.wcum[ends])))
 
 
 # ------------------------------------------------------------- admissible
@@ -655,12 +671,19 @@ def values_from_csv(path) -> np.ndarray:
             raise ValueError(f"malformed values header: {head!r}")
         m = int(head[1])
         out = np.full(m, np.nan)
+        seen = np.zeros(m, dtype=bool)
         for line in fh:
             if not line.strip():
                 continue
             idx, val = line.strip().split(",")
-            out[int(idx)] = float(val)
-    if np.any(np.isnan(out)):
-        missing = int(np.flatnonzero(np.isnan(out))[0])
+            i = int(idx)
+            if not 0 <= i < m:
+                raise ValueError(f"value index {i} out of range for m={m}")
+            if seen[i]:
+                raise ValueError(f"duplicate value index {i}")
+            seen[i] = True
+            out[i] = float(val)
+    if not np.all(seen):
+        missing = int(np.flatnonzero(~seen)[0])
         raise ValueError(f"missing value for point {missing}")
     return out

@@ -26,7 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvariantViolation, PreconditionError
-from .metric import Ball, MetricMeasureSpace, bmo_norm_metric, doubling_constant, vitali_subcover
+from .metric import (Ball, MetricMeasureSpace, _witness_arrays, bmo_norm_metric,
+                     doubling_constant, vitali_subcover)
 from .report import CheckReport, degenerate_report
 
 __all__ = [
@@ -124,54 +125,10 @@ class WitnessTable:
 def compute_witness(space: MetricMeasureSpace, f: np.ndarray, b0: Ball) -> WitnessTable:
     """Deterministic witness assignment: maximize the ball f-average,
     break ties by smaller radius, then smaller center index."""
-    from . import kernels
-
-    mask0 = space.members(b0)
-    orders = space.orders
-    wcum, fcum, _ = kernels.ball_tables(orders, space.w, f)
-    best_val = np.full(space.m, -np.inf)
-    best_rad = np.full(space.m, np.inf)
-    best_ball: list = [None] * space.m
-
-    for c in range(space.m):
-        if not mask0[c]:
-            continue
-        ends = space.group_ends(c)
-        radii = space.critical_radii(c)
-        inb = mask0[orders[c]]
-        bad = np.flatnonzero(~inb)
-        first_out = bad[0] if bad.size else space.m
-        allowed = np.flatnonzero(ends < first_out)
-        if allowed.size == 0:
-            continue
-        ends_a = ends[allowed]
-        avg = fcum[c][ends_a] / wcum[c][ends_a]
-        # suffix argmax preferring the smaller (earlier) radius on ties
-        suf_val = np.empty(allowed.size)
-        suf_t = np.empty(allowed.size, dtype=np.int64)
-        suf_val[-1] = avg[-1]
-        suf_t[-1] = allowed.size - 1
-        for t in range(allowed.size - 2, -1, -1):
-            if avg[t] >= suf_val[t + 1]:
-                suf_val[t] = avg[t]
-                suf_t[t] = t
-            else:
-                suf_val[t] = suf_val[t + 1]
-                suf_t[t] = suf_t[t + 1]
-        grp = np.searchsorted(ends_a, np.arange(space.m), side="left")
-        for k in range(space.m):
-            gi = grp[k]
-            if gi >= allowed.size:
-                break
-            x = orders[c, k]
-            val = suf_val[gi]
-            rad = float(radii[allowed[suf_t[gi]]])
-            if (val > best_val[x]
-                    or (val == best_val[x] and rad < best_rad[x])):
-                best_val[x] = val
-                best_rad[x] = rad
-                best_ball[x] = Ball(c, rad)
-    return WitnessTable(b0=b0, balls=best_ball, values=best_val)
+    values, radii, centers = _witness_arrays(space, f, space.members(b0))
+    balls = [None if c < 0 else Ball(c, r)
+             for c, r in zip(centers.tolist(), radii.tolist())]
+    return WitnessTable(b0=b0, balls=balls, values=values)
 
 
 # ------------------------------------------------------------------ cz cover

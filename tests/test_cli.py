@@ -246,3 +246,60 @@ def test_console_script_entry_point():
                          capture_output=True, text=True)
     assert out.returncode == 0
     assert json.loads(out.stdout)["bmo"] == 0.5
+
+
+# ------------------------------------------------------- input boundary
+
+
+def one_line_error(capsys):
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+    return err
+
+
+@pytest.mark.parametrize("argv", [
+    ("analyze", "--space", "line", "--m", "0"),
+    ("analyze", "--space", "grid2d", "--side", "0"),
+    ("verify", "jn-dyadic", "random-martingale", "--depth", "6", "--n-lambda", "0"),
+    ("verify", "toiterate", "--space", "grid2d", "--side", "4", "--lam", "nan"),
+    ("verify", "toiterate", "--space", "grid2d", "--side", "4", "--lam", "inf"),
+    ("verify", "mainresult", "--space", "line", "--m", "8", "--p", "nan"),
+    ("verify", "good-lambda", "step", "--depth", "4", "--lam", "1", "--b", "nan"),
+])
+def test_bad_numbers_exit_2(argv, capsys):
+    assert run(*argv) == 2
+    assert "jnlab: error:" in one_line_error(capsys)
+
+
+def test_bad_numbers_in_config_exit_2(tmp_path, capsys):
+    conf = tmp_path / "c.txt"
+    conf.write_text("m = 0\n")
+    assert run("analyze", "--space", "line", "--config", str(conf)) == 2
+    one_line_error(capsys)
+
+
+@pytest.mark.parametrize("rows", ["0,1.0\n5,2.0\n2,3.0\n", "0,1.0\n1,2.0\n-1,3.0\n",
+                                  "0,1.0\n1,2.0\n1,3.0\n2,4.0\n"])
+def test_values_csv_bad_index_exit_2(tmp_path, rows, capsys):
+    vals = tmp_path / "v.csv"
+    vals.write_text("m,3\n" + rows)
+    assert run("analyze", "--space", "line", "--m", "3",
+               "--values", str(vals)) == 2
+    one_line_error(capsys)
+
+
+def test_emit_reports_empty_is_not_a_pass(tmp_path, capsys):
+    cfg = {"out": str(tmp_path / "r.json"), "format": "json"}
+    assert _emit_reports([], cfg) == 1
+    assert "no checks ran" in capsys.readouterr().err
+
+
+def test_internal_error_exit_3(monkeypatch, capsys):
+    import jnlab.cli as cli
+
+    def broken(cfg):
+        raise IndexError("index 0 is out of bounds")
+
+    monkeypatch.setitem(cli._COMMANDS, "analyze", broken)
+    assert run("analyze", "step") == 3
+    assert "jnlab: internal error: IndexError" in one_line_error(capsys)

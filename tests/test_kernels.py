@@ -56,12 +56,6 @@ def test_backend_parity_bitwise():
     rng = np.random.default_rng(3)
     depth, nbits = 10, 1
     leaves = rng.standard_normal(1 << depth)
-    m = 80
-    pts = rng.uniform(0, 1, (m, 2))
-    d = np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2))
-    orders = np.argsort(d, axis=1, kind="stable").astype(np.int64)
-    w = rng.uniform(0.5, 2.0, m)
-    f = rng.standard_normal(m)
 
     prev = kernels.current_backend()
     got = {}
@@ -73,14 +67,13 @@ def test_backend_parity_bitwise():
                 buf.copy(),
                 kernels.maximal_sweep(buf, off, nbits),
                 kernels.dp_sweep(buf, off, nbits),
-                kernels.ball_tables(orders, w, f),
             )
     finally:
         kernels.use_backend(prev)
 
     a, b = got["numpy"], got["numba"]
     assert np.array_equal(a[0], b[0])
-    for part_a, part_b in zip(a[1] + a[2] + a[3], b[1] + b[2] + b[3]):
+    for part_a, part_b in zip(a[1] + a[2], b[1] + b[2]):
         assert np.array_equal(np.asarray(part_a), np.asarray(part_b))
 
 

@@ -320,3 +320,22 @@ def test_values_csv_rejects_missing_index():
             fh.write("m,3\n0,1.0\n2,2.0\n")
         with pytest.raises(ValueError):
             values_from_csv(p)
+
+
+@pytest.mark.parametrize("rows", ["0,1.0\n5,2.0\n2,3.0\n", "0,1.0\n1,2.0\n-1,3.0\n"])
+def test_values_csv_rejects_index_out_of_range(rows):
+    with tempfile.TemporaryDirectory() as td:
+        p = os.path.join(td, "v.csv")
+        with open(p, "w") as fh:
+            fh.write("m,3\n" + rows)
+        with pytest.raises(ValueError, match="out of range"):
+            values_from_csv(p)
+
+
+def test_values_csv_rejects_duplicate_index():
+    with tempfile.TemporaryDirectory() as td:
+        p = os.path.join(td, "v.csv")
+        with open(p, "w") as fh:
+            fh.write("m,3\n0,1.0\n1,2.0\n1,3.0\n2,4.0\n")
+        with pytest.raises(ValueError, match="duplicate"):
+            values_from_csv(p)
