@@ -20,7 +20,6 @@ from .generators import (f_distance, f_log_distance, f_random, gen_constant,
                          gen_tree_graph)
 from .grid import (CellSet, DyadicCube, GridFunction, RootCube, average,
                    cube_from_zindex, mean_oscillation)
-from .kernels import available_backends, current_backend, use_backend
 from .metric import (Ball, BallFamily, JnSearchResult, MetricMeasureSpace,
                      bmo_norm_metric, build_space, check_admissible,
                      doubling_constant, global_maximal, hl_maximal_restricted,
@@ -55,7 +54,6 @@ __all__ = [
     "PreconditionError",
     "RootCube",
     "all_pass",
-    "available_backends",
     "average",
     "bmo_dyadic",
     "bmo_norm_metric",
@@ -65,7 +63,6 @@ __all__ = [
     "check_toiterate",
     "compute_witness",
     "cube_from_zindex",
-    "current_backend",
     "cz_balls",
     "cz_decompose_dyadic",
     "degenerate_report",
@@ -100,7 +97,6 @@ __all__ = [
     "space_from_points",
     "space_to_csv",
     "theorem_constants",
-    "use_backend",
     "values_from_csv",
     "values_to_csv",
     "verify_bmo_jn",

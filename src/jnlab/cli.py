@@ -33,7 +33,7 @@ from . import generators as gen
 from .dyadic_cz import cz_decompose_dyadic, dyadic_maximal, verify_jn_dyadic, check_good_lambda_dyadic
 from .errors import InvariantViolation, MetricAxiomError, PreconditionError
 from .functionals import bmo_dyadic, distribution, jnp_dyadic, notlp_terms, weak_lp
-from .grid import DyadicCube, GridFunction, average, mean_oscillation
+from .grid import MAX_CELL_BITS, DyadicCube, GridFunction, average, mean_oscillation
 from .metric import (Ball, bmo_norm_metric, doubling_constant, hl_maximal_restricted,
                      jnp_metric_lower, space_from_csv, space_to_csv,
                      values_from_csv, values_to_csv)
@@ -106,18 +106,39 @@ def _check_inputs(cfg: dict) -> None:
     for key in ("m", "side", "n_lambda"):
         if cfg[key] < 1:
             raise ValueError(f"--{key.replace('_', '-')} must be >= 1, got {cfg[key]}")
+    for key in ("depth", "budget"):
+        if cfg[key] < 0:
+            raise ValueError(f"--{key} must be >= 0, got {cfg[key]}")
     for key in ("p", "lam", "b"):
         val = cfg.get(key)
         if val is not None and not math.isfinite(val):
             raise ValueError(f"--{key} must be finite, got {val}")
 
 
+def _check_grid_size(dim: int, depth: int) -> None:
+    """Refuse a generated grid above the cell cap before it is allocated."""
+    if dim * depth > MAX_CELL_BITS:
+        raise ValueError(f"--depth {depth} gives a {dim}-D grid of 2**{dim * depth} "
+                         f"cells; the cap is 2**{MAX_CELL_BITS}")
+
+
 # ------------------------------------------------------------------ sources
+
+
+def _read_csv(reader, path: str):
+    """Run a CSV reader; its input errors name the file."""
+    try:
+        return reader(path)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _grid_from_source(cfg: dict, source: str) -> GridFunction:
     if os.path.exists(source):
-        return GridFunction.from_csv(source)
+        return _read_csv(GridFunction.from_csv, source)
+    # the two singularity profiles are 1-D whatever --dim says
+    dim = 1 if source in ("power-singularity", "log-singularity") else cfg["dim"]
+    _check_grid_size(dim, cfg["depth"])
     if source == "constant":
         return gen.gen_constant(cfg["dim"], cfg["depth"], cfg["value"])
     if source == "step":
@@ -161,7 +182,7 @@ def _load_space(cfg: dict):
     if not src:
         raise ValueError("this command needs --space (a CSV path or a space kind)")
     if os.path.exists(src):
-        return space_from_csv(src)
+        return _read_csv(space_from_csv, src)
     return _space_from_kind(cfg, src)
 
 
@@ -171,7 +192,7 @@ def _load_values(cfg: dict, space) -> np.ndarray:
     if path and kind:
         raise ValueError("give --values or --values-kind, not both")
     if path:
-        return space.check_values(values_from_csv(path))
+        return _read_csv(lambda p: space.check_values(values_from_csv(p)), path)
     return _values_from_kind(cfg, space, kind or "log-distance")
 
 
@@ -294,6 +315,7 @@ def _analyze_grid(cfg: dict) -> int:
 
 
 def _analyze_notlp(cfg: dict) -> int:
+    _check_grid_size(1, cfg["depth"])
     terms = notlp_terms(cfg["p"], cfg["terms"], cfg["depth"])
     partial = np.cumsum(terms)
     rows = ["j,term,partial"]

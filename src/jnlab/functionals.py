@@ -20,7 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .grid import DyadicCube, GridFunction, RootCube, cube_from_zindex, mean_oscillation
+from .grid import (DyadicCube, GridFunction, RootCube, average, cube_from_zindex,
+                   mean_oscillation)
 
 __all__ = [
     "PartitionResult",
@@ -160,10 +161,7 @@ def bmo_dyadic(f: GridFunction, q0: DyadicCube) -> float:
 def distribution(f: GridFunction, q0: DyadicCube, lam: float) -> float:
     """Measure of ``{x in Q0 : |f(x) - avg_{Q0} f| > lam}``."""
     block = f.zslice(q0)
-    s = block
-    while s.size > 1:
-        s = kernels.halve_pairs(s)
-    avg = float(s[0]) / float(block.size)
+    avg = average(f, q0)
     n_over = int(np.count_nonzero(np.abs(block - avg) > lam))
     return f.root.measure * (n_over / float(f.n_cells))
 
@@ -177,10 +175,7 @@ def weak_lp(f: GridFunction, q0: DyadicCube, p: float, centered: bool = True) ->
     p = _check_p(p)
     block = f.zslice(q0)
     if centered:
-        s = block
-        while s.size > 1:
-            s = kernels.halve_pairs(s)
-        block = block - float(s[0]) / float(block.size)
+        block = block - average(f, q0)
     a = np.sort(np.abs(block))
     vals = np.unique(a)
     vals = vals[vals > 0]

@@ -136,17 +136,23 @@ def gen_random_cloud(m: int, seed: int, dim: int = 2) -> MetricMeasureSpace:
 # ---------------------------------------------------------- point functions
 
 
+def _anchor_row(space: MetricMeasureSpace, anchor: int) -> np.ndarray:
+    if not 0 <= anchor < space.m:
+        raise ValueError(f"anchor {anchor} out of range for m={space.m}")
+    return space.d[anchor]
+
+
 def f_log_distance(space: MetricMeasureSpace, anchor: int = 0) -> np.ndarray:
     """log(delta + d(anchor, .)) with delta the smallest positive distance:
     bounded mean oscillation at every scale, unbounded range on big spaces."""
-    row = space.d[anchor]
+    row = _anchor_row(space, anchor)
     pos = row[row > 0]
     delta = float(pos.min()) if pos.size else 1.0
     return np.log(delta + row)
 
 
 def f_distance(space: MetricMeasureSpace, anchor: int = 0) -> np.ndarray:
-    return space.d[anchor].copy()
+    return _anchor_row(space, anchor).copy()
 
 
 def f_random(space: MetricMeasureSpace, seed: int) -> np.ndarray:

@@ -31,6 +31,11 @@ __all__ = [
     "mean_oscillation",
 ]
 
+# Cell-count cap for grids read from a file or built by the CLI: at most
+# 2**MAX_CELL_BITS finest cells, so dim * depth <= MAX_CELL_BITS is checked
+# before any per-cell array is allocated.
+MAX_CELL_BITS = 24
+
 
 @dataclass(frozen=True)
 class RootCube:
@@ -316,6 +321,9 @@ class GridFunction:
             dim, depth = int(head[0]), int(head[1])
             if len(head) != 2 + dim + 1:
                 raise ValueError(f"grid header has {len(head)} fields, expected {3 + dim}")
+            if depth < 0 or dim * depth > MAX_CELL_BITS:
+                raise ValueError(f"grid header asks for dim {dim}, depth {depth}; "
+                                 f"need depth >= 0 and dim * depth <= {MAX_CELL_BITS}")
             origin = tuple(float(x) for x in head[2:2 + dim])
             side = float(head[2 + dim])
             vals = [float(line) for line in fh if line.strip()]

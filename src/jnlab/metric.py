@@ -453,6 +453,12 @@ class JnSearchResult:
     evaluations: int
 
 
+def _jn_term(space: MetricMeasureSpace, v: np.ndarray, mask: np.ndarray,
+             p: float) -> float:
+    """mu(B) * osc_B(v)^p for the member set `mask` of one ball B."""
+    return space.measure_mask(mask) * space.osc_mask(v, mask) ** p
+
+
 def jnp_metric_lower(space: MetricMeasureSpace, f, b0: Ball, p: float,
                      budget: int = 4000) -> JnSearchResult:
     """Deterministic search for a heavy admissible family.
@@ -478,7 +484,7 @@ def jnp_metric_lower(space: MetricMeasureSpace, f, b0: Ball, p: float,
         mem = space.members(ball)
         if np.any(mem & ~big):
             return None
-        return space.measure_mask(mem) * space.osc_mask(v, mem) ** p
+        return _jn_term(space, v, mem, p)
 
     # realized candidate pool: one ball per (center in B0, tie group)
     pool: list[Ball] = []
@@ -670,8 +676,7 @@ def values_from_csv(path) -> np.ndarray:
         if len(head) != 2 or head[0] != "m":
             raise ValueError(f"malformed values header: {head!r}")
         m = int(head[1])
-        out = np.full(m, np.nan)
-        seen = np.zeros(m, dtype=bool)
+        vals: dict[int, float] = {}
         for line in fh:
             if not line.strip():
                 continue
@@ -679,11 +684,13 @@ def values_from_csv(path) -> np.ndarray:
             i = int(idx)
             if not 0 <= i < m:
                 raise ValueError(f"value index {i} out of range for m={m}")
-            if seen[i]:
+            if i in vals:
                 raise ValueError(f"duplicate value index {i}")
-            seen[i] = True
-            out[i] = float(val)
-    if not np.all(seen):
-        missing = int(np.flatnonzero(~seen)[0])
+            vals[i] = float(val)
+    if len(vals) < m:
+        missing = next(i for i in range(m) if i not in vals)
         raise ValueError(f"missing value for point {missing}")
+    # every index is in range and unique, so the rows fill all m slots
+    out = np.empty(m)
+    out[list(vals)] = list(vals.values())
     return out

@@ -26,8 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvariantViolation, PreconditionError
-from .metric import (Ball, MetricMeasureSpace, _witness_arrays, bmo_norm_metric,
-                     doubling_constant, vitali_subcover)
+from .metric import (Ball, MetricMeasureSpace, _jn_term, _witness_arrays,
+                     bmo_norm_metric, doubling_constant, vitali_subcover)
 from .report import CheckReport, degenerate_report
 
 __all__ = [
@@ -338,8 +338,7 @@ def _family_jn_sum(space: MetricMeasureSpace, f_signed: np.ndarray,
     """sum mu(B) osc(B)^p over a family (osc of the signed function)."""
     total = 0.0
     for b in balls:
-        mem = space.members(b)
-        total += space.measure_mask(mem) * space.osc_mask(f_signed, mem) ** p
+        total += _jn_term(space, f_signed, space.members(b), p)
     return total
 
 
@@ -407,10 +406,7 @@ def verify_mainresult(space: MetricMeasureSpace, f, b0: Ball, p: float,
     mu0 = space.measure_mask(mask0)
     g = np.abs(v - space.average_mask(v, mask0))
 
-    def single_ball_value(mask) -> float:
-        return space.measure_mask(mask) * space.osc_mask(v, mask) ** p
-
-    k0 = max(single_ball_value(mask0), single_ball_value(big)) ** (1.0 / p)
+    k0 = max(_jn_term(space, v, mask0, p), _jn_term(space, v, big, p)) ** (1.0 / p)
     if k0 == 0.0 and float(np.max(g[mask0], initial=0.0)) == 0.0:
         return [degenerate_report("jn-weak-metric", "constant on 11*B0, K = 0")]
 

@@ -303,3 +303,41 @@ def test_internal_error_exit_3(monkeypatch, capsys):
     monkeypatch.setitem(cli._COMMANDS, "analyze", broken)
     assert run("analyze", "step") == 3
     assert "jnlab: internal error: IndexError" in one_line_error(capsys)
+
+
+@pytest.mark.parametrize("argv,option", [
+    (("analyze", "step", "--depth", "-1"), "--depth"),
+    (("verify", "bmo", "--space", "line", "--m", "5", "--anchor", "10"), "anchor"),
+    (("analyze", "--space", "line", "--m", "5", "--anchor", "-1"), "anchor"),
+    (("analyze", "--space", "line", "--m", "5", "--budget", "-3"), "--budget"),
+])
+def test_out_of_range_option_exit_2(argv, option, capsys):
+    assert run(*argv) == 2
+    assert option in one_line_error(capsys)
+
+
+@pytest.mark.parametrize("argv", [
+    ("analyze", "step", "--depth", "40"),
+    ("analyze", "random-uniform", "--dim", "30", "--depth", "1"),
+    ("analyze", "notlp", "--depth", "40"),
+])
+def test_cell_cap_checked_before_generating(argv, monkeypatch, capsys):
+    import jnlab.generators
+    from jnlab.grid import GridFunction
+
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("a generator ran past the cell cap")
+
+    for name in ("gen_step", "gen_random_uniform"):
+        monkeypatch.setattr(jnlab.generators, name, must_not_run)
+    monkeypatch.setattr(GridFunction, "from_callable", must_not_run)
+    assert run(*argv) == 2
+    assert "cap is 2**24" in one_line_error(capsys)
+
+
+def test_grid_csv_cell_cap(tmp_path, capsys):
+    grid = tmp_path / "g.csv"
+    grid.write_text("1,40,0.0,1.0\n0.5\n")
+    assert run("analyze", str(grid)) == 2
+    err = one_line_error(capsys)
+    assert str(grid) in err and "dim * depth <= 24" in err

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from jnlab.generators import (f_distance, f_log_distance, f_random, gen_constant,
                               gen_grid2d, gen_line, gen_log_singularity,
@@ -104,3 +105,10 @@ def test_distance_and_random_values():
     b = f_random(s, 9)
     assert np.array_equal(a, b)
     assert a.shape == (6,)
+
+
+@pytest.mark.parametrize("fn", [f_distance, f_log_distance])
+@pytest.mark.parametrize("anchor", [-1, 6])
+def test_anchor_out_of_range_rejected(fn, anchor):
+    with pytest.raises(ValueError, match="anchor"):
+        fn(gen_line(6), anchor)

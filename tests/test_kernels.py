@@ -1,9 +1,4 @@
-import os
-import subprocess
-import sys
-
 import numpy as np
-import pytest
 
 from jnlab import kernels
 
@@ -49,58 +44,3 @@ def test_build_pyramid_levels_are_tree_sums():
         for j in range(1 << (nbits * k)):
             block = leaves[j * width:(j + 1) * width]
             assert buf[off[k] + j] == tree_total(block)
-
-
-@pytest.mark.skipif(not kernels.HAVE_NUMBA, reason="numba not importable")
-def test_backend_parity_bitwise():
-    rng = np.random.default_rng(3)
-    depth, nbits = 10, 1
-    leaves = rng.standard_normal(1 << depth)
-
-    prev = kernels.current_backend()
-    got = {}
-    try:
-        for backend in kernels.available_backends():
-            kernels.use_backend(backend)
-            buf, off = kernels.build_pyramid(np.abs(leaves), depth, nbits)
-            got[backend] = (
-                buf.copy(),
-                kernels.maximal_sweep(buf, off, nbits),
-                kernels.dp_sweep(buf, off, nbits),
-            )
-    finally:
-        kernels.use_backend(prev)
-
-    a, b = got["numpy"], got["numba"]
-    assert np.array_equal(a[0], b[0])
-    for part_a, part_b in zip(a[1] + a[2], b[1] + b[2]):
-        assert np.array_equal(np.asarray(part_a), np.asarray(part_b))
-
-
-def test_use_backend_rejects_unknown():
-    with pytest.raises(ValueError):
-        kernels.use_backend("fortran")
-
-
-def test_env_flag_disables_numba():
-    code = "import jnlab.kernels as k; print(k.current_backend())"
-    env = dict(os.environ, JNLAB_NUMBA="0")
-    out = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "numpy"
-
-
-def test_backend_choice_does_not_change_results():
-    # same API results under both backends, exercised via a public wrapper
-    rng = np.random.default_rng(4)
-    x = rng.uniform(0, 1, 256)
-    prev = kernels.current_backend()
-    outs = []
-    try:
-        for backend in kernels.available_backends():
-            kernels.use_backend(backend)
-            buf, off = kernels.build_pyramid(x, 8, 1)
-            outs.append(buf[0])
-    finally:
-        kernels.use_backend(prev)
-    assert len(set(outs)) == 1

@@ -339,3 +339,13 @@ def test_values_csv_rejects_duplicate_index():
             fh.write("m,3\n0,1.0\n1,2.0\n1,3.0\n2,4.0\n")
         with pytest.raises(ValueError, match="duplicate"):
             values_from_csv(p)
+
+
+def test_values_csv_validates_rows_before_allocating():
+    # a header m of 10**15 would need 8 PB if the array came first
+    with tempfile.TemporaryDirectory() as td:
+        p = os.path.join(td, "v.csv")
+        with open(p, "w") as fh:
+            fh.write("m,1000000000000000\n0,1.0\n")
+        with pytest.raises(ValueError, match="missing value for point 1"):
+            values_from_csv(p)
