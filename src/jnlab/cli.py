@@ -103,20 +103,23 @@ def _resolve(args: argparse.Namespace) -> dict:
 
 def _check_inputs(cfg: dict) -> None:
     """Reject sizes and levels no command can use, before any work."""
-    for key in ("m", "side", "n_lambda"):
+    for key in ("m", "side", "n_lambda", "budget"):
         if cfg[key] < 1:
             raise ValueError(f"--{key.replace('_', '-')} must be >= 1, got {cfg[key]}")
-    for key in ("depth", "budget"):
-        if cfg[key] < 0:
-            raise ValueError(f"--{key} must be >= 0, got {cfg[key]}")
+    if cfg["depth"] < 0:
+        raise ValueError(f"--depth must be >= 0, got {cfg['depth']}")
     for key in ("p", "lam", "b"):
         val = cfg.get(key)
         if val is not None and not math.isfinite(val):
             raise ValueError(f"--{key} must be finite, got {val}")
 
 
-def _check_grid_size(dim: int, depth: int) -> None:
-    """Refuse a generated grid above the cell cap before it is allocated."""
+def _check_grid_size(cfg: dict, source: str) -> None:
+    """Refuse a generated grid above the cell cap before it is allocated,
+    and a --dim other than 1 for a source that is always 1-D."""
+    dim, depth = cfg["dim"], cfg["depth"]
+    if source in ("power-singularity", "log-singularity", "notlp") and dim != 1:
+        raise ValueError(f"--dim must be 1 for {source}, got {dim}")
     if dim * depth > MAX_CELL_BITS:
         raise ValueError(f"--depth {depth} gives a {dim}-D grid of 2**{dim * depth} "
                          f"cells; the cap is 2**{MAX_CELL_BITS}")
@@ -136,9 +139,7 @@ def _read_csv(reader, path: str):
 def _grid_from_source(cfg: dict, source: str) -> GridFunction:
     if os.path.exists(source):
         return _read_csv(GridFunction.from_csv, source)
-    # the two singularity profiles are 1-D whatever --dim says
-    dim = 1 if source in ("power-singularity", "log-singularity") else cfg["dim"]
-    _check_grid_size(dim, cfg["depth"])
+    _check_grid_size(cfg, source)
     if source == "constant":
         return gen.gen_constant(cfg["dim"], cfg["depth"], cfg["value"])
     if source == "step":
@@ -315,7 +316,7 @@ def _analyze_grid(cfg: dict) -> int:
 
 
 def _analyze_notlp(cfg: dict) -> int:
-    _check_grid_size(1, cfg["depth"])
+    _check_grid_size(cfg, "notlp")
     terms = notlp_terms(cfg["p"], cfg["terms"], cfg["depth"])
     partial = np.cumsum(terms)
     rows = ["j,term,partial"]

@@ -115,11 +115,10 @@ class MetricMeasureSpace:
     """Validated finite metric measure space (distances, weights, optional
     coordinates used only for plotting/regeneration)."""
 
-    def __init__(self, dmat, weights, points=None, validate: bool = True):
+    def __init__(self, dmat, weights, points=None):
         d = np.ascontiguousarray(dmat, dtype=np.float64)
         w = np.ascontiguousarray(weights, dtype=np.float64).reshape(-1)
-        if validate:
-            _validate_metric(d, w)
+        _validate_metric(d, w)
         self.d = d
         self.w = w
         self.d.setflags(write=False)
@@ -213,7 +212,7 @@ class MetricMeasureSpace:
         return v
 
 
-def build_space(points=None, dmat=None, weights=None, validate: bool = True) -> MetricMeasureSpace:
+def build_space(points=None, dmat=None, weights=None) -> MetricMeasureSpace:
     """Space from coordinates (Euclidean metric) or an explicit matrix."""
     if (points is None) == (dmat is None):
         raise ValueError("provide exactly one of points / dmat")
@@ -221,7 +220,7 @@ def build_space(points=None, dmat=None, weights=None, validate: bool = True) -> 
         return space_from_points(points, weights)
     d = np.asarray(dmat, dtype=np.float64)
     w = np.ones(d.shape[0]) if weights is None else weights
-    return MetricMeasureSpace(d, w, validate=validate)
+    return MetricMeasureSpace(d, w)
 
 
 def space_from_points(points, weights=None) -> MetricMeasureSpace:
@@ -267,6 +266,16 @@ def doubling_constant(space: MetricMeasureSpace) -> float:
     return best
 
 
+def _first_overlap(masks) -> tuple[int, int] | None:
+    """First pair i < j, in lexicographic order, of member-set rows that
+    share a point; None when the rows are pairwise disjoint."""
+    if len(masks) < 2:
+        return None
+    rows = np.array(masks, dtype=np.float64)
+    hits = np.argwhere(np.triu(rows @ rows.T, k=1) > 0)
+    return (int(hits[0, 0]), int(hits[0, 1])) if hits.size else None
+
+
 def vitali_subcover(space: MetricMeasureSpace, balls) -> list[int]:
     """Greedy 5r-covering selection: scan by non-increasing radius (ties by
     input position), keep balls whose member sets are disjoint from all
@@ -288,21 +297,14 @@ def vitali_subcover(space: MetricMeasureSpace, balls) -> list[int]:
     cover5 = np.zeros(space.m, dtype=bool)
     for i in kept:
         cover5 |= space.members(balls[i].dilate(5.0))
-    seen = np.zeros(space.m, dtype=bool)
     for i, b in enumerate(balls):
-        mem = space.members(b)
-        seen |= mem
-        if np.any(mem & ~cover5):
+        if np.any(space.members(b) & ~cover5):
             raise InvariantViolation("input ball escapes the kept 5-dilates",
                                      ball=b, index=i)
-    for a_pos in range(len(kept)):
-        for b_pos in range(a_pos + 1, len(kept)):
-            ma = space.members(balls[kept[a_pos]])
-            mb = space.members(balls[kept[b_pos]])
-            if np.any(ma & mb):
-                raise InvariantViolation("kept balls intersect",
-                                         first=balls[kept[a_pos]],
-                                         second=balls[kept[b_pos]])
+    pair = _first_overlap([space.members(balls[i]) for i in kept])
+    if pair is not None:
+        first, second = (balls[kept[k]] for k in pair)
+        raise InvariantViolation("kept balls intersect", first=first, second=second)
     return kept
 
 
@@ -422,21 +424,14 @@ def check_admissible(space: MetricMeasureSpace, b0: Ball, balls) -> BallFamily:
             contained = False
             witness.setdefault("escapes_11B0", b)
             break
-    fifth_disjoint = True
-    fifths = [space.members(b.dilate(0.2)) for b in balls]
-    for i in range(len(balls)):
-        for j in range(i + 1, len(balls)):
-            if np.any(fifths[i] & fifths[j]):
-                fifth_disjoint = False
-                witness.setdefault("fifth_overlap", (balls[i], balls[j]))
-                break
-        if not fifth_disjoint:
-            break
+    pair = _first_overlap([space.members(b.dilate(0.2)) for b in balls])
+    if pair is not None:
+        witness["fifth_overlap"] = (balls[pair[0]], balls[pair[1]])
     return BallFamily(
         balls=balls,
         centered=centered,
         contained=contained,
-        fifth_disjoint=fifth_disjoint,
+        fifth_disjoint=pair is None,
         truncated=bool(np.all(big)),
         witness=witness,
     )
@@ -470,12 +465,14 @@ def jnp_metric_lower(space: MetricMeasureSpace, f, b0: Ball, p: float,
     finally a depth-first enumeration of admissible pool subsets, which
     completes on small spaces and turns the lower bound into the exact pool
     supremum there.  Every candidate family / move probe counts against
-    `budget`.
+    `budget`, which must be at least 1.
     """
     v = space.check_values(f)
     p = float(p)
     if not p > 1:
         raise ValueError(f"p must be > 1, got {p}")
+    if budget < 1:
+        raise ValueError(f"budget must be >= 1, got {budget}")
     mask0 = space.members(b0)
     big = space.members(b0.dilate(11.0))
 
@@ -600,21 +597,23 @@ def jnp_metric_lower(space: MetricMeasureSpace, f, b0: Ball, p: float,
         dedup = sorted(sig_first.values())
         fifth = {i: space.members(pool[i].dilate(0.2)) for i in dedup}
 
-        def extend(chosen: tuple[int, ...], start: int, val: float) -> None:
+        # `used` is the union of the chosen fifths, which a fifth meets iff it meets one
+        def extend(chosen: tuple[int, ...], used: np.ndarray, start: int,
+                   val: float) -> None:
             nonlocal evals
             for t in range(start, len(dedup)):
                 if evals >= budget:
                     return
                 i = dedup[t]
-                if any(np.any(fifth[i] & fifth[j]) for j in chosen):
+                if np.any(fifth[i] & used):
                     continue
                 grown = chosen + (i,)
                 evals += 1
                 consider(val + pool_term[i],
                          tuple(pool[j] for j in grown), grown)
-                extend(grown, t + 1, val + pool_term[i])
+                extend(grown, used | fifth[i], t + 1, val + pool_term[i])
 
-        extend((), 0, 0.0)
+        extend((), np.zeros(space.m, dtype=bool), 0, 0.0)
 
     family = check_admissible(space, b0, best_balls)
     if best_balls and not family.admissible:

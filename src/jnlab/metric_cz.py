@@ -26,8 +26,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvariantViolation, PreconditionError
-from .metric import (Ball, MetricMeasureSpace, _jn_term, _witness_arrays,
-                     bmo_norm_metric, doubling_constant, vitali_subcover)
+from .metric import (Ball, MetricMeasureSpace, _first_overlap, _jn_term,
+                     _witness_arrays, bmo_norm_metric, doubling_constant,
+                     vitali_subcover)
 from .report import CheckReport, degenerate_report
 
 __all__ = [
@@ -259,12 +260,10 @@ def _verify_cz_balls(space: MetricMeasureSpace, v: np.ndarray,
         if np.any(space.members(b.dilate(5.0)) & ~big):
             raise InvariantViolation("5-dilate escapes 11*B0", ball=b)
     # disjointness comes from the covering pass; re-check member sets
-    for i in range(len(cover.balls)):
-        mi = space.members(cover.balls[i])
-        for j in range(i + 1, len(cover.balls)):
-            if np.any(mi & space.members(cover.balls[j])):
-                raise InvariantViolation("kept balls overlap",
-                                         first=cover.balls[i], second=cover.balls[j])
+    pair = _first_overlap([space.members(b) for b in cover.balls])
+    if pair is not None:
+        first, second = (cover.balls[k] for k in pair)
+        raise InvariantViolation("kept balls overlap", first=first, second=second)
     if np.any(cover.level_mask & ~cover.union5_mask):
         raise InvariantViolation("level set escapes the 5-dilate union")
     if cover.residual_mask.any():
@@ -313,19 +312,17 @@ def nested_cz(space: MetricMeasureSpace, f, b0: Ball, levels,
                 raise InvariantViolation(
                     "stopping exponent decreased at the lower level",
                     point=x, low=lo.point_exponents[x], high=n_hi)
+        outside5 = ~np.array([space.members(b.dilate(5.0)) for b in lo.balls],
+                             dtype=bool).reshape(len(lo.balls), space.m)
         row = []
-        for i, b in enumerate(hi.balls):
-            mem = space.members(b)
-            parent = None
-            for j, bj in enumerate(lo.balls):
-                if not np.any(mem & ~space.members(bj.dilate(5.0))):
-                    parent = j
-                    break
-            if parent is None:
+        for b in hi.balls:
+            # coarser balls whose 5-dilate holds b's member set; take the first
+            holds = np.flatnonzero(~np.any(space.members(b) & outside5, axis=1))
+            if holds.size == 0:
                 raise InvariantViolation(
                     "ball not contained in any coarser 5-dilate",
                     ball=b, level=levels[k])
-            row.append(parent)
+            row.append(int(holds[0]))
         maps.append(tuple(row))
     return NestedCovers(levels=levels, covers=covers, containment=tuple(maps))
 

@@ -1,16 +1,20 @@
-"""Loop-based reference implementations of the metric prefix-table path.
+"""Loop-based reference implementations of the metric prefix-table path
+and of the ball-family overlap tests.
 
-These are the direct computations the vectorized kernels replaced: the
+These are the direct computations the vectorized code replaced: the
 O(m^3) per-center oscillation table, the distinct-distance critical radii,
-the per-center maximal loop and the per-center witness loop.  Tests compare
-the package against them bitwise.
+the per-center maximal loop, the per-center witness loop, the pairwise
+member-mask loops behind the Vitali, admissibility, CZ-cover and nested-
+cover checks, and the JN_p search that scanned its chosen balls one by one
+for a clash.  Tests compare the package against them bitwise.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from jnlab.metric import Ball
+from jnlab.errors import InvariantViolation
+from jnlab.metric import Ball, BallFamily, JnSearchResult, _jn_term
 
 
 def ball_tables(orders, w, f):
@@ -142,3 +146,252 @@ def bmo_norm_metric(space, f):
         if cand > best:
             best = cand
     return best
+
+
+# ------------------------------------------------------- ball-family loops
+
+
+def first_overlap(masks):
+    """First pair i < j, in lexicographic order, of masks that share a
+    point, found pair by pair; None when they are pairwise disjoint."""
+    for i in range(len(masks)):
+        for j in range(i + 1, len(masks)):
+            if np.any(masks[i] & masks[j]):
+                return i, j
+    return None
+
+
+def containment(space, lo_balls, hi_balls):
+    """For each ball of hi_balls, the first ball of lo_balls whose 5-dilate
+    holds its member set, recomputing the 5-dilate for every pair; None
+    where no such ball exists."""
+    row = []
+    for b in hi_balls:
+        mem = space.members(b)
+        parent = None
+        for j, bj in enumerate(lo_balls):
+            if not np.any(mem & ~space.members(bj.dilate(5.0))):
+                parent = j
+                break
+        row.append(parent)
+    return tuple(row)
+
+
+def vitali_subcover(space, balls):
+    balls = list(balls)
+    order = sorted(range(len(balls)), key=lambda i: (-balls[i].radius, i))
+    kept = []
+    union = np.zeros(space.m, dtype=bool)
+    for i in order:
+        mem = space.members(balls[i])
+        if not np.any(mem & union):
+            kept.append(i)
+            union |= mem
+
+    cover5 = np.zeros(space.m, dtype=bool)
+    for i in kept:
+        cover5 |= space.members(balls[i].dilate(5.0))
+    for i, b in enumerate(balls):
+        mem = space.members(b)
+        if np.any(mem & ~cover5):
+            raise InvariantViolation("input ball escapes the kept 5-dilates",
+                                     ball=b, index=i)
+    for a_pos in range(len(kept)):
+        for b_pos in range(a_pos + 1, len(kept)):
+            ma = space.members(balls[kept[a_pos]])
+            mb = space.members(balls[kept[b_pos]])
+            if np.any(ma & mb):
+                raise InvariantViolation("kept balls intersect",
+                                         first=balls[kept[a_pos]],
+                                         second=balls[kept[b_pos]])
+    return kept
+
+
+def check_admissible(space, b0, balls):
+    balls = tuple(balls)
+    mask0 = space.members(b0)
+    big = space.members(b0.dilate(11.0))
+    witness = {}
+
+    centered = True
+    for b in balls:
+        if not mask0[b.center]:
+            centered = False
+            witness.setdefault("off_center", b)
+            break
+    contained = True
+    for b in balls:
+        if np.any(space.members(b) & ~big):
+            contained = False
+            witness.setdefault("escapes_11B0", b)
+            break
+    fifth_disjoint = True
+    fifths = [space.members(b.dilate(0.2)) for b in balls]
+    for i in range(len(balls)):
+        for j in range(i + 1, len(balls)):
+            if np.any(fifths[i] & fifths[j]):
+                fifth_disjoint = False
+                witness.setdefault("fifth_overlap", (balls[i], balls[j]))
+                break
+        if not fifth_disjoint:
+            break
+    return BallFamily(
+        balls=balls,
+        centered=centered,
+        contained=contained,
+        fifth_disjoint=fifth_disjoint,
+        truncated=bool(np.all(big)),
+        witness=witness,
+    )
+
+
+def jnp_metric_lower(space, f, b0, p, budget=4000):
+    """The JN_p search with its clash tests made against each chosen ball
+    in turn, on the loop versions of vitali_subcover and check_admissible."""
+    v = space.check_values(f)
+    p = float(p)
+    if not p > 1:
+        raise ValueError(f"p must be > 1, got {p}")
+    mask0 = space.members(b0)
+    big = space.members(b0.dilate(11.0))
+
+    def term(ball):
+        mem = space.members(ball)
+        if np.any(mem & ~big):
+            return None
+        return _jn_term(space, v, mem, p)
+
+    pool = []
+    pool_term = []
+    for c in range(space.m):
+        if not mask0[c]:
+            continue
+        for r in space.critical_radii(c):
+            ball = Ball(c, float(r))
+            t = term(ball)
+            if t is not None:
+                pool.append(ball)
+                pool_term.append(t)
+
+    evals = 0
+    best_val = 0.0
+    best_balls = ()
+    best_pool_idx = ()
+
+    def consider(val, balls, idx=()):
+        nonlocal best_val, best_balls, best_pool_idx
+        if val > best_val:
+            best_val = val
+            best_balls = tuple(balls)
+            best_pool_idx = tuple(idx)
+
+    for i in range(len(pool)):
+        if evals >= budget:
+            break
+        evals += 1
+        consider(pool_term[i], (pool[i],), (i,))
+
+    if pool and evals < budget:
+        radii = np.array([b.radius for b in pool])
+        scales = np.quantile(radii, [0.1, 0.25, 0.5, 0.75, 0.9, 1.0])
+        for s in scales:
+            if evals >= budget:
+                break
+            largest_below = {}
+            for i, b in enumerate(pool):
+                if b.radius <= s:
+                    largest_below[b.center] = i
+            cand_idx = [largest_below[c] for c in sorted(largest_below)]
+            if not cand_idx:
+                continue
+            kept = vitali_subcover(space, [pool[i] for i in cand_idx])
+            fam = tuple(sorted(cand_idx[k] for k in kept))
+            evals += 1
+            consider(float(sum(pool_term[i] for i in fam)),
+                     tuple(pool[i] for i in fam), fam)
+            if evals >= budget:
+                break
+            dil, dil_terms = [], []
+            for i in fam:
+                bb = pool[i].dilate(5.0)
+                t = term(bb)
+                if t is not None:
+                    dil.append(bb)
+                    dil_terms.append(t)
+            if dil:
+                evals += 1
+                consider(float(sum(dil_terms)), tuple(dil))
+
+    if best_pool_idx and evals < budget:
+        cur = list(best_pool_idx)
+        cur_fifth = {i: space.members(pool[i].dilate(0.2)) for i in cur}
+        improved = True
+        while improved and evals < budget:
+            improved = False
+            best_gain, best_move = 0.0, None
+            for j in range(len(pool)):
+                if evals >= budget:
+                    break
+                if j in cur_fifth:
+                    continue
+                evals += 1
+                fj = space.members(pool[j].dilate(0.2))
+                clash = [i for i in cur if np.any(fj & cur_fifth[i])]
+                if not clash:
+                    gain = pool_term[j]
+                    if gain > best_gain:
+                        best_gain, best_move = gain, ("add", j)
+                elif len(clash) == 1:
+                    gain = pool_term[j] - pool_term[clash[0]]
+                    if gain > best_gain:
+                        best_gain, best_move = gain, ("swap", j, clash[0])
+            if best_move is not None:
+                j = best_move[1]
+                if best_move[0] == "swap":
+                    old = best_move[2]
+                    cur.remove(old)
+                    del cur_fifth[old]
+                cur.append(j)
+                cur.sort()
+                cur_fifth[j] = space.members(pool[j].dilate(0.2))
+                improved = True
+        consider(float(sum(pool_term[i] for i in cur)),
+                 tuple(pool[i] for i in cur), tuple(cur))
+
+    if pool and evals < budget:
+        sig_first = {}
+        for i, b in enumerate(pool):
+            key = (space.members(b).tobytes()
+                   + space.members(b.dilate(0.2)).tobytes())
+            sig_first.setdefault(key, i)
+        dedup = sorted(sig_first.values())
+        fifth = {i: space.members(pool[i].dilate(0.2)) for i in dedup}
+
+        def extend(chosen, start, val):
+            nonlocal evals
+            for t in range(start, len(dedup)):
+                if evals >= budget:
+                    return
+                i = dedup[t]
+                if any(np.any(fifth[i] & fifth[j]) for j in chosen):
+                    continue
+                grown = chosen + (i,)
+                evals += 1
+                consider(val + pool_term[i],
+                         tuple(pool[j] for j in grown), grown)
+                extend(grown, t + 1, val + pool_term[i])
+
+        extend((), 0, 0.0)
+
+    family = check_admissible(space, b0, best_balls)
+    if best_balls and not family.admissible:
+        raise InvariantViolation("search produced an inadmissible family",
+                                 flags=(family.centered, family.contained,
+                                        family.fifth_disjoint))
+    return JnSearchResult(
+        value=best_val,
+        norm=best_val ** (1.0 / p) if best_val > 0 else 0.0,
+        p=p,
+        family=family,
+        evaluations=evals,
+    )

@@ -310,10 +310,30 @@ def test_internal_error_exit_3(monkeypatch, capsys):
     (("verify", "bmo", "--space", "line", "--m", "5", "--anchor", "10"), "anchor"),
     (("analyze", "--space", "line", "--m", "5", "--anchor", "-1"), "anchor"),
     (("analyze", "--space", "line", "--m", "5", "--budget", "-3"), "--budget"),
+    (("analyze", "--space", "line", "--m", "5", "--budget", "0"), "--budget"),
 ])
 def test_out_of_range_option_exit_2(argv, option, capsys):
     assert run(*argv) == 2
     assert option in one_line_error(capsys)
+
+
+@pytest.mark.parametrize("argv", [
+    ("analyze", "log-singularity", "--dim", "4", "--depth", "8"),
+    ("analyze", "power-singularity", "--dim", "2", "--depth", "6"),
+    ("analyze", "notlp", "--dim", "3", "--depth", "12"),
+    ("verify", "jn-dyadic", "log-singularity", "--dim", "2", "--depth", "6"),
+])
+def test_dim_of_one_d_source_exit_2(argv, tmp_path, capsys):
+    assert run(*argv) == 2
+    assert "--dim" in one_line_error(capsys)
+    # the same value from a config file
+    i = argv.index("--dim")
+    conf = tmp_path / "c.txt"
+    conf.write_text(f"dim = {argv[i + 1]}\n")
+    assert run(*argv[:i], *argv[i + 2:], "--config", str(conf)) == 2
+    assert "--dim" in one_line_error(capsys)
+    # --dim 1 is what these sources are
+    assert run(*argv[:i], *argv[i + 2:], "--dim", "1", "--out", str(tmp_path / "o")) == 0
 
 
 @pytest.mark.parametrize("argv", [

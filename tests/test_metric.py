@@ -267,6 +267,13 @@ def test_jnp_search_budget_monotone():
     assert all(a <= b + 1e-15 for a, b in zip(vals, vals[1:]))
 
 
+@pytest.mark.parametrize("budget", [0, -1])
+def test_jnp_search_rejects_budget_below_one(budget):
+    s = cloud(6, 1)
+    with pytest.raises(ValueError, match="budget"):
+        jnp_metric_lower(s, np.arange(6.0), spanning_ball(s), 2.0, budget=budget)
+
+
 def test_jnp_search_family_admissible():
     s = cloud(20, 41)
     f = np.random.default_rng(8).uniform(0, 2, s.m)

@@ -1,14 +1,17 @@
-"""The vectorized prefix-table path against the loop oracles, bitwise."""
+"""The vectorized prefix-table path and the ball-family overlap tests
+against the loop oracles, bitwise."""
 
 import numpy as np
 import pytest
 
 import metric_oracles as oracle
 from jnlab import kernels
-from jnlab.generators import f_random, gen_grid2d, gen_line, gen_random_cloud, gen_tree_graph
-from jnlab.metric import (Ball, bmo_norm_metric, global_maximal, hl_maximal_restricted,
-                          space_from_points)
-from jnlab.metric_cz import compute_witness
+from jnlab.generators import (f_log_distance, f_random, gen_grid2d, gen_line,
+                              gen_random_cloud, gen_tree_graph)
+from jnlab.metric import (Ball, _first_overlap, bmo_norm_metric, check_admissible,
+                          global_maximal, hl_maximal_restricted, jnp_metric_lower,
+                          space_from_points, vitali_subcover)
+from jnlab.metric_cz import compute_witness, nested_cz
 
 SEEDS = range(10)
 
@@ -86,3 +89,105 @@ def test_prefix_path_single_point():
     assert_path_matches(space, np.array([-3.0]))
     table = compute_witness(space, np.array([3.0]), Ball(0, 0.25))
     assert table.balls == [Ball(0, 1.0)] and table.values.tolist() == [3.0]
+
+
+# ------------------------------------------------------- ball families
+
+
+def sub_ball(space):
+    """The sub-ball about the most central point holding about half the
+    points (the benchmark's search ball)."""
+    c = int(np.argmin(space.d.max(axis=1)))
+    ds = np.sort(space.d[c])
+    k = space.m // 2
+    return Ball(c, 0.5 * (float(ds[k - 1]) + float(ds[k])))
+
+
+def pool_size(space, b0):
+    """Number of realized balls centered in b0 inside 11*b0: the search's
+    singleton phase uses exactly this many evaluations."""
+    big = space.members(b0.dilate(11.0))
+    return sum(1 for c in np.flatnonzero(space.members(b0))
+               for r in space.critical_radii(c)
+               if not np.any(space.members(Ball(int(c), float(r))) & ~big))
+
+
+def search_cases():
+    """(space, values, b0, budgets), with n the pool size.  The search
+    spends n evaluations on singletons and at most 12 on Vitali seeds; the
+    ascent runs when a pool family leads after them, as it does when 11*B0
+    leaves points out (the 4-point B0), and the subset enumeration follows.
+    So n + 3 stops among the Vitali seeds, n + 12 + n // 2 in the first
+    ascent round or else in the enumeration, and 4 n in the enumeration.
+    On the small spaces every budget up to the completing count is run."""
+    grid = gen_grid2d(8)
+    c = int(np.argmin(grid.d.max(axis=1)))
+    yield grid, f_log_distance(grid, int(np.argmax(grid.d[c]))), sub_ball(grid), (2000,)
+    cases = [(gen_random_cloud(m, seed), seed, False) for seed, m in enumerate((40, 60, 80))]
+    cases += [(gen_random_cloud(40, 3), 3, True), (gen_tree_graph(30, 3), 3, True),
+              (make_space("weighted-grid", 2), 2, True)]
+    for space, seed, half in cases:
+        c = int(np.argmin(space.d.max(axis=1)))
+        b0 = sub_ball(space) if half else Ball(c, float(np.sort(space.d[c])[3]) + 1e-9)
+        n = pool_size(space, b0)
+        budgets = (n + 3, n + 12 + n // 2) + (() if half and n > 200 else (4 * n,))
+        for f in value_sets(space, seed):
+            yield space, f, b0, budgets
+    for space, stride in ((gen_line(8), 1), (gen_tree_graph(9, 1), 25)):
+        b0 = sub_ball(space)
+        full = jnp_metric_lower(space, f_random(space, 4), b0, 2.0, budget=10**6)
+        assert full.evaluations < 10**6  # the enumeration completes
+        for f in value_sets(space, 4):
+            yield space, f, b0, range(1, full.evaluations + 2, stride)
+
+
+def random_families(space, rng, n_fam=20):
+    """Ball lists over centers and realized radii of the space, some with
+    overlapping members or fifths, a few empty or single."""
+    for _ in range(n_fam):
+        k = int(rng.integers(0, 9))
+        centers = rng.integers(0, space.m, size=k)
+        yield [Ball(int(c), float(rng.choice(space.critical_radii(int(c)))))
+               for c in centers]
+
+
+def test_ball_family_overlap_tests_match_loop_oracles():
+    for space, f, b0, budgets in search_cases():
+        for budget in budgets:
+            got = jnp_metric_lower(space, f, b0, 2.0, budget=budget)
+            want = oracle.jnp_metric_lower(space, f, b0, 2.0, budget=budget)
+            assert got.value == want.value and got.evaluations == want.evaluations
+            assert got.family.balls == want.family.balls
+            assert got.family.witness == want.family.witness
+            assert got.family == want.family
+
+    rng = np.random.default_rng(0)
+    for kind in ("line", "grid2d", "tree-graph", "random-cloud", "weighted-grid"):
+        for seed in range(4):
+            space = make_space(kind, seed)
+            b0 = sub_ball(space)
+            for balls in random_families(space, rng):
+                for factor in (1.0, 0.2, 5.0):
+                    masks = [space.members(b.dilate(factor)) for b in balls]
+                    assert _first_overlap(masks) == oracle.first_overlap(masks)
+                assert check_admissible(space, b0, balls) == \
+                    oracle.check_admissible(space, b0, balls)
+                assert vitali_subcover(space, balls) == oracle.vitali_subcover(space, balls)
+
+    # spikes far apart on a spanning B0 give several balls per level, some
+    # inside more than one coarser 5-dilate, so the first container counts
+    parents = []
+    for space in (gen_line(80), gen_grid2d(10)):
+        c = int(np.argmin(space.d.max(axis=1)))
+        b0 = Ball(c, 1.5 * float(space.d[c].max()) + 1.0)
+        for seed in range(3):
+            rng = np.random.default_rng(seed)
+            g = np.full(space.m, 0.1)
+            g[rng.choice(space.m, size=6, replace=False)] = rng.uniform(5, 50, 6)
+            lam = space.integral_mask(g, space.members(b0)) / space.measure_mask(space.members(b0))
+            nest = nested_cz(space, g, b0, (1.05 * lam, 1.6 * lam, 2.4 * lam))
+            for k in range(1, 3):
+                lo, hi = nest.covers[k - 1], nest.covers[k]
+                assert nest.containment[k] == oracle.containment(space, lo.balls, hi.balls)
+                parents += nest.containment[k]
+    assert max(parents) > 0
