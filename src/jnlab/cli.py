@@ -58,7 +58,7 @@ _SCHEMA = {
 }
 
 _DEFAULTS = {
-    "seed": 0, "depth": 8, "dim": 1, "m": 32, "side": 8, "terms": 8,
+    "seed": 0, "depth": 8, "dim": 1, "m": 32, "side": 8, "terms": 6,
     "anchor": 0, "budget": 4000, "n_lambda": 60,
     "p": 2.0, "value": 1.0,
     "format": "json", "q0": "0", "ball": "0:auto",
@@ -520,8 +520,7 @@ def main(argv=None) -> int:
     try:
         cfg = _resolve(args)
         return _COMMANDS[args.command](cfg)
-    except (PreconditionError, MetricAxiomError, ValueError, KeyError,
-            OSError) as exc:
+    except (PreconditionError, MetricAxiomError, ValueError, OSError) as exc:
         print(f"jnlab: error: {exc}", file=sys.stderr)
         return 2
     except InvariantViolation as exc:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .errors import InvariantViolation, PreconditionError
+from .errors import InvariantViolation, PreconditionError, _check_p
 from .grid import (
     CellSet,
     DyadicCube,
@@ -58,21 +58,13 @@ class MaximalField:
         return float(self.values.max())
 
 
-def _local_pyramid(f: GridFunction, q0: DyadicCube, pyramid):
-    local_depth = f.max_depth - q0.depth
-    off = kernels.pyramid_offsets(local_depth, f.dim)
-    buf = np.empty(off[-1], dtype=np.float64)
-    for rel in range(local_depth + 1):
-        buf[off[rel]:off[rel + 1]] = f.pyramid_slice(pyramid, q0, rel)
-    return buf, off
-
-
 def dyadic_maximal(f: GridFunction, q0: DyadicCube) -> MaximalField:
     """Per-cell max of ancestor |f|-averages within q0, with provenance."""
     f._check_cube(q0)
-    buf, off = _local_pyramid(f, q0, f.abs_pyramid())
-    zrun, zprov = kernels.maximal_sweep(buf, off, f.dim)
+    pyr = f.abs_pyramid()
     local_depth = f.max_depth - q0.depth
+    zrun, zprov = kernels.maximal_sweep(
+        [f.pyramid_slice(pyr, q0, rel) for rel in range(local_depth + 1)], f.dim)
     perm = _lex_to_z_perm(f.dim, local_depth)
     return MaximalField(
         q0=q0,
@@ -198,9 +190,7 @@ def check_good_lambda_dyadic(
     """
     from .functionals import jnp_dyadic
 
-    p = float(p)
-    if not p > 1:
-        raise ValueError(f"p must be > 1, got {p}")
+    p = _check_p(p)
     arity = 1 << f.dim
     if not 0 < b < 1.0 / arity:
         raise PreconditionError("b must lie in (0, 2^-n)", b=b, dim=f.dim)
@@ -242,9 +232,7 @@ def verify_jn_dyadic(f: GridFunction, q0: DyadicCube, p: float,
     """
     from .functionals import jnp_dyadic
 
-    p = float(p)
-    if not p > 1:
-        raise ValueError(f"p must be > 1, got {p}")
+    p = _check_p(p)
     K = jnp_dyadic(f, q0, p).norm
     if K == 0.0:
         return [degenerate_report("jn-weak-lp-dyadic", "constant function, K = 0")]

@@ -1,9 +1,11 @@
-"""Shared exception types.
+"""Shared exception types, and the one check of the exponent p.
 
 All carry enough payload to reconstruct the failing comparison.
 """
 
 from __future__ import annotations
+
+import math
 
 __all__ = [
     "DepthOverflowError",
@@ -46,3 +48,11 @@ class InvariantViolation(AssertionError):
         self.details = details
         extra = ", ".join(f"{k}={v!r}" for k, v in details.items())
         super().__init__(f"{message} ({extra})" if extra else message)
+
+
+def _check_p(p: float) -> float:
+    """The exponent p as a float; ValueError unless 1 < p < inf."""
+    p = float(p)
+    if not (p > 1.0 and math.isfinite(p)):
+        raise ValueError(f"p must lie in (1, inf), got {p}")
+    return p

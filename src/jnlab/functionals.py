@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
+from .errors import _check_p
 from .grid import (DyadicCube, GridFunction, RootCube, average, cube_from_zindex,
                    mean_oscillation)
 
@@ -44,26 +45,18 @@ class PartitionResult:
     witness: tuple[DyadicCube, ...]
 
 
-def _check_p(p: float) -> float:
-    p = float(p)
-    if not (p > 1.0 and np.isfinite(p)):
-        raise ValueError(f"p must lie in (1, inf), got {p}")
-    return p
-
-
-def _subtree_terms(f: GridFunction, q0: DyadicCube, p: float):
-    """Pyramid of |Q| (osc_Q f)^p over the subtree of q0, local layout."""
+def _subtree_terms(f: GridFunction, q0: DyadicCube, p: float) -> tuple[np.ndarray, ...]:
+    """Pyramid of |Q| (osc_Q f)^p over the subtree of q0, one array per
+    relative depth."""
     pyr = f.osc_pyramid()
-    local_depth = f.max_depth - q0.depth
-    off = kernels.pyramid_offsets(local_depth, f.dim)
-    tbuf = np.empty(off[-1], dtype=np.float64)
-    for rel in range(local_depth + 1):
+    terms = []
+    for rel in range(f.max_depth - q0.depth + 1):
         k = q0.depth + rel
         cnt = 1 << (f.dim * (f.max_depth - k))
         mu = f.root.measure / float(1 << (f.dim * k))
         osc_sums = f.pyramid_slice(pyr, q0, rel)
-        tbuf[off[rel]:off[rel + 1]] = mu * np.power(osc_sums * (1.0 / float(cnt)), p)
-    return tbuf, off, local_depth
+        terms.append(mu * np.power(osc_sums * (1.0 / float(cnt)), p))
+    return tuple(terms)
 
 
 def jnp_dyadic(f: GridFunction, q0: DyadicCube, p: float) -> PartitionResult:
@@ -75,16 +68,15 @@ def jnp_dyadic(f: GridFunction, q0: DyadicCube, p: float) -> PartitionResult:
     """
     p = _check_p(p)
     f._check_cube(q0)
-    tbuf, off, local_depth = _subtree_terms(f, q0, p)
-    vbuf, split = kernels.dp_sweep(tbuf, off, f.dim)
-    value = float(vbuf[0])
+    values, split = kernels.dp_sweep(_subtree_terms(f, q0, p), f.dim)
+    value = float(values[0][0])
 
     witness = []
     arity = 1 << f.dim
     stack = [(0, 0)]  # (relative depth, local z index), DFS
     while stack:
         rel, z = stack.pop()
-        if split[off[rel] + z]:
+        if split[rel][z]:
             base = z * arity
             stack.extend((rel + 1, base + j) for j in range(arity - 1, -1, -1))
         else:
@@ -119,11 +111,11 @@ def jnp_bruteforce(f: GridFunction, q0: DyadicCube, p: float,
             f"{n_part} partitions exceed the enumeration cap {_cap}; "
             "reduce max_extra_depth"
         )
-    tbuf, off, _ = _subtree_terms(f, q0, p)
+    terms = _subtree_terms(f, q0, p)
 
     def enum(rel: int, z: int, budget: int):
         # (value, ((rel, z), ...)) for every partition of this subtree
-        out = [(float(tbuf[off[rel] + z]), ((rel, z),))]
+        out = [(float(terms[rel][z]), ((rel, z),))]
         if budget > 0:
             per_child = [enum(rel + 1, arity * z + t, budget - 1)
                          for t in range(arity)]

@@ -241,23 +241,23 @@ class GridFunction:
         """Entries of a pyramid level restricted to the subtree of `cube`.
 
         Returns the block of all depth-``cube.depth + rel_depth`` descendants
-        of `cube`, in interleaved order.
+        of `cube`, in interleaved order, as a view into the pyramid.
         """
-        buf, off = pyramid
         k = cube.depth + rel_depth
         if k > self.max_depth:
             raise DepthOverflowError(k, self.max_depth)
         width = self.dim * rel_depth
-        start = off[k] + (cube.zindex() << width)
-        return buf[start:start + (1 << width)]
+        z = cube.zindex()
+        return pyramid[k][z << width:(z + 1) << width]
 
-    def sum_pyramid(self) -> tuple[np.ndarray, np.ndarray]:
-        """Tree sums of the values at every depth (flat buffer, offsets)."""
+    def sum_pyramid(self) -> tuple[np.ndarray, ...]:
+        """Tree sums of the values at every depth, one array per depth
+        (interleaved order); the deepest entry is :attr:`zvalues` itself."""
         if "pyr_sum" not in self._cache:
             self._cache["pyr_sum"] = kernels.build_pyramid(self.zvalues, self.max_depth, self.dim)
         return self._cache["pyr_sum"]
 
-    def abs_pyramid(self) -> tuple[np.ndarray, np.ndarray]:
+    def abs_pyramid(self) -> tuple[np.ndarray, ...]:
         """Tree sums of |values| at every depth."""
         if "pyr_abs" not in self._cache:
             self._cache["pyr_abs"] = kernels.build_pyramid(
@@ -265,20 +265,17 @@ class GridFunction:
             )
         return self._cache["pyr_abs"]
 
-    def osc_pyramid(self) -> tuple[np.ndarray, np.ndarray]:
+    def osc_pyramid(self) -> tuple[np.ndarray, ...]:
         """Per-cube sums of |value - cube average| at every depth."""
         if "pyr_osc" not in self._cache:
-            buf, off = self.sum_pyramid()
-            depth, dim = self.max_depth, self.dim
-            obuf = np.zeros_like(buf)
-            for k in range(depth + 1):
-                cnt = 1 << (dim * (depth - k))
-                avg = buf[off[k]:off[k + 1]] * (1.0 / float(cnt))
-                dev = np.abs(self.zvalues - np.repeat(avg, cnt))
-                for _ in range(dim * (depth - k)):
+            levels = []
+            for k, sums in enumerate(self.sum_pyramid()):
+                cnt = 1 << (self.dim * (self.max_depth - k))
+                dev = np.abs(self.zvalues - np.repeat(sums * (1.0 / float(cnt)), cnt))
+                for _ in range(self.dim * (self.max_depth - k)):
                     dev = kernels.halve_pairs(dev)
-                obuf[off[k]:off[k + 1]] = dev
-            self._cache["pyr_osc"] = (obuf, off)
+                levels.append(dev)
+            self._cache["pyr_osc"] = tuple(levels)
         return self._cache["pyr_osc"]
 
     # ---------------------------------------------------------- geometry

@@ -6,9 +6,10 @@ adjacent pairs, so every cube sum is a fixed-shape tree of pair additions
 and bitwise reproducible.
 
 Pyramid layout: a function on ``A**L`` leaves (``A = 2**nbits`` children
-per node) is stored level by level in one flat buffer.  Level ``k`` holds
-``A**k`` entries and starts at ``offsets[k]``; entries are in depth-first
-(bit-interleaved) order so each node's leaves form a contiguous block.
+per node) is stored as a sequence of ``L + 1`` arrays, one per level.
+Level ``k`` holds the ``A**k`` depth-k values in depth-first
+(bit-interleaved) order, so each node's descendants at any level form a
+contiguous block, and a subtree's pyramid is a sequence of slices.
 
 Of the metric kernels, ``ball_tables`` gives the per-center prefix sums
 of weight and weighted values along the distance order, which is all the
@@ -29,17 +30,7 @@ __all__ = [
     "halve_pairs",
     "maximal_sweep",
     "osc_table",
-    "pyramid_offsets",
 ]
-
-
-def pyramid_offsets(depth: int, nbits: int) -> np.ndarray:
-    """Start index of each level, plus one past the end (length depth+2)."""
-    arity = 1 << nbits
-    sizes = arity ** np.arange(depth + 1, dtype=np.int64)
-    off = np.zeros(depth + 2, dtype=np.int64)
-    np.cumsum(sizes, out=off[1:])
-    return off
 
 
 def _pair_sums(x: np.ndarray, times: int) -> np.ndarray:
@@ -54,50 +45,47 @@ def halve_pairs(x: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(x, dtype=np.float64).reshape(-1, 2).sum(axis=1)
 
 
-def build_pyramid(leaves: np.ndarray, depth: int, nbits: int) -> tuple[np.ndarray, np.ndarray]:
-    """All-level tree sums of `leaves` (length (2**nbits)**depth, block order)."""
-    off = pyramid_offsets(depth, nbits)
-    buf = np.empty(off[-1], dtype=np.float64)
-    buf[off[depth]:off[depth + 1]] = leaves
-    for k in range(depth, 0, -1):
-        buf[off[k - 1]:off[k]] = _pair_sums(buf[off[k]:off[k + 1]], nbits)
-    return buf, off
+def build_pyramid(leaves: np.ndarray, depth: int, nbits: int) -> tuple[np.ndarray, ...]:
+    """All-level tree sums of `leaves` (length (2**nbits)**depth, block
+    order), one array per level; the last entry is `leaves` itself."""
+    levels = [np.asarray(leaves, dtype=np.float64)]
+    for _ in range(depth):
+        levels.append(_pair_sums(levels[-1], nbits))
+    return tuple(reversed(levels))
 
 
-def maximal_sweep(buf: np.ndarray, off: np.ndarray, nbits: int) -> tuple[np.ndarray, np.ndarray]:
+def maximal_sweep(pyramid, nbits: int) -> tuple[np.ndarray, np.ndarray]:
     """Per-leaf max of ancestor averages of a sum pyramid, with the depth
     of the shallowest ancestor attaining it (strict improvement updates)."""
     arity = 1 << nbits
-    depth = len(off) - 2
-    run = np.full(1, buf[0] / float(arity**depth))
+    depth = len(pyramid) - 1
+    run = np.full(1, pyramid[0][0] / float(arity**depth))
     prov = np.zeros(1, dtype=np.int64)
     for k in range(1, depth + 1):
         run = np.repeat(run, arity)
         prov = np.repeat(prov, arity)
-        avg = buf[off[k]:off[k + 1]] * (1.0 / float(arity ** (depth - k)))
+        avg = pyramid[k] * (1.0 / float(arity ** (depth - k)))
         better = avg > run
         run[better] = avg[better]
         prov[better] = k
     return run, prov
 
 
-def dp_sweep(tbuf: np.ndarray, off: np.ndarray, nbits: int) -> tuple[np.ndarray, np.ndarray]:
-    """Bottom-up best-partition values over a term pyramid.
+def dp_sweep(terms, nbits: int) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
+    """Bottom-up best-partition values over a term pyramid, per level.
 
     value(node) = max(term(node), sum over children of value(child));
-    split flag is 1 where the children strictly beat the node's own term.
+    split flag is True where the children strictly beat the node's own term.
     """
-    depth = len(off) - 2
-    vbuf = np.empty_like(tbuf)
-    split = np.zeros(tbuf.shape[0], dtype=np.uint8)
-    vbuf[off[depth]:off[depth + 1]] = tbuf[off[depth]:off[depth + 1]]
+    depth = len(terms) - 1
+    values = [terms[depth]]
+    splits = [np.zeros(terms[depth].shape[0], dtype=bool)]
     for k in range(depth - 1, -1, -1):
-        child = _pair_sums(vbuf[off[k + 1]:off[k + 2]], nbits)
-        term = tbuf[off[k]:off[k + 1]]
-        cut = child > term
-        vbuf[off[k]:off[k + 1]] = np.where(cut, child, term)
-        split[off[k]:off[k + 1]] = cut
-    return vbuf, split
+        child = _pair_sums(values[-1], nbits)
+        cut = child > terms[k]
+        values.append(np.where(cut, child, terms[k]))
+        splits.append(cut)
+    return tuple(reversed(values)), tuple(reversed(splits))
 
 
 # ---------------------------------------------------------------- ball tables

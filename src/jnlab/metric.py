@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .errors import InvariantViolation, MetricAxiomError
+from .errors import InvariantViolation, MetricAxiomError, _check_p
 
 __all__ = [
     "Ball",
@@ -468,9 +468,7 @@ def jnp_metric_lower(space: MetricMeasureSpace, f, b0: Ball, p: float,
     `budget`, which must be at least 1.
     """
     v = space.check_values(f)
-    p = float(p)
-    if not p > 1:
-        raise ValueError(f"p must be > 1, got {p}")
+    p = _check_p(p)
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
     mask0 = space.members(b0)

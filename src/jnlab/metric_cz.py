@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvariantViolation, PreconditionError
+from .errors import InvariantViolation, PreconditionError, _check_p
 from .metric import (Ball, MetricMeasureSpace, _first_overlap, _jn_term,
                      _witness_arrays, bmo_norm_metric, doubling_constant,
                      vitali_subcover)
@@ -76,11 +76,9 @@ def theorem_constants(c_mu: float, p: float, n: int | None = None,
                       K: float | None = None, mu_b0: float | None = None,
                       measure_q0: float | None = None) -> Constants:
     c_mu = float(c_mu)
-    p = float(p)
     if not (c_mu >= 1.0 and np.isfinite(c_mu)):
         raise ValueError(f"doubling constant must be >= 1, got {c_mu}")
-    if not p > 1:
-        raise ValueError(f"p must be > 1, got {p}")
+    p = _check_p(p)
     q = p / (p - 1.0)
     a = 2.0 * c_mu**8
     b = None if n is None else 2.0 ** -(n + 1)
@@ -350,9 +348,7 @@ def check_toiterate(space: MetricMeasureSpace, f, b0: Ball, lam: float,
     for the JN_p sum coming from the admissible family {5 B_i(lam)}.
     """
     v = space.check_values(f)
-    p = float(p)
-    if not p > 1:
-        raise ValueError(f"p must be > 1, got {p}")
+    p = _check_p(p)
     q = p / (p - 1.0)
     mask0 = space.members(b0)
     g = np.abs(v - space.average_mask(v, mask0))
@@ -392,9 +388,7 @@ def verify_mainresult(space: MetricMeasureSpace, f, b0: Ball, p: float,
     whenever the JN_p functional is finite.
     """
     v = space.check_values(f)
-    p = float(p)
-    if not p > 1:
-        raise ValueError(f"p must be > 1, got {p}")
+    p = _check_p(p)
     q = p / (p - 1.0)
     c = doubling_constant(space)
     cons = theorem_constants(c, p)

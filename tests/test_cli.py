@@ -116,6 +116,14 @@ def test_analyze_notlp_csv(tmp_path):
     assert float(last[2]) > float(lines[1].split(",")[2])
 
 
+def test_analyze_notlp_defaults(tmp_path):
+    out = tmp_path / "terms.csv"
+    assert run("analyze", "notlp", "--out", str(out)) == 0
+    lines = out.read_text().splitlines()
+    assert lines[0] == "j,term,partial"
+    assert len(lines) == 7
+
+
 def test_analyze_space(tmp_path):
     out = tmp_path / "a.json"
     assert run("analyze", "--space", "line", "--m", "14",
@@ -295,14 +303,17 @@ def test_emit_reports_empty_is_not_a_pass(tmp_path, capsys):
 
 
 def test_internal_error_exit_3(monkeypatch, capsys):
+    # a lookup bug inside a command is an internal error, not bad input
     import jnlab.cli as cli
 
-    def broken(cfg):
-        raise IndexError("index 0 is out of bounds")
+    for exc in (IndexError("index 0 is out of bounds"), KeyError(3)):
+        def broken(cfg, exc=exc):
+            raise exc
 
-    monkeypatch.setitem(cli._COMMANDS, "analyze", broken)
-    assert run("analyze", "step") == 3
-    assert "jnlab: internal error: IndexError" in one_line_error(capsys)
+        monkeypatch.setitem(cli._COMMANDS, "analyze", broken)
+        assert run("analyze", "step") == 3
+        name = type(exc).__name__
+        assert f"jnlab: internal error: {name}" in one_line_error(capsys)
 
 
 @pytest.mark.parametrize("argv,option", [

@@ -63,6 +63,41 @@ def test_maximal_on_subcube():
     assert np.array_equal(field.provenance, prov)
 
 
+def test_maximal_and_cz_on_2d_subcube():
+    # a depth-2 sub-cube of a 2-D depth-5 grid, away from the first block
+    f = rand_f(2, 5, 29, lo=-1.0, hi=2.0)
+    q0 = DyadicCube(f.root, 2, (1, 2))
+    field = dyadic_maximal(f, q0)
+    vals, prov = brute_maximal(f, q0)
+    assert np.array_equal(field.values, vals)
+    assert np.array_equal(field.provenance, prov)
+    assert set(np.unique(field.provenance)) > {q0.depth}
+
+    g = f.with_values(np.abs(f.values))
+    lam = average(g, q0) * 1.3
+    cover = cz_decompose_dyadic(f, q0, lam)
+    assert cover.cubes
+    union_cells = 0
+    for c, a in zip(cover.cubes, cover.averages):
+        assert q0.contains(c) and c != q0
+        assert a == average(g, c)
+        assert lam < a <= 4 * lam
+        union_cells += 1 << (2 * (f.max_depth - c.depth))
+    e = level_set(field, lam)
+    assert e.count == union_cells
+    q0_cells = 1 << (2 * (f.max_depth - q0.depth))
+    assert cover.residual.count == q0_cells - union_cells
+    # residual and level set are disjoint cells of q0, and |f| <= lam there
+    assert not np.any(cover.residual.mask & e.mask)
+    lo = [i << (f.max_depth - q0.depth) for i in q0.index]
+    hi = [(i + 1) << (f.max_depth - q0.depth) for i in q0.index]
+    side = 1 << f.max_depth
+    for cell in np.flatnonzero(cover.residual.mask | e.mask):
+        x, y = divmod(int(cell), side)
+        assert lo[0] <= x < hi[0] and lo[1] <= y < hi[1]
+    assert np.max(np.abs(f.values[cover.residual.mask])) <= lam
+
+
 def test_maximal_dominates_function():
     f = rand_f(2, 3, 11)
     field = dyadic_maximal(f, f.root.top())

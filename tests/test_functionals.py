@@ -83,6 +83,21 @@ def test_jnp_on_subcube():
         assert q0.contains(c)
 
 
+def test_jnp_and_bmo_on_2d_subcube():
+    # a depth-2 sub-cube of a 2-D depth-5 grid: its pyramid is a run of
+    # slices that start in the middle of each level
+    f = rand_f(2, 5, 41)
+    q0 = DyadicCube(f.root, 2, (1, 2))
+    a = jnp_dyadic(f, q0, 2.0)
+    b = jnp_bruteforce(f, q0, 2.0, 3)
+    assert a.value > 0
+    assert a.value == b.value
+    assert a.witness == b.witness
+    assert all(q0.contains(c) for c in a.witness)
+    direct = max(mean_oscillation(f, c) for c in all_cubes(f, q0))
+    assert bmo_dyadic(f, q0) == direct
+
+
 def test_jnp_witness_is_disjoint_partition_of_support():
     f = rand_f(2, 2, 9)
     q0 = f.root.top()

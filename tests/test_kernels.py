@@ -26,21 +26,16 @@ def test_halve_pairs_matches_python_tree():
         assert total[0] == tree_total(x)
 
 
-def test_pyramid_offsets():
-    off = kernels.pyramid_offsets(3, 1)
-    assert off.tolist() == [0, 1, 3, 7, 15]
-    off2 = kernels.pyramid_offsets(2, 2)
-    assert off2.tolist() == [0, 1, 5, 21]
-
-
 def test_build_pyramid_levels_are_tree_sums():
     rng = np.random.default_rng(2)
-    depth, nbits = 4, 1
-    leaves = rng.uniform(0, 1, 1 << depth)
-    buf, off = kernels.build_pyramid(leaves, depth, nbits)
-    assert np.array_equal(buf[off[depth]:off[depth] + leaves.size], leaves)
-    for k in range(depth + 1):
-        width = 1 << (nbits * (depth - k))
-        for j in range(1 << (nbits * k)):
-            block = leaves[j * width:(j + 1) * width]
-            assert buf[off[k] + j] == tree_total(block)
+    for depth, nbits in ((4, 1), (3, 2)):
+        leaves = rng.uniform(0, 1, 1 << (nbits * depth))
+        levels = kernels.build_pyramid(leaves, depth, nbits)
+        assert len(levels) == depth + 1
+        assert np.array_equal(levels[depth], leaves)
+        for k in range(depth + 1):
+            width = 1 << (nbits * (depth - k))
+            assert levels[k].shape == (1 << (nbits * k),)
+            for j in range(1 << (nbits * k)):
+                block = leaves[j * width:(j + 1) * width]
+                assert levels[k][j] == tree_total(block)
