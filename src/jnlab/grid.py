@@ -370,21 +370,6 @@ class CellSet:
     def indices(self) -> np.ndarray:
         return np.flatnonzero(self.mask)
 
-    def union(self, other: "CellSet") -> "CellSet":
-        self._check(other)
-        return CellSet(self.root, self.depth, self.mask | other.mask)
-
-    def intersection(self, other: "CellSet") -> "CellSet":
-        self._check(other)
-        return CellSet(self.root, self.depth, self.mask & other.mask)
-
-    def complement(self) -> "CellSet":
-        return CellSet(self.root, self.depth, ~self.mask)
-
-    def _check(self, other: "CellSet") -> None:
-        if other.root != self.root or other.depth != self.depth:
-            raise ValueError("cell sets live on different grids")
-
     def __eq__(self, other):
         return (
             isinstance(other, CellSet)

@@ -237,29 +237,24 @@ def doubling_constant(space: MetricMeasureSpace) -> float:
     """Exact sup over centers x and real radii r > 0 of
     mu(B(x, 2r)) / mu(B(x, r)).
 
-    Member sets of B(x, r) and B(x, 2r) only change when r crosses a
-    distance value v or a half-value v/2, so scanning midpoints of the
-    refined breakpoint grid {v} U {v/2} gives the true supremum.
+    Let a_0 = 0 < a_1 < ... be the distinct distances from x.  For r in
+    (a_j, a_{j+1}] the ball B(x, r) is the tie groups up to a_j, and
+    B(x, 2r) grows with r, so the sup over that interval is
+    mu(d < 2 a_{j+1}) / mu(d <= a_j).  Past the largest distance the ratio
+    is 1.  Both measures are entries of the center's cumulative weights.
     """
     if "doubling" in space._cache:
         return space._cache["doubling"]
     best = 1.0
+    sd, wcum = space.sorted_d, space.wcum
+    ends = _tie_group_ends(sd)
     for c in range(space.m):
-        ds = space.sorted_d[c]
-        pos = np.unique(ds[ds > 0])
-        if pos.size == 0:
+        ds = sd[c]
+        nxt = np.flatnonzero(ends[c, :-1]) + 1  # first position of each group a_{j+1}
+        if nxt.size == 0:
             continue
-        grid = np.unique(np.concatenate([pos, 0.5 * pos]))
-        radii = np.concatenate([
-            [0.5 * grid[0]],
-            0.5 * (grid[:-1] + grid[1:]),
-            [1.5 * grid[-1] + 1.0],
-        ])
-        k_r = np.searchsorted(ds, radii, side="left")
-        k_2r = np.searchsorted(ds, 2.0 * radii, side="left")
-        mu_r = space.wcum[c][k_r - 1]
-        mu_2r = space.wcum[c][k_2r - 1]
-        cand = float(np.max(mu_2r / mu_r))
+        k_2r = np.searchsorted(ds, 2.0 * ds[nxt], side="left")
+        cand = float(np.max(wcum[c][k_2r - 1] / wcum[c][nxt - 1]))
         if cand > best:
             best = cand
     space._cache["doubling"] = best

@@ -3,7 +3,8 @@ and of the ball-family overlap tests.
 
 These are the direct computations the vectorized code replaced: the
 O(m^3) per-center oscillation table, the distinct-distance critical radii,
-the per-center maximal loop, the per-center witness loop, the pairwise
+the per-center maximal loop, the per-center witness loop, the doubling
+constant's scan of radii between breakpoints, the pairwise
 member-mask loops behind the Vitali, admissibility, CZ-cover and nested-
 cover checks, and the JN_p search that scanned its chosen balls one by one
 for a clash.  Tests compare the package against them bitwise.
@@ -41,6 +42,31 @@ def critical_radii(space, c):
         return np.array([1.0])
     mids = 0.5 * (vals[:-1] + vals[1:])
     return np.append(mids, 1.5 * float(vals[-1]) + 1.0)
+
+
+def doubling_constant(space):
+    """sup of mu(B(x, 2r)) / mu(B(x, r)) over midpoints of the refined
+    breakpoint grid {v} U {v/2} of each center's distances v."""
+    best = 1.0
+    for c in range(space.m):
+        ds = space.sorted_d[c]
+        pos = np.unique(ds[ds > 0])
+        if pos.size == 0:
+            continue
+        grid = np.unique(np.concatenate([pos, 0.5 * pos]))
+        radii = np.concatenate([
+            [0.5 * grid[0]],
+            0.5 * (grid[:-1] + grid[1:]),
+            [1.5 * grid[-1] + 1.0],
+        ])
+        k_r = np.searchsorted(ds, radii, side="left")
+        k_2r = np.searchsorted(ds, 2.0 * radii, side="left")
+        mu_r = space.wcum[c][k_r - 1]
+        mu_2r = space.wcum[c][k_2r - 1]
+        cand = float(np.max(mu_2r / mu_r))
+        if cand > best:
+            best = cand
+    return best
 
 
 def maximal(space, g, mask0):

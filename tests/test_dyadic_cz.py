@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from jnlab.dyadic_cz import (check_good_lambda_dyadic, cz_decompose_dyadic,
+from jnlab.dyadic_cz import (MaximalField, check_good_lambda_dyadic, cz_decompose_dyadic,
                              dyadic_maximal, level_set, verify_jn_dyadic)
 from jnlab.errors import PreconditionError
 from jnlab.functionals import jnp_bruteforce
-from jnlab.grid import DyadicCube, GridFunction, RootCube, average, cube_from_zindex
-from jnlab.report import all_pass
+from jnlab.grid import (DyadicCube, GridFunction, RootCube, average, cube_from_zindex,
+                        mean_oscillation)
+from jnlab.report import all_pass, reports_to_json
 
 
 def unit(dim):
@@ -183,7 +184,6 @@ def test_good_lambda_random():
             continue
         rep = None
         for t in (1.0, 2.0, 5.0):
-            from jnlab.grid import mean_oscillation
             lam = t * mean_oscillation(f, q0) / b
             if lam <= 0:
                 continue
@@ -223,3 +223,60 @@ def test_verify_jn_dyadic_degenerate_constant():
     assert len(reports) == 1
     assert reports[0].degenerate
     assert reports[0].passed
+
+
+# ----------------------------------------- level measures from one sort
+
+
+def level_cases():
+    """(f, q0): 1-D depth 10 and 2-D depth 5 on roots of side 3, at the
+    root and at a proper sub-cube, where the full-grid denominator counts."""
+    rng = np.random.default_rng(11)
+    f1 = GridFunction(RootCube(1, (0.0,), 3.0), 10,
+                      np.round(rng.standard_normal(1 << 10), 1))
+    f2 = GridFunction(RootCube(2, (0.0, 0.0), 3.0), 5,
+                      rng.uniform(-2.0, 5.0, 1 << 10))
+    return [(f1, f1.root.top()), (f1, DyadicCube(f1.root, 2, (1,))),
+            (f2, f2.root.top()), (f2, DyadicCube(f2.root, 2, (1, 2)))]
+
+
+def same_float(a, b):
+    return type(a) is type(b) and np.float64(a).tobytes() == np.float64(b).tobytes()
+
+
+def test_level_measure_equals_level_set_bitwise():
+    for f, q0 in level_cases():
+        h = f.shifted(average(f, q0))
+        field = dyadic_maximal(h, q0)
+        vals = np.unique(field.values)
+        lams = np.concatenate([vals, np.nextafter(vals, np.inf),
+                               np.nextafter(vals, -np.inf),
+                               [vals[0] - 1.0, vals[-1] + 1.0, -np.inf, np.inf]])
+        measures = set()
+        for lam in lams:
+            want = level_set(field, float(lam)).measure
+            assert same_float(field._level_measure(float(lam)), want), (q0, lam)
+            measures.add(want)
+        assert len(measures) > 10
+        assert level_set(field, vals[0] - 1.0).measure == q0.measure
+
+
+def level_set_measure(field, lam):
+    return level_set(field, lam).measure
+
+
+def test_verifiers_report_level_set_measures(monkeypatch):
+    def run(f, q0):
+        reports = verify_jn_dyadic(f, q0, 2.0, n_lambda=30)
+        b = 2.0 ** -(f.dim + 1)
+        threshold = mean_oscillation(f, q0) / b
+        for t in (1.01, 2.0, 4.0):
+            reports.append(check_good_lambda_dyadic(f, q0, 2.0, b, t * threshold))
+        return reports
+
+    cases = level_cases()
+    fast = [run(f, q0) for f, q0 in cases]
+    monkeypatch.setattr(MaximalField, "_level_measure", level_set_measure)
+    for (f, q0), got in zip(cases, fast):
+        assert reports_to_json(got) == reports_to_json(run(f, q0))
+        assert any(r.lhs > 0 for r in got)

@@ -4,7 +4,7 @@ import pytest
 from jnlab.functionals import (bmo_dyadic, distribution, jnp_bruteforce,
                                jnp_dyadic, notlp_terms, weak_lp)
 from jnlab.functionals import _partition_count
-from jnlab.grid import DyadicCube, GridFunction, RootCube, mean_oscillation
+from jnlab.grid import DyadicCube, GridFunction, RootCube, average, mean_oscillation
 
 
 def unit(dim):
@@ -173,6 +173,37 @@ def test_weak_lp_dominates_distribution():
     w = weak_lp(f, q0, 2.0)
     for lam in np.linspace(0.05, 1.5, 20):
         assert lam * distribution(f, q0, lam) ** 0.5 <= w + 1e-12
+
+
+def weak_lp_unique(f, q0, p, centered=True):
+    """The former weak_lp body: distinct values from np.unique, counts
+    from searchsorted on the sort."""
+    block = f.zslice(q0)
+    if centered:
+        block = block - average(f, q0)
+    a = np.sort(np.abs(block))
+    vals = np.unique(a)
+    vals = vals[vals > 0]
+    if vals.size == 0:
+        return 0.0
+    n_ge = a.size - np.searchsorted(a, vals, side="left")
+    meas = f.root.measure * (n_ge / float(f.n_cells))
+    return float(np.max(vals * meas ** (1.0 / p)))
+
+
+def test_weak_lp_matches_unique_oracle():
+    rng = np.random.default_rng(4)
+    grids = [rand_f(1, 10, 3), rand_f(2, 5, 4),
+             GridFunction(RootCube(1, (0.0,), 3.0), 10,
+                          np.round(rng.standard_normal(1 << 10), 1)),
+             GridFunction(unit(2), 4, rng.integers(-2, 3, 256).astype(float)),
+             GridFunction(unit(1), 6, np.zeros(64))]
+    for f in grids:
+        for q0 in (f.root.top(), DyadicCube(f.root, 1, (1,) * f.dim)):
+            for p in (1.5, 2.0, 3.0):
+                for centered in (True, False):
+                    assert (weak_lp(f, q0, p, centered=centered)
+                            == weak_lp_unique(f, q0, p, centered=centered))
 
 
 def test_notlp_terms_flat_and_positive():

@@ -1,6 +1,8 @@
 import numpy as np
+import pytest
 
 from jnlab import kernels
+from jnlab.grid import DyadicCube, GridFunction, RootCube
 
 
 def tree_total(values):
@@ -39,3 +41,118 @@ def test_build_pyramid_levels_are_tree_sums():
             for j in range(1 << (nbits * k)):
                 block = leaves[j * width:(j + 1) * width]
                 assert levels[k][j] == tree_total(block)
+
+
+# ------------------------------------------- strided pair sums vs reduction
+
+
+def reshape_pair_sums(x):
+    """The former pair-sum kernel: numpy's sum over each adjacent pair."""
+    return np.ascontiguousarray(x).reshape(-1, 2).sum(axis=1)
+
+
+def reshape_pyramid(leaves, depth, nbits):
+    levels = [np.asarray(leaves, dtype=np.float64)]
+    for _ in range(depth):
+        x = levels[-1]
+        for _ in range(nbits):
+            x = reshape_pair_sums(x)
+        levels.append(x)
+    return tuple(reversed(levels))
+
+
+def reshape_dp_sweep(terms, nbits):
+    depth = len(terms) - 1
+    values = [terms[depth]]
+    splits = [np.zeros(terms[depth].shape[0], dtype=bool)]
+    for k in range(depth - 1, -1, -1):
+        child = values[-1]
+        for _ in range(nbits):
+            child = reshape_pair_sums(child)
+        cut = child > terms[k]
+        values.append(np.where(cut, child, terms[k]))
+        splits.append(cut)
+    return tuple(reversed(values)), tuple(reversed(splits))
+
+
+def same_bits(a, b):
+    """Equal dtype, shape and bit patterns (so -0.0 differs from +0.0)."""
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return (a.dtype == b.dtype and a.shape == b.shape
+            and a.tobytes() == b.tobytes())
+
+
+def hard_floats(n, seed):
+    """Mixed magnitudes, exact and near cancellations, and signed zeros."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
+    k = n // 4
+    x[1:k:2] = -x[0:k - 1:2]  # pairs that cancel exactly
+    x[k + 1:2 * k:2] = -x[k:2 * k - 1:2] * (1.0 + 2.0**-52)  # nearly
+    x[2 * k + 1:3 * k:2] = 1e-17 * x[2 * k:3 * k - 1:2]  # absorbed
+    zeros = rng.random(n) < 0.2
+    x[zeros] = np.where(rng.random(int(zeros.sum())) < 0.5, 0.0, -0.0)
+    return x
+
+
+def signed_zeros():
+    z = np.array([0.0, -0.0])
+    return np.array([(a, b) for a in z for b in z]).reshape(-1)
+
+
+def test_halve_pairs_matches_reduction_bitwise():
+    inputs = [hard_floats(1 << 12, s) for s in range(4)] + [signed_zeros()]
+    base = hard_floats(3 << 10, 9)
+    inputs += [base[::3], base[1::3][:512], np.ones(0)]
+    for x in inputs:
+        assert same_bits(kernels.halve_pairs(x), reshape_pair_sums(x))
+    assert kernels.halve_pairs(signed_zeros()).tobytes() == np.zeros(4).tobytes()
+    ints = np.arange(-8, 8, dtype=np.int64) * 3
+    out = kernels.halve_pairs(ints)
+    assert out.dtype == np.float64
+    assert same_bits(out, reshape_pair_sums(ints.astype(np.float64)))
+
+
+def test_build_pyramid_matches_reduction_bitwise():
+    for nbits, depth in ((1, 10), (2, 5), (3, 3)):
+        n = 1 << (nbits * depth)
+        base = hard_floats(3 * n, nbits)
+        cases = [base[:n], base[::3], np.tile(signed_zeros(), n // 8),
+                 np.arange(n, dtype=np.int64) - n // 2]
+        # views into a sum pyramid: an inner level below a depth-1 cube,
+        # and the leaves below a depth-2 cube
+        bits = nbits * depth
+        grid = GridFunction(RootCube(1, (0.0,), 1.0), bits + 2, hard_floats(4 * n, 7))
+        pyr = grid.sum_pyramid()
+        for cube in (DyadicCube(grid.root, 1, (1,)), DyadicCube(grid.root, 2, (3,))):
+            cases.append(grid.pyramid_slice(pyr, cube, bits))
+        for leaves in cases:
+            got = kernels.build_pyramid(leaves, depth, nbits)
+            want = reshape_pyramid(leaves, depth, nbits)
+            assert len(got) == len(want)
+            assert all(same_bits(g, w) for g, w in zip(got, want))
+            assert all(level.dtype == np.float64 for level in got)
+
+
+def test_dp_sweep_matches_reduction_bitwise():
+    rng = np.random.default_rng(5)
+    for nbits, depth in ((1, 8), (2, 4), (3, 2)):
+        arity = 1 << nbits
+        floats = [np.abs(hard_floats(arity**k, 10 * nbits + k)) for k in range(depth + 1)]
+        floats[depth][::5] = -0.0
+        ints = [rng.integers(0, 50, arity**k) for k in range(depth + 1)]
+        for terms in (floats, ints):
+            got_v, got_s = kernels.dp_sweep(terms, nbits)
+            want_v, want_s = reshape_dp_sweep(terms, nbits)
+            assert all(same_bits(g, w) for g, w in zip(got_v, want_v))
+            assert all(same_bits(g, w) for g, w in zip(got_s, want_s))
+
+
+def test_odd_length_pair_sums_raise():
+    for n in (1, 3, 7):
+        with pytest.raises(ValueError):
+            kernels.halve_pairs(np.ones(n))
+    with pytest.raises(ValueError):
+        kernels.build_pyramid(np.ones(6), 2, 1)
+    with pytest.raises(ValueError):
+        kernels.dp_sweep((np.ones(1), np.ones(3)), 1)

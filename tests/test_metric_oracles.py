@@ -9,8 +9,8 @@ from jnlab import kernels
 from jnlab.generators import (f_log_distance, f_random, gen_grid2d, gen_line,
                               gen_random_cloud, gen_tree_graph)
 from jnlab.metric import (Ball, _first_overlap, bmo_norm_metric, check_admissible,
-                          global_maximal, hl_maximal_restricted, jnp_metric_lower,
-                          space_from_points, vitali_subcover)
+                          doubling_constant, global_maximal, hl_maximal_restricted,
+                          jnp_metric_lower, space_from_points, vitali_subcover)
 from jnlab.metric_cz import compute_witness, nested_cz
 
 SEEDS = range(10)
@@ -84,9 +84,20 @@ def test_prefix_path_matches_loop_oracles(kind):
             assert_path_matches(space, f)
 
 
+@pytest.mark.parametrize("kind", ["line", "grid2d", "tree-graph", "random-cloud",
+                                  "weighted-grid"])
+def test_doubling_constant_matches_radius_scan(kind):
+    for seed in SEEDS:
+        space = make_space(kind, seed)
+        assert doubling_constant(space) == oracle.doubling_constant(space)
+    for space in (make_space(kind, 40), make_space(kind, 61)):
+        assert doubling_constant(space) == oracle.doubling_constant(space)
+
+
 def test_prefix_path_single_point():
     space = space_from_points(np.array([[0.5, 0.5]]), weights=np.array([2.0]))
     assert_path_matches(space, np.array([-3.0]))
+    assert doubling_constant(space) == oracle.doubling_constant(space) == 1.0
     table = compute_witness(space, np.array([3.0]), Ball(0, 0.25))
     assert table.balls == [Ball(0, 1.0)] and table.values.tolist() == [3.0]
 
