@@ -7,6 +7,7 @@ covers behind them, and checks the weak-L^p and exponential distribution
 bounds with their explicit constants.
 """
 
+from .constants import Constants, g_factor, theorem_constants
 from .dyadic_cz import (MaximalField, check_good_lambda_dyadic, cz_decompose_dyadic,
                         dyadic_maximal, level_set, verify_jn_dyadic)
 from .errors import (DepthOverflowError, InvariantViolation, MetricAxiomError,
@@ -26,9 +27,8 @@ from .metric import (Ball, BallFamily, JnSearchResult, MetricMeasureSpace,
                      jnp_metric_lower, space_from_csv, space_from_points,
                      space_to_csv, values_from_csv, values_to_csv,
                      vitali_subcover)
-from .metric_cz import (Constants, CzBallCover, NestedCovers, check_toiterate,
-                        compute_witness, cz_balls, g_factor, nested_cz,
-                        theorem_constants, verify_bmo_jn, verify_mainresult)
+from .metric_cz import (CzBallCover, NestedCovers, check_toiterate, compute_witness,
+                        cz_balls, nested_cz, verify_bmo_jn, verify_mainresult)
 from .report import (CheckReport, all_pass, degenerate_report, reports_to_json,
                      write_reports_csv, write_reports_json)
 

@@ -434,8 +434,7 @@ def cmd_verify(cfg: dict) -> int:
         else:
             if cfg.get("lam") is None:
                 raise ValueError("verify good-lambda needs --lam")
-            b = cfg.get("b", 2.0 ** (-(f.dim + 1)))
-            reports = [check_good_lambda_dyadic(f, q0, cfg["p"], b, cfg["lam"])]
+            reports = [check_good_lambda_dyadic(f, q0, cfg["p"], cfg.get("b"), cfg["lam"])]
         return _emit_reports(reports, cfg)
     space = _load_space(cfg)
     f = _load_values(cfg, space)

@@ -16,7 +16,8 @@ from functools import cached_property
 import numpy as np
 
 from . import kernels
-from .errors import InvariantViolation, PreconditionError, _check_p
+from .constants import theorem_constants
+from .errors import InvariantViolation, PreconditionError
 from .grid import (
     CellSet,
     DyadicCube,
@@ -185,50 +186,53 @@ def _verify_cz(f: GridFunction, cover: CzCover) -> None:
                                  union=total, integral=integral, lam=lam)
 
 
+def _shifted_field(f: GridFunction, q0: DyadicCube) -> MaximalField:
+    """Maximal field of h = f - avg_{Q0} f, which both dyadic verifiers bound."""
+    return dyadic_maximal(f.shifted(average(f, q0)), q0)
+
+
 def check_good_lambda_dyadic(
     f: GridFunction,
     q0: DyadicCube,
     p: float,
-    b: float,
+    b: float | None,
     lam: float,
     K: float | None = None,
-    _field: MaximalField | None = None,
 ) -> CheckReport:
     """One good-lambda comparison for h = f - avg_{Q0} f:
 
         |{M h > lam}|  <=  (a K / lam) |{M h > b lam}|^(1/q),
 
     a = 1/(1 - 2^n b), q = p/(p-1), K = dyadic JN_p norm by default.
-    Requires 0 < b < 2^-n and lam >= osc_{Q0}(f) / b.
+    Requires 0 < b < 2^-n (None: 2^-(n+1)), lam > 0 and lam >= osc_{Q0}(f) / b.
     """
     from .functionals import jnp_dyadic
 
-    p = _check_p(p)
     arity = 1 << f.dim
+    cons = theorem_constants(2.0**f.dim, p, n=f.dim)
+    p, b = cons.p, (cons.b if b is None else b)
     if not 0 < b < 1.0 / arity:
         raise PreconditionError("b must lie in (0, 2^-n)", b=b, dim=f.dim)
+    if not lam > 0:
+        raise PreconditionError("lambda must be positive", lam=lam)
     threshold = mean_oscillation(f, q0) / b
     if lam < threshold * (1.0 - 1e-12):
         raise PreconditionError("lambda below the good-lambda threshold",
                                 lam=lam, threshold=threshold)
-    field = _field
-    if field is None:
-        h = f.shifted(average(f, q0))
-        field = dyadic_maximal(h, q0)
+    field = _shifted_field(f, q0)
     if K is None:
         K = jnp_dyadic(f, q0, p).norm
     a = 1.0 / (1.0 - arity * b)
-    q = p / (p - 1.0)
     lhs = field._level_measure(lam)
     eb = field._level_measure(b * lam)
-    rhs = (a * K / lam) * eb ** (1.0 / q)
+    rhs = (a * K / lam) * eb ** (1.0 / cons.q)
     return CheckReport(
         claim="good-lambda-dyadic",
         lhs=lhs,
         rhs=rhs,
         constant=a,
         lam=float(lam),
-        witness={"b": float(b), "p": p, "q": q, "K": float(K),
+        witness={"b": float(b), "p": p, "q": cons.q, "K": float(K),
                  "measure_at_b_lambda": eb},
     )
 
@@ -242,22 +246,19 @@ def verify_jn_dyadic(f: GridFunction, q0: DyadicCube, p: float,
 
     with C = 2^((n+1)p) for lam <= eta = K / (b |Q0|^(1/p)), b = 2^-(n+1),
     and C = 2^(p + (n+1)(p^2 + (p/q)^3)) above eta, K the dyadic JN_p norm.
+    The constants come from ``theorem_constants`` with c_mu = 2^n, the exact
+    doubling constant of Lebesgue measure for dyadic cubes.
     """
     from .functionals import jnp_dyadic
 
-    p = _check_p(p)
     K = jnp_dyadic(f, q0, p).norm
     if K == 0.0:
         return [degenerate_report("jn-weak-lp-dyadic", "constant function, K = 0")]
     n = f.dim
-    q = p / (p - 1.0)
-    b = 2.0 ** -(n + 1)
-    eta = K / (b * q0.measure ** (1.0 / p))
-    c_small = 2.0 ** ((n + 1) * p)
-    c_large = 2.0 ** (p + (n + 1) * (p**2 + (p / q) ** 3))
+    cons = theorem_constants(2.0**n, p, n=n, K=K, measure_q0=q0.measure)
+    p, eta = cons.p, cons.eta
 
-    h = f.shifted(average(f, q0))
-    field = dyadic_maximal(h, q0)
+    field = _shifted_field(f, q0)
     lo = eta / 20.0
     hi = 8.0 * max(eta, field.sup, lo * 10.0)
     lams = np.logspace(np.log10(lo), np.log10(hi), n_lambda)
@@ -266,7 +267,7 @@ def verify_jn_dyadic(f: GridFunction, q0: DyadicCube, p: float,
     for lam in lams:
         lam = float(lam)
         small = lam <= eta
-        const = c_small if small else c_large
+        const = cons.dyadic_small_constant if small else cons.dyadic_constant
         lhs = field._level_measure(lam)
         rhs = const * (K / lam) ** p
         reports.append(CheckReport(
@@ -276,6 +277,6 @@ def verify_jn_dyadic(f: GridFunction, q0: DyadicCube, p: float,
             constant=const,
             lam=lam,
             witness={"branch": "small" if small else "large",
-                     "eta": float(eta), "K": float(K), "p": p, "b": b},
+                     "eta": float(eta), "K": float(K), "p": p, "b": cons.b},
         ))
     return reports

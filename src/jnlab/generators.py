@@ -98,9 +98,7 @@ def gen_grid2d(side: int) -> MetricMeasureSpace:
     pts = np.stack([ii.reshape(-1), jj.reshape(-1)], axis=1).astype(np.float64)
     d = (np.abs(pts[:, None, 0] - pts[None, :, 0])
          + np.abs(pts[:, None, 1] - pts[None, :, 1]))
-    space = build_space(dmat=d)
-    space.points = pts
-    return space
+    return build_space(dmat=d)
 
 
 def gen_tree_graph(m: int, seed: int) -> MetricMeasureSpace:
@@ -109,21 +107,12 @@ def gen_tree_graph(m: int, seed: int) -> MetricMeasureSpace:
     parent = np.zeros(m, dtype=np.int64)
     for i in range(2, m):
         parent[i] = rng.integers(0, i)
-    d = np.zeros((m, m))
-    # hop distance via per-node climb to the root; depths are tiny
-    def path_to_root(i):
-        path = [i]
-        while path[-1] != 0:
-            path.append(int(parent[path[-1]]))
-        return path
-    paths = [path_to_root(i) for i in range(m)]
-    depth = {i: len(paths[i]) - 1 for i in range(m)}
-    anc = [set(p) for p in paths]
-    for i in range(m):
-        for j in range(i + 1, m):
-            lca = max(anc[i] & anc[j], key=lambda x: depth[x])
-            dij = float(depth[i] + depth[j] - 2 * depth[lca])
-            d[i, j] = d[j, i] = dij
+    # row i marks i and its ancestors; (anc anc^T)[i, j] = depth(lca) + 1
+    anc = np.eye(m)
+    for i in range(1, m):
+        anc[i] += anc[parent[i]]
+    depth = anc.sum(axis=1) - 1.0
+    d = depth[:, None] + depth[None, :] - 2.0 * (anc @ anc.T - 1.0)
     return build_space(dmat=d)
 
 

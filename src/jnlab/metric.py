@@ -112,10 +112,9 @@ def _radius_at(sd: np.ndarray) -> np.ndarray:
 
 
 class MetricMeasureSpace:
-    """Validated finite metric measure space (distances, weights, optional
-    coordinates used only for plotting/regeneration)."""
+    """Validated finite metric measure space (distances and weights)."""
 
-    def __init__(self, dmat, weights, points=None):
+    def __init__(self, dmat, weights):
         d = np.ascontiguousarray(dmat, dtype=np.float64)
         w = np.ascontiguousarray(weights, dtype=np.float64).reshape(-1)
         _validate_metric(d, w)
@@ -123,7 +122,6 @@ class MetricMeasureSpace:
         self.w = w
         self.d.setflags(write=False)
         self.w.setflags(write=False)
-        self.points = None if points is None else np.asarray(points, dtype=np.float64)
         self._cache: dict = {}
 
     @property
@@ -230,7 +228,7 @@ def space_from_points(points, weights=None) -> MetricMeasureSpace:
     diff = pts[:, None, :] - pts[None, :, :]
     d = np.sqrt(np.sum(diff * diff, axis=2))
     w = np.ones(pts.shape[0]) if weights is None else weights
-    return MetricMeasureSpace(d, w, points=pts)
+    return MetricMeasureSpace(d, w)
 
 
 def doubling_constant(space: MetricMeasureSpace) -> float:

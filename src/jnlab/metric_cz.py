@@ -25,87 +25,26 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvariantViolation, PreconditionError, _check_p
+from .constants import g_factor, theorem_constants
+from .errors import InvariantViolation, PreconditionError
 from .metric import (Ball, MetricMeasureSpace, _first_overlap, _jn_term,
                      _witness_arrays, bmo_norm_metric, doubling_constant,
                      vitali_subcover)
 from .report import CheckReport, degenerate_report
 
 __all__ = [
-    "Constants",
     "CzBallCover",
     "NestedCovers",
     "WitnessTable",
     "check_toiterate",
     "compute_witness",
     "cz_balls",
-    "g_factor",
     "nested_cz",
-    "theorem_constants",
     "verify_bmo_jn",
     "verify_mainresult",
 ]
 
 _SLACK = 1e-9
-
-
-# ----------------------------------------------------------------- constants
-
-
-@dataclass(frozen=True)
-class Constants:
-    """Explicit constants attached to the inequalities, from the doubling
-    constant c_mu and exponent p (q is the conjugate).  Fields requiring
-    extra data (dimension n, a norm K, measures) stay None when unknown."""
-
-    c_mu: float
-    p: float
-    q: float
-    C1: float                      # 3 c_mu^8: weak JN_p scale factor
-    a: float                       # 2 c_mu^8: exponential ladder step
-    c1: float                      # 4 c_mu^7: exponential prefactor
-    c2: float                      # log 2 / a: exponential decay rate
-    n: int | None = None
-    b: float | None = None                 # dyadic good-lambda shrink 2^-(n+1)
-    dyadic_constant: float | None = None   # 2^(p + (n+1)(p^2 + (p/q)^3))
-    lambda0: float | None = None           # C1 K / mu(B0)^(1/p)
-    eta: float | None = None               # K / (b |Q0|^(1/p))
-
-
-def theorem_constants(c_mu: float, p: float, n: int | None = None,
-                      K: float | None = None, mu_b0: float | None = None,
-                      measure_q0: float | None = None) -> Constants:
-    c_mu = float(c_mu)
-    if not (c_mu >= 1.0 and np.isfinite(c_mu)):
-        raise ValueError(f"doubling constant must be >= 1, got {c_mu}")
-    p = _check_p(p)
-    q = p / (p - 1.0)
-    a = 2.0 * c_mu**8
-    b = None if n is None else 2.0 ** -(n + 1)
-    dyadic = None if n is None else 2.0 ** (p + (n + 1) * (p**2 + (p / q) ** 3))
-    lam0 = None if (K is None or mu_b0 is None) else 3.0 * c_mu**8 * K / mu_b0 ** (1.0 / p)
-    eta = None
-    if K is not None and measure_q0 is not None and b is not None:
-        eta = K / (b * measure_q0 ** (1.0 / p))
-    return Constants(
-        c_mu=c_mu, p=p, q=q,
-        C1=3.0 * c_mu**8, a=a, c1=4.0 * c_mu**7, c2=math.log(2.0) / a,
-        n=n, b=b, dyadic_constant=dyadic, lambda0=lam0, eta=eta,
-    )
-
-
-def g_factor(N: int, p: float, q: float) -> float:
-    """Iteration gain after N doubling steps:
-
-        1/g(N) = 2^(q^-1 + 2 q^-2 + ... + (N-1) q^-(N-1)) / 2^((N-1)(p - p q^-N)),
-
-    with g(0) = g(1) = 1.  Equivalently g(N) = 2^(sum_{i<N} (N-1-i) q^-i),
-    the power of two collected when unrolling the level-doubling recursion.
-    """
-    if N <= 1:
-        return 1.0
-    s = sum(i * q ** (-i) for i in range(1, N))
-    return 2.0 ** ((N - 1) * (p - p * q ** (-N)) - s)
 
 
 # ------------------------------------------------------------- witness table
@@ -348,25 +287,26 @@ def check_toiterate(space: MetricMeasureSpace, f, b0: Ball, lam: float,
     for the JN_p sum coming from the admissible family {5 B_i(lam)}.
     """
     v = space.check_values(f)
-    p = _check_p(p)
-    q = p / (p - 1.0)
+    cons = theorem_constants(doubling_constant(space), p)
+    p, lam = cons.p, float(lam)
+    if not lam > 0:
+        raise PreconditionError("level-doubling needs lam > 0", lam=lam)
     mask0 = space.members(b0)
     g = np.abs(v - space.average_mask(v, mask0))
-    nest = nested_cz(space, g, b0, (float(lam), 2.0 * float(lam)))
+    nest = nested_cz(space, g, b0, (lam, 2.0 * lam))
     lo, hi = nest.covers
     sum_lo = float(sum(lo.measures))
     sum_hi = float(sum(hi.measures))
     s_val = _family_jn_sum(space, v, [b.dilate(5.0) for b in lo.balls], p)
-    c = doubling_constant(space)
-    rhs = c ** (3.0 / q) * (s_val ** (1.0 / p) / float(lam)) * sum_lo ** (1.0 / q)
+    rhs = cons.c3q * (s_val ** (1.0 / p) / lam) * sum_lo ** (1.0 / cons.q)
     return CheckReport(
         claim="cz-level-doubling",
         lhs=sum_hi,
         rhs=rhs,
-        constant=c ** (3.0 / q),
-        lam=float(lam),
+        constant=cons.c3q,
+        lam=lam,
         witness={
-            "p": p, "q": q,
+            "p": p, "q": cons.q,
             "S": s_val, "K_lower": s_val ** (1.0 / p),
             "n_balls_low": len(lo.balls), "n_balls_high": len(hi.balls),
             "sum_mu_low": sum_lo,
@@ -388,10 +328,9 @@ def verify_mainresult(space: MetricMeasureSpace, f, b0: Ball, p: float,
     whenever the JN_p functional is finite.
     """
     v = space.check_values(f)
-    p = _check_p(p)
-    q = p / (p - 1.0)
     c = doubling_constant(space)
     cons = theorem_constants(c, p)
+    p, q = cons.p, cons.q
     mask0 = space.members(b0)
     big = space.members(b0.dilate(11.0))
     mu0 = space.measure_mask(mask0)
@@ -405,7 +344,7 @@ def verify_mainresult(space: MetricMeasureSpace, f, b0: Ball, p: float,
     integral_g = space.integral_mask(g, big)
 
     def ladder(k_norm: float):
-        lam0 = cons.C1 * k_norm / mu0 ** (1.0 / p)
+        lam0 = theorem_constants(c, p, K=k_norm, mu_b0=mu0).lambda0
         levels = tuple(lam0 * 2.0**i for i in range(n_ladder + 1))
         nest = nested_cz(space, g, b0, levels, witness=witness)
         s_vals = [
@@ -440,18 +379,18 @@ def verify_mainresult(space: MetricMeasureSpace, f, b0: Ball, p: float,
                                          lam=lam, lambda0=lam0)
             prod = 1.0
             for i in range(n_steps):
-                base = c ** (3.0 / q) * k_used / (2.0 ** (n_steps - 1 - i) * lam0)
+                base = cons.c3q * k_used / (2.0 ** (n_steps - 1 - i) * lam0)
                 prod *= base ** (q ** (-float(i)))
-            rhs = c**3 * prod * (m0_bound ** (q ** (-float(n_steps))))
+            rhs = cons.c3 * prod * (m0_bound ** (q ** (-float(n_steps))))
             gn = g_factor(n_steps, p, q)
-            closed = (c ** (3.0 / q) * k_used / lam0) ** (p - p * q ** (-float(n_steps))) / gn
+            closed = (cons.c3q * k_used / lam0) ** (p - p * q ** (-float(n_steps))) / gn
             if prod > 0 and abs(prod - closed) > 1e-9 * prod:
                 raise InvariantViolation("iteration product disagrees with g(N)",
                                          product=prod, closed_form=closed, N=n_steps)
             extra = {"branch": "large", "N": n_steps, "g_N": gn,
                      "ladder_ball_counts": [len(cv.balls) for cv in nest.covers],
                      "sum_mu_ladder": sums}
-            const = c**3
+            const = cons.c3
         w = {"K_cert": k_cert, "K_used": k_used, "K_seed": k0,
              "lambda0": lam0, "mu_B0": mu0, "p": p, "q": q, "c_mu": c,
              "truncated": nest.covers[0].truncated}
@@ -477,8 +416,7 @@ def verify_bmo_jn(space: MetricMeasureSpace, f, b0: Ball,
     norm = bmo_norm_metric(space, v)
     if norm == 0.0:
         return [degenerate_report("bmo-exponential", "constant function, norm 0")]
-    c = doubling_constant(space)
-    cons = theorem_constants(c, 2.0)  # a, c1, c2 do not involve p
+    cons = theorem_constants(doubling_constant(space), 2.0)  # a, c1, c2 do not involve p
     mask0 = space.members(b0)
     big = space.members(b0.dilate(11.0))
     mu0 = space.measure_mask(mask0)

@@ -6,8 +6,9 @@ O(m^3) per-center oscillation table, the distinct-distance critical radii,
 the per-center maximal loop, the per-center witness loop, the doubling
 constant's scan of radii between breakpoints, the pairwise
 member-mask loops behind the Vitali, admissibility, CZ-cover and nested-
-cover checks, and the JN_p search that scanned its chosen balls one by one
-for a clash.  Tests compare the package against them bitwise.
+cover checks, the JN_p search that scanned its chosen balls one by one
+for a clash, and the tree generator's per-pair lowest-common-ancestor
+loop.  Tests compare the package against them bitwise.
 """
 
 from __future__ import annotations
@@ -42,6 +43,33 @@ def critical_radii(space, c):
         return np.array([1.0])
     mids = 0.5 * (vals[:-1] + vals[1:])
     return np.append(mids, 1.5 * float(vals[-1]) + 1.0)
+
+
+def tree_graph_distances(m, seed):
+    """Hop distances of gen_tree_graph(m, seed), from the same parent draws,
+    with each pair's lowest common ancestor found by intersecting the two
+    root paths."""
+    rng = np.random.default_rng(seed)
+    parent = np.zeros(m, dtype=np.int64)
+    for i in range(2, m):
+        parent[i] = rng.integers(0, i)
+    d = np.zeros((m, m))
+
+    def path_to_root(i):
+        path = [i]
+        while path[-1] != 0:
+            path.append(int(parent[path[-1]]))
+        return path
+
+    paths = [path_to_root(i) for i in range(m)]
+    depth = {i: len(paths[i]) - 1 for i in range(m)}
+    anc = [set(p) for p in paths]
+    for i in range(m):
+        for j in range(i + 1, m):
+            lca = max(anc[i] & anc[j], key=lambda x: depth[x])
+            dij = float(depth[i] + depth[j] - 2 * depth[lca])
+            d[i, j] = d[j, i] = dij
+    return d
 
 
 def doubling_constant(space):

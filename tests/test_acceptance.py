@@ -237,7 +237,7 @@ def test_criterion_04_good_lambda_every_admissible_level():
                     if x >= thr:
                         grid.add(x)
         for lam in sorted(grid):
-            rep = check_good_lambda_dyadic(f, q0, p, b, lam, K=K, _field=field)
+            rep = check_good_lambda_dyadic(f, q0, p, b, lam, K=K)
             ok &= rep.passed and rep.constant == a_expect
             checked += 1
     _verdict(4, f"good-lambda inequality with a = 1/(1 - 2^n b) at every "

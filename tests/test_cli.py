@@ -279,6 +279,12 @@ def test_bad_numbers_exit_2(argv, capsys):
     assert "jnlab: error:" in one_line_error(capsys)
 
 
+def test_good_lambda_zero_level_exit_2(capsys):
+    # the constant function's threshold is 0, so lam = 0 passes that test
+    assert run("verify", "good-lambda", "constant", "--lam", "0") == 2
+    assert "lambda must be positive" in one_line_error(capsys)
+
+
 def test_bad_numbers_in_config_exit_2(tmp_path, capsys):
     conf = tmp_path / "c.txt"
     conf.write_text("m = 0\n")

@@ -201,6 +201,23 @@ def test_good_lambda_validates_inputs():
         check_good_lambda_dyadic(f, q0, 2.0, 0.25, 1e-9)  # lam below threshold
 
 
+def test_good_lambda_rejects_nonpositive_lambda():
+    # a constant function has threshold 0, so only lam > 0 keeps K / lam finite
+    f = GridFunction(unit(1), 5, np.full(32, 1.5))
+    for lam in (0.0, -1.0):
+        with pytest.raises(PreconditionError, match="positive"):
+            check_good_lambda_dyadic(f, f.root.top(), 2.0, 0.25, lam)
+
+
+def test_good_lambda_default_b_is_two_to_minus_n_plus_one():
+    f = rand_f(2, 3, 4)
+    q0 = f.root.top()
+    lam = 3.0 * mean_oscillation(f, q0) / 0.125
+    default = check_good_lambda_dyadic(f, q0, 2.0, None, lam)
+    explicit = check_good_lambda_dyadic(f, q0, 2.0, 0.125, lam)
+    assert reports_to_json([default]) == reports_to_json([explicit])
+
+
 def test_verify_jn_dyadic_all_pass_and_branches():
     f = rand_f(1, 7, 23)
     reports = verify_jn_dyadic(f, f.root.top(), 2.0, n_lambda=40)

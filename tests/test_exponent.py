@@ -5,12 +5,13 @@ import math
 import numpy as np
 import pytest
 
+from jnlab.constants import theorem_constants
 from jnlab.dyadic_cz import check_good_lambda_dyadic, verify_jn_dyadic
 from jnlab.functionals import jnp_dyadic
 from jnlab.generators import f_log_distance, gen_line
 from jnlab.grid import GridFunction, RootCube
 from jnlab.metric import Ball, jnp_metric_lower
-from jnlab.metric_cz import check_toiterate, theorem_constants, verify_mainresult
+from jnlab.metric_cz import check_toiterate, verify_mainresult
 
 
 F = GridFunction(RootCube(1, (0.0,), 1.0), 4, np.random.default_rng(3).uniform(-1, 1, 16))

@@ -73,7 +73,6 @@ def test_grid2d_manhattan():
     assert s.m == 9
     # points in row-major (i, j) order: d((0,0),(2,1)) = 3
     assert s.d[0, 7] == 3.0
-    assert s.points is not None
 
 
 def test_tree_graph_hops():

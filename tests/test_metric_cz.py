@@ -3,12 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from jnlab.constants import g_factor, theorem_constants
 from jnlab.errors import PreconditionError
 from jnlab.generators import f_log_distance, gen_grid2d, gen_line, gen_random_cloud
 from jnlab.metric import Ball, doubling_constant, hl_maximal_restricted, space_from_points
-from jnlab.metric_cz import (check_toiterate, compute_witness, cz_balls, g_factor,
-                             nested_cz, theorem_constants, verify_bmo_jn,
-                             verify_mainresult)
+from jnlab.metric_cz import (check_toiterate, compute_witness, cz_balls, nested_cz,
+                             verify_bmo_jn, verify_mainresult)
 from jnlab.report import all_pass
 
 
@@ -210,6 +210,14 @@ def test_check_toiterate_passes_and_is_nonvacuous():
     assert rep.lhs > 0.0
     assert rep.witness["n_balls_low"] >= 1
     assert rep.witness["n_balls_high"] >= 1
+
+
+def test_check_toiterate_rejects_nonpositive_lambda():
+    # a constant function has threshold 0, so only lam > 0 keeps S / lam finite
+    s = gen_line(8)
+    for lam in (0.0, -1.0):
+        with pytest.raises(PreconditionError, match="lam > 0"):
+            check_toiterate(s, np.full(8, 2.0), spanning_ball(s), lam, 2.0)
 
 
 def test_check_toiterate_random_spaces():

@@ -94,6 +94,14 @@ def test_doubling_constant_matches_radius_scan(kind):
         assert doubling_constant(space) == oracle.doubling_constant(space)
 
 
+@pytest.mark.parametrize("m", [1, 2, 3, 10, 57, 150, 600])
+def test_tree_graph_matches_lca_loop(m):
+    for seed in (0, 1, 7):
+        d = gen_tree_graph(m, seed).d
+        want = oracle.tree_graph_distances(m, seed)
+        assert d.dtype == want.dtype and d.tobytes() == want.tobytes()
+
+
 def test_prefix_path_single_point():
     space = space_from_points(np.array([[0.5, 0.5]]), weights=np.array([2.0]))
     assert_path_matches(space, np.array([-3.0]))
