@@ -44,6 +44,7 @@ GRID_KINDS = ("constant", "step", "power-singularity", "log-singularity",
               "random-uniform", "random-martingale")
 SPACE_KINDS = ("line", "grid2d", "tree-graph", "random-cloud")
 VALUE_KINDS = ("log-distance", "distance", "random-values")
+FORMATS = ("json", "csv")
 
 VERIFY_CLAIMS = ("jn-dyadic", "good-lambda", "mainresult", "bmo", "toiterate")
 
@@ -112,6 +113,10 @@ def _check_inputs(cfg: dict) -> None:
         val = cfg.get(key)
         if val is not None and not math.isfinite(val):
             raise ValueError(f"--{key} must be finite, got {val}")
+    for key, choices in (("format", FORMATS), ("values_kind", VALUE_KINDS)):
+        if cfg.get(key) is not None and cfg[key] not in choices:
+            raise ValueError(f"--{key.replace('_', '-')} must be one of "
+                             f"{', '.join(choices)}, got {cfg[key]!r}")
 
 
 def _check_grid_size(cfg: dict, source: str) -> None:
@@ -458,7 +463,7 @@ def cmd_verify(cfg: dict) -> int:
 def _add_common(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--seed", type=int)
     sp.add_argument("--out")
-    sp.add_argument("--format", choices=("json", "csv"))
+    sp.add_argument("--format", choices=FORMATS)
     sp.add_argument("--config")
     sp.add_argument("--depth", type=int)
     sp.add_argument("--dim", type=int)

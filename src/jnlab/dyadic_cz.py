@@ -72,21 +72,20 @@ class MaximalField:
         return root.measure * (count / float(1 << (root.dim * self.max_depth)))
 
 
+def _maximal_field(f: GridFunction, q0: DyadicCube, sums) -> MaximalField:
+    """The maximal field of per-level sums over the subtree of q0."""
+    zrun, zprov = kernels.maximal_sweep(sums, f.dim)
+    perm = _lex_to_z_perm(f.dim, f.max_depth - q0.depth)
+    return MaximalField(q0=q0, max_depth=f.max_depth, values=zrun[perm],
+                        provenance=zprov[perm] + q0.depth, _zvalues=zrun)
+
+
 def dyadic_maximal(f: GridFunction, q0: DyadicCube) -> MaximalField:
     """Per-cell max of ancestor |f|-averages within q0, with provenance."""
     f._check_cube(q0)
     pyr = f.abs_pyramid()
-    local_depth = f.max_depth - q0.depth
-    zrun, zprov = kernels.maximal_sweep(
-        [f.pyramid_slice(pyr, q0, rel) for rel in range(local_depth + 1)], f.dim)
-    perm = _lex_to_z_perm(f.dim, local_depth)
-    return MaximalField(
-        q0=q0,
-        max_depth=f.max_depth,
-        values=zrun[perm],
-        provenance=zprov[perm] + q0.depth,
-        _zvalues=zrun,
-    )
+    return _maximal_field(f, q0, [f.pyramid_slice(pyr, q0, rel)
+                                  for rel in range(f.max_depth - q0.depth + 1)])
 
 
 def level_set(field: MaximalField, lam: float) -> CellSet:
@@ -187,8 +186,9 @@ def _verify_cz(f: GridFunction, cover: CzCover) -> None:
 
 
 def _shifted_field(f: GridFunction, q0: DyadicCube) -> MaximalField:
-    """Maximal field of h = f - avg_{Q0} f, which both dyadic verifiers bound."""
-    return dyadic_maximal(f.shifted(average(f, q0)), q0)
+    """Maximal field of h = f - avg_{Q0} f over q0's cells, as both dyadic verifiers bound."""
+    dev = np.abs(f.zslice(q0) - average(f, q0))
+    return _maximal_field(f, q0, kernels.build_pyramid(dev, f.max_depth - q0.depth, f.dim))
 
 
 def check_good_lambda_dyadic(

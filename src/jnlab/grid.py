@@ -158,13 +158,6 @@ def _lex_to_z_perm(dim: int, depth: int) -> np.ndarray:
     return z
 
 
-def _tree_total(x: np.ndarray) -> float:
-    """Reduce a power-of-two-length block by adjacent-pair additions."""
-    while x.size > 1:
-        x = kernels.halve_pairs(x)
-    return float(x[0])
-
-
 class GridFunction:
     """Piecewise-constant function on the finest cells of a dyadic grid.
 
@@ -187,6 +180,10 @@ class GridFunction:
         if not np.all(np.isfinite(vals)):
             bad = int(np.flatnonzero(~np.isfinite(vals))[0])
             raise ValueError(f"non-finite value at cell {bad}: {vals[bad]}")
+        # below this bound every cube sum of f, |f| and |f - avg| is finite
+        bound = float(np.finfo(np.float64).max) / (2 * want)
+        if max(vals.max(), -vals.min()) > bound:
+            raise ValueError(f"values too large for {want} cells: need |value| <= {bound!r}")
         self.root = root
         self.max_depth = int(max_depth)
         self.values = vals.copy()
@@ -203,9 +200,6 @@ class GridFunction:
 
     def with_values(self, values) -> "GridFunction":
         return GridFunction(self.root, self.max_depth, values)
-
-    def shifted(self, c: float) -> "GridFunction":
-        return self.with_values(self.values - float(c))
 
     # ---------------------------------------------------------- internals
 
@@ -270,11 +264,9 @@ class GridFunction:
         if "pyr_osc" not in self._cache:
             levels = []
             for k, sums in enumerate(self.sum_pyramid()):
-                cnt = 1 << (self.dim * (self.max_depth - k))
-                dev = np.abs(self.zvalues - np.repeat(sums * (1.0 / float(cnt)), cnt))
-                for _ in range(self.dim * (self.max_depth - k)):
-                    dev = kernels.halve_pairs(dev)
-                levels.append(dev)
+                width = self.dim * (self.max_depth - k)
+                levels.append(kernels.osc_sums(
+                    self.zvalues, sums * (1.0 / float(1 << width)), width))
             self._cache["pyr_osc"] = tuple(levels)
         return self._cache["pyr_osc"]
 
@@ -328,17 +320,17 @@ class GridFunction:
 
 
 def average(f: GridFunction, cube: DyadicCube) -> float:
-    """Average of ``f`` over a dyadic cube (tree sum / cell count)."""
-    block = f.zslice(cube)
-    return _tree_total(block) / float(block.size)
+    """Average of ``f`` over a dyadic cube (its sum pyramid entry / cell count)."""
+    f._check_cube(cube)
+    cells = 1 << (f.dim * (f.max_depth - cube.depth))
+    return float(f.pyramid_slice(f.sum_pyramid(), cube, 0)[0]) / float(cells)
 
 
 def mean_oscillation(f: GridFunction, cube: DyadicCube) -> float:
     """Average of |f - average(f, cube)| over the cube."""
     block = f.zslice(cube)
-    avg = _tree_total(block) / float(block.size)
-    dev = np.abs(block - avg)
-    return _tree_total(dev) / float(block.size)
+    width = f.dim * (f.max_depth - cube.depth)
+    return float(kernels.osc_sums(block, [average(f, cube)], width)[0]) / float(block.size)
 
 
 class CellSet:

@@ -1,6 +1,6 @@
 """Numeric kernels.
 
-The four grid kernels (``halve_pairs``, ``build_pyramid``,
+The four grid kernels (``build_pyramid``, ``osc_sums``,
 ``maximal_sweep``, ``dp_sweep``) are plain numpy functions that add only
 adjacent pairs, so every cube sum is a fixed-shape tree of pair additions
 and bitwise reproducible.
@@ -37,8 +37,8 @@ __all__ = [
     "ball_tables",
     "build_pyramid",
     "dp_sweep",
-    "halve_pairs",
     "maximal_sweep",
+    "osc_sums",
     "osc_table",
 ]
 
@@ -59,11 +59,6 @@ def _pair_sums(x: np.ndarray, times: int) -> np.ndarray:
     return x
 
 
-def halve_pairs(x: np.ndarray) -> np.ndarray:
-    """Sums of adjacent pairs: one level of the pair-sum tree."""
-    return _pair_sum(np.asarray(x, dtype=np.float64))
-
-
 def build_pyramid(leaves: np.ndarray, depth: int, nbits: int) -> tuple[np.ndarray, ...]:
     """All-level tree sums of `leaves` (length (2**nbits)**depth, block
     order), one array per level; the last entry is `leaves` itself."""
@@ -71,6 +66,14 @@ def build_pyramid(leaves: np.ndarray, depth: int, nbits: int) -> tuple[np.ndarra
     for _ in range(depth):
         levels.append(_pair_sums(levels[-1], nbits))
     return tuple(reversed(levels))
+
+
+def osc_sums(block: np.ndarray, avgs, width: int) -> np.ndarray:
+    """Tree sums of |v - avgs[j]| over the j-th run of 2**width cells of `block`."""
+    avgs = np.asarray(avgs, dtype=np.float64)
+    dev = np.reshape(block, (avgs.size, 1 << width)) - avgs[:, None]
+    np.abs(dev, out=dev)
+    return _pair_sums(dev.reshape(-1), width)
 
 
 def maximal_sweep(pyramid, nbits: int) -> tuple[np.ndarray, np.ndarray]:

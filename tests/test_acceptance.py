@@ -225,7 +225,7 @@ def test_criterion_04_good_lambda_every_admissible_level():
         b = 2.0 ** -(dim + 1)
         a_expect = 1.0 / (1.0 - (1 << dim) * b)
         K = jnp_bruteforce(f, q0, p, depth).norm
-        field = dyadic_maximal(f.shifted(average(f, q0)), q0)
+        field = dyadic_maximal(f.with_values(f.values - average(f, q0)), q0)
         thr = mean_oscillation(f, q0) / b
         # both sides are piecewise monotone between consecutive level-set
         # breakpoints, so checking each breakpoint of either side (and just

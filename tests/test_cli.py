@@ -378,3 +378,24 @@ def test_grid_csv_cell_cap(tmp_path, capsys):
     assert run("analyze", str(grid)) == 2
     err = one_line_error(capsys)
     assert str(grid) in err and "dim * depth <= 24" in err
+
+
+def test_cube_sum_overflow_exit_2(tmp_path, capsys):
+    # two cells of 1.7e308 sum to inf; analyze used to print "Infinity"
+    grid = tmp_path / "g.csv"
+    grid.write_text("1,1,0.0,1.0\n1.7e308\n1.7e308\n")
+    for argv in (("analyze", str(grid)), ("verify", "jn-dyadic", str(grid))):
+        assert run(*argv) == 2
+        assert "too large" in one_line_error(capsys)
+
+
+@pytest.mark.parametrize("line,option", [("format = xml", "--format"),
+                                         ("values_kind = nope", "--values-kind")])
+def test_config_choices_exit_2(tmp_path, line, option, capsys):
+    conf = tmp_path / "c.txt"
+    conf.write_text(line + "\n")
+    out = tmp_path / "r.json"
+    assert run("verify", "jn-dyadic", "step", "--depth", "4", "--out", str(out),
+               "--config", str(conf)) == 2
+    assert option in one_line_error(capsys)
+    assert not out.exists()

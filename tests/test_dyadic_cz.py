@@ -3,6 +3,7 @@ import pytest
 
 from jnlab.dyadic_cz import (MaximalField, check_good_lambda_dyadic, cz_decompose_dyadic,
                              dyadic_maximal, level_set, verify_jn_dyadic)
+from jnlab.dyadic_cz import _shifted_field
 from jnlab.errors import PreconditionError
 from jnlab.functionals import jnp_bruteforce
 from jnlab.grid import (DyadicCube, GridFunction, RootCube, average, cube_from_zindex,
@@ -261,10 +262,19 @@ def same_float(a, b):
     return type(a) is type(b) and np.float64(a).tobytes() == np.float64(b).tobytes()
 
 
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 def test_level_measure_equals_level_set_bitwise():
     for f, q0 in level_cases():
-        h = f.shifted(average(f, q0))
+        h = f.with_values(f.values - average(f, q0))
         field = dyadic_maximal(h, q0)
+        # the verifiers' field of h, swept over q0's cells alone, is the
+        # field of a whole-grid copy of h, bit for bit
+        local = _shifted_field(f, q0)
+        for name in ("values", "provenance", "_zvalues"):
+            assert same_bits(getattr(local, name), getattr(field, name)), (q0, name)
         vals = np.unique(field.values)
         lams = np.concatenate([vals, np.nextafter(vals, np.inf),
                                np.nextafter(vals, -np.inf),

@@ -163,12 +163,33 @@ def test_csv_round_trip_exact():
         assert open(p1, "rb").read() == open(p2, "rb").read()
 
 
-def test_shifted_and_with_values():
+def test_with_values():
     f = rand_f(1, 4, 17)
-    g = f.shifted(2.5)
+    g = f.with_values(f.values - 2.5)
     assert np.array_equal(g.values, f.values - 2.5)
+    assert g.root == f.root and g.max_depth == f.max_depth
     h = f.with_values(np.zeros(16))
     assert average(h, h.root.top()) == 0.0
+
+
+def test_values_whose_cube_sums_overflow_raise():
+    big = np.finfo(np.float64).max
+    with pytest.raises(ValueError, match="too large"):
+        GridFunction(unit(1), 1, [1.7e308, 1.7e308])
+    for dim, depth in ((1, 1), (1, 3), (2, 2)):
+        n = 1 << (dim * depth)
+        bound = big / (2 * n)
+        for bad in (np.nextafter(bound, np.inf), -np.nextafter(bound, np.inf)):
+            vals = np.zeros(n)
+            vals[n // 2] = bad
+            with pytest.raises(ValueError, match="too large"):
+                GridFunction(unit(dim), depth, vals)
+        # at the bound every cube sum of f, |f| and |f - avg| is finite
+        rng = np.random.default_rng(n)
+        for vals in (np.full(n, bound), np.where(rng.random(n) < 0.5, bound, -bound)):
+            f = GridFunction(unit(dim), depth, vals)
+            for pyr in (f.sum_pyramid(), f.abs_pyramid(), f.osc_pyramid()):
+                assert all(np.all(np.isfinite(level)) for level in pyr)
 
 
 # ------------------------------------------------------------------ cellset

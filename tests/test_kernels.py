@@ -13,19 +13,28 @@ def tree_total(values):
     return vals[0]
 
 
-def test_halve_pairs_hand():
-    out = kernels.halve_pairs(np.array([1.0, 2.0, 3.0, 4.0]))
-    assert out.tolist() == [3.0, 7.0]
+def osc_tree_totals(values, avgs):
+    # sums of |v - avg| over equal consecutive runs, pure Python trees
+    vals = [float(v) for v in values]
+    run = len(vals) // len(avgs)
+    return [tree_total([abs(v - float(a)) for v in vals[j * run:(j + 1) * run]])
+            for j, a in enumerate(avgs)]
 
 
-def test_halve_pairs_matches_python_tree():
+def test_pair_sums_hand():
+    levels = kernels.build_pyramid(np.array([1.0, 2.0, 3.0, 4.0]), 2, 1)
+    assert [level.tolist() for level in levels] == [[10.0], [3.0, 7.0], [1.0, 2.0, 3.0, 4.0]]
+    out = kernels.osc_sums(np.array([1.0, 2.0, 3.0, 5.0]), [1.5, 3.0], 1)
+    assert out.tolist() == [1.0, 2.0]
+
+
+def test_pair_sums_match_python_tree():
     rng = np.random.default_rng(1)
-    for size in (2, 8, 64, 1024):
-        x = rng.uniform(-1, 1, size)
-        total = x.copy()
-        while total.size > 1:
-            total = kernels.halve_pairs(total)
-        assert total[0] == tree_total(x)
+    for depth in (1, 3, 6, 10):
+        x = rng.uniform(-1, 1, 1 << depth)
+        assert kernels.build_pyramid(x, depth, 1)[0][0] == tree_total(x)
+        avg = float(rng.uniform(-1, 1))
+        assert kernels.osc_sums(x, [avg], depth)[0] == osc_tree_totals(x, [avg])[0]
 
 
 def test_build_pyramid_levels_are_tree_sums():
@@ -100,17 +109,44 @@ def signed_zeros():
     return np.array([(a, b) for a in z for b in z]).reshape(-1)
 
 
-def test_halve_pairs_matches_reduction_bitwise():
+def test_pair_sums_match_reduction_bitwise():
     inputs = [hard_floats(1 << 12, s) for s in range(4)] + [signed_zeros()]
     base = hard_floats(3 << 10, 9)
-    inputs += [base[::3], base[1::3][:512], np.ones(0)]
+    inputs += [base[::3], base[1::3][:512]]
     for x in inputs:
-        assert same_bits(kernels.halve_pairs(x), reshape_pair_sums(x))
-    assert kernels.halve_pairs(signed_zeros()).tobytes() == np.zeros(4).tobytes()
-    ints = np.arange(-8, 8, dtype=np.int64) * 3
-    out = kernels.halve_pairs(ints)
-    assert out.dtype == np.float64
-    assert same_bits(out, reshape_pair_sums(ints.astype(np.float64)))
+        depth = x.size.bit_length() - 1
+        got = kernels.build_pyramid(x, depth, 1)
+        assert all(same_bits(g, w) for g, w in zip(got, reshape_pyramid(x, depth, 1)))
+        dev = np.abs(x - 0.5)
+        for width in range(depth + 1):
+            want = reshape_pyramid(dev, width, 1)[0]
+            assert same_bits(kernels.osc_sums(x, np.full(x.size >> width, 0.5), width), want)
+    assert kernels.build_pyramid(signed_zeros(), 3, 1)[2].tobytes() == np.zeros(4).tobytes()
+
+
+def osc_sums_cases():
+    """(grid, level k) for every level of 1-D and 2-D grids of hard floats,
+    signed zeros and exactly cancelling values."""
+    rng = np.random.default_rng(4)
+    cases = []
+    for dim, depth in ((1, 10), (2, 5)):
+        n = 1 << (dim * depth)
+        root = RootCube(dim, (0.0,) * dim, 1.0)
+        for vals in (hard_floats(n, dim), np.tile(signed_zeros(), n // 8),
+                     rng.uniform(-1.0, 1.0, n)):
+            f = GridFunction(root, depth, vals)
+            cases += [(f, k) for k in range(depth + 1)]
+    return cases
+
+
+def test_osc_sums_matches_python_tree_bitwise():
+    for f, k in osc_sums_cases():
+        width = f.dim * (f.max_depth - k)
+        avgs = f.sum_pyramid()[k] * (1.0 / float(1 << width))
+        got = kernels.osc_sums(f.zvalues, avgs, width)
+        want = np.array(osc_tree_totals(f.zvalues, avgs))
+        assert same_bits(got, want), (f.dim, k)
+        assert same_bits(f.osc_pyramid()[k], want)
 
 
 def test_build_pyramid_matches_reduction_bitwise():
@@ -151,7 +187,9 @@ def test_dp_sweep_matches_reduction_bitwise():
 def test_odd_length_pair_sums_raise():
     for n in (1, 3, 7):
         with pytest.raises(ValueError):
-            kernels.halve_pairs(np.ones(n))
+            kernels.build_pyramid(np.ones(n), 1, 1)
+        with pytest.raises(ValueError):
+            kernels.osc_sums(np.ones(n), [0.0], 1)
     with pytest.raises(ValueError):
         kernels.build_pyramid(np.ones(6), 2, 1)
     with pytest.raises(ValueError):
