@@ -1,4 +1,5 @@
-"""Shared exception types, and the one check of the exponent p.
+"""Shared exception types, the one check of the exponent p, and the one
+check that a JN_p value did not overflow.
 
 All carry enough payload to reconstruct the failing comparison.
 """
@@ -56,3 +57,11 @@ def _check_p(p: float) -> float:
     if not (p > 1.0 and math.isfinite(p)):
         raise ValueError(f"p must lie in (1, inf), got {p}")
     return p
+
+
+def _check_jn_value(value: float, p: float) -> float:
+    """A JN_p term or sum; PreconditionError when it overflowed to inf."""
+    if not math.isfinite(value):
+        raise PreconditionError("JN_p value is not finite: values too large for p",
+                                value=value, p=p)
+    return value

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .errors import _check_p
+from .errors import _check_jn_value, _check_p
 from .grid import (DyadicCube, GridFunction, RootCube, average, cube_from_zindex,
                    mean_oscillation)
 
@@ -55,7 +55,8 @@ def _subtree_terms(f: GridFunction, q0: DyadicCube, p: float) -> tuple[np.ndarra
         cnt = 1 << (f.dim * (f.max_depth - k))
         mu = f.root.measure / float(1 << (f.dim * k))
         osc_sums = f.pyramid_slice(pyr, q0, rel)
-        terms.append(mu * np.power(osc_sums * (1.0 / float(cnt)), p))
+        with np.errstate(over="ignore"):  # an inf term reaches the DP root
+            terms.append(mu * np.power(osc_sums * (1.0 / float(cnt)), p))
     return tuple(terms)
 
 
@@ -68,8 +69,10 @@ def jnp_dyadic(f: GridFunction, q0: DyadicCube, p: float) -> PartitionResult:
     """
     p = _check_p(p)
     f._check_cube(q0)
-    values, split = kernels.dp_sweep(_subtree_terms(f, q0, p), f.dim)
-    value = float(values[0][0])
+    terms = _subtree_terms(f, q0, p)
+    with np.errstate(over="ignore"):  # an overflowed sum reaches the root too
+        values, split = kernels.dp_sweep(terms, f.dim)
+    value = _check_jn_value(float(values[0][0]), p)
 
     witness = []
     arity = 1 << f.dim
@@ -130,6 +133,7 @@ def jnp_bruteforce(f: GridFunction, q0: DyadicCube, p: float,
     for val, keys in enum(0, 0, depth_budget):
         if best_val is None or val > best_val:
             best_val, best_keys = val, keys
+    best_val = _check_jn_value(best_val, p)
     witness = tuple(
         cube_from_zindex(f.root, q0.depth + rel, (q0.zindex() << (f.dim * rel)) + z)
         for rel, z in best_keys)

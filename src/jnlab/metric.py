@@ -9,12 +9,13 @@ exactly computable.  Mean oscillations and averages are weighted.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import kernels
-from .errors import InvariantViolation, MetricAxiomError, _check_p
+from .errors import InvariantViolation, MetricAxiomError, _check_jn_value, _check_p
 
 __all__ = [
     "Ball",
@@ -81,15 +82,27 @@ def _validate_metric(d: np.ndarray, w: np.ndarray) -> None:
         raise MetricAxiomError("asymmetric distances",
                                witness=(int(i), int(j), float(d[i, j]), float(d[j, i])))
     tol = 1e-12 * max(1.0, scale)
-    for k in range(m):
-        via = d[:, k][:, None] + d[k, :][None, :]
-        bad = d - via
-        worst = float(bad.max())
-        if worst > tol:
-            i, j = np.argwhere(bad == worst)[0]
+    # one min-plus pass per row tile: best[i, j] = min_k fl(d_ik + d_kj).
+    # fl(d_ij - x) is monotone in x, so max_k fl(d_ij - fl(d_ik + d_kj))
+    # equals fl(d_ij - best[i, j]) and the verdict is the per-k loop's.
+    rows = max(16, 2**14 // max(m, 1))
+    best = np.empty((min(rows, m), m))
+    via = np.empty_like(best)
+    for lo in range(0, m, rows):
+        blk = d[lo:lo + rows]
+        b, v = best[:blk.shape[0]], via[:blk.shape[0]]
+        np.add(blk[:, 0, None], d[0], out=b)
+        for k in range(1, m):
+            np.add(blk[:, k, None], d[k], out=v)
+            np.minimum(b, v, out=b)
+        bad = np.subtract(blk, b, out=b)
+        if float(bad.max()) > tol:
+            i, j = divmod(int(np.argmax(bad)), m)
+            i += lo
+            k = int(np.argmin(d[i] + d[:, j]))
             raise MetricAxiomError(
                 "triangle inequality fails",
-                witness=(int(i), int(j), int(k), float(d[i, j]), float(via[i, j])),
+                witness=(i, j, k, float(d[i, j]), float(d[i, k] + d[k, j])),
             )
 
 
@@ -115,8 +128,10 @@ class MetricMeasureSpace:
     """Validated finite metric measure space (distances and weights)."""
 
     def __init__(self, dmat, weights):
-        d = np.ascontiguousarray(dmat, dtype=np.float64)
-        w = np.ascontiguousarray(weights, dtype=np.float64).reshape(-1)
+        # own copies: the caller's arrays (and any views of them) stay
+        # writable without reaching the validated distances or weights
+        d = np.array(dmat, dtype=np.float64, order="C")
+        w = np.array(weights, dtype=np.float64).reshape(-1)
         _validate_metric(d, w)
         self.d = d
         self.w = w
@@ -444,7 +459,11 @@ class JnSearchResult:
 def _jn_term(space: MetricMeasureSpace, v: np.ndarray, mask: np.ndarray,
              p: float) -> float:
     """mu(B) * osc_B(v)^p for the member set `mask` of one ball B."""
-    return space.measure_mask(mask) * space.osc_mask(v, mask) ** p
+    try:
+        term = space.measure_mask(mask) * space.osc_mask(v, mask) ** p
+    except OverflowError:
+        term = math.inf
+    return _check_jn_value(term, p)
 
 
 def jnp_metric_lower(space: MetricMeasureSpace, f, b0: Ball, p: float,
@@ -606,6 +625,7 @@ def jnp_metric_lower(space: MetricMeasureSpace, f, b0: Ball, p: float,
 
         extend((), np.zeros(space.m, dtype=bool), 0, 0.0)
 
+    best_val = _check_jn_value(best_val, p)  # a sum of finite terms may overflow
     family = check_admissible(space, b0, best_balls)
     if best_balls and not family.admissible:
         raise InvariantViolation("search produced an inadmissible family",

@@ -7,15 +7,17 @@ the per-center maximal loop, the per-center witness loop, the doubling
 constant's scan of radii between breakpoints, the pairwise
 member-mask loops behind the Vitali, admissibility, CZ-cover and nested-
 cover checks, the JN_p search that scanned its chosen balls one by one
-for a clash, and the tree generator's per-pair lowest-common-ancestor
-loop.  Tests compare the package against them bitwise.
+for a clash, the tree generator's per-pair lowest-common-ancestor
+loop, and the triangle check's full m x m pass per intermediate point.
+Tests compare the package against them bitwise, and the triangle check
+by its accept/reject verdict.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from jnlab.errors import InvariantViolation
+from jnlab.errors import InvariantViolation, MetricAxiomError
 from jnlab.metric import Ball, BallFamily, JnSearchResult, _jn_term
 
 
@@ -33,6 +35,25 @@ def ball_tables(orders, w, f):
         dev = np.abs(fs[c][None, :] - avg[:, None]) * ws[c][None, :]
         osc[c] = np.cumsum(dev, axis=1)[diag, diag]
     return wcum, fcum, osc
+
+
+def triangle_check(d):
+    """The triangle inequality on a square, symmetric, finite matrix with
+    zero diagonal: for each k, one full m x m add, subtract and max against
+    the tolerance 1e-12 * max(1, max d)."""
+    m = d.shape[0]
+    scale = float(d.max()) if m > 1 else 1.0
+    tol = 1e-12 * max(1.0, scale)
+    for k in range(m):
+        via = d[:, k][:, None] + d[k, :][None, :]
+        bad = d - via
+        worst = float(bad.max())
+        if worst > tol:
+            i, j = np.argwhere(bad == worst)[0]
+            raise MetricAxiomError(
+                "triangle inequality fails",
+                witness=(int(i), int(j), int(k), float(d[i, j]), float(via[i, j])),
+            )
 
 
 def critical_radii(space, c):

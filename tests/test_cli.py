@@ -389,6 +389,23 @@ def test_cube_sum_overflow_exit_2(tmp_path, capsys):
         assert "too large" in one_line_error(capsys)
 
 
+def test_jnp_overflow_exit_2(tmp_path, capsys):
+    # |Q| osc_Q^p overflows at p = 3 for values of size 1e154
+    grid = tmp_path / "g.csv"
+    grid.write_text("1,1,0.0,1.0\n1e154\n-1e154\n")
+    vals = tmp_path / "v.csv"
+    vals.write_text("m,4\n0,1e154\n1,-1e154\n2,1e154\n3,-1e154\n")
+    space = ("--space", "line", "--m", "4", "--values", str(vals))
+    for argv in (("analyze", str(grid)), ("verify", "jn-dyadic", str(grid)),
+                 ("analyze",) + space, ("verify", "mainresult") + space):
+        assert run(*argv, "--p", "3") == 2
+        assert "JN_p value is not finite" in one_line_error(capsys)
+    # at p = 2 each term is finite, and the search's sum of two overflows
+    vals.write_text("m,4\n0,6e153\n1,-6e153\n2,6e153\n3,-6e153\n")
+    assert run("analyze", *space, "--p", "2") == 2
+    assert "JN_p value is not finite" in one_line_error(capsys)
+
+
 @pytest.mark.parametrize("line,option", [("format = xml", "--format"),
                                          ("values_kind = nope", "--values-kind")])
 def test_config_choices_exit_2(tmp_path, line, option, capsys):

@@ -57,6 +57,22 @@ def test_axioms_reject_zero_offdiagonal():
         build_space(dmat=d)
 
 
+def test_space_does_not_alias_caller_arrays():
+    d = np.array([[0.0, 1.0, 2.0],
+                  [1.0, 0.0, 1.0],
+                  [2.0, 1.0, 0.0]])
+    w = np.array([1.0, 2.0, 3.0])
+    dv, wv = d[:], w[:]  # views taken before the space validates
+    s = build_space(dmat=d, weights=w)
+    lo = s.sorted_d.copy()
+    dv[0, 2] = dv[2, 0] = 5.0  # would break the triangle inequality
+    wv[1] = -1.0
+    assert d.flags.writeable and w.flags.writeable
+    assert s.d[0, 2] == 2.0 and s.w.tolist() == [1.0, 2.0, 3.0]
+    assert np.array_equal(s.sorted_d, lo)
+    assert np.array_equal(s.sorted_d, np.sort(s.d, axis=1))
+
+
 def test_members_are_strict():
     s = space_from_points(np.array([0.0, 1.0, 2.0]))
     assert s.members(Ball(0, 1.0)).tolist() == [True, False, False]

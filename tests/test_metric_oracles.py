@@ -6,11 +6,13 @@ import pytest
 
 import metric_oracles as oracle
 from jnlab import kernels
+from jnlab.errors import MetricAxiomError
 from jnlab.generators import (f_log_distance, f_random, gen_grid2d, gen_line,
                               gen_random_cloud, gen_tree_graph)
-from jnlab.metric import (Ball, _first_overlap, bmo_norm_metric, check_admissible,
-                          doubling_constant, global_maximal, hl_maximal_restricted,
-                          jnp_metric_lower, space_from_points, vitali_subcover)
+from jnlab.metric import (Ball, _first_overlap, _validate_metric, bmo_norm_metric,
+                          check_admissible, doubling_constant, global_maximal,
+                          hl_maximal_restricted, jnp_metric_lower, space_from_points,
+                          vitali_subcover)
 from jnlab.metric_cz import compute_witness, nested_cz
 
 SEEDS = range(10)
@@ -210,3 +212,76 @@ def test_ball_family_overlap_tests_match_loop_oracles():
                 assert nest.containment[k] == oracle.containment(space, lo.balls, hi.balls)
                 parents += nest.containment[k]
     assert max(parents) > 0
+
+
+# ------------------------------------------------------- triangle check
+
+
+def triangle_verdict(check, d):
+    """None when `check` accepts d, else the MetricAxiomError it raised."""
+    try:
+        check(d)
+    except MetricAxiomError as exc:
+        return exc
+    return None
+
+
+def assert_same_triangle_verdict(d):
+    """The tiled check and the per-k loop agree; a rejection names a triple
+    that really violates the inequality beyond the tolerance.  Returns
+    the tiled check's error, or None when both accept."""
+    got = triangle_verdict(lambda x: _validate_metric(x, np.ones(x.shape[0])), d)
+    want = triangle_verdict(oracle.triangle_check, d)
+    assert (got is None) == (want is None)
+    if got is None:
+        return None
+    assert str(got).startswith("triangle inequality fails")
+    i, j, k, dij, via = got.witness
+    assert dij == d[i, j] and via == d[i, k] + d[k, j]
+    assert dij - via > 1e-12 * max(1.0, float(d.max()))
+    return got
+
+
+def lattice_metric(rng, m, ord):
+    """Distances between m distinct lattice points in Euclidean (ord 2) or
+    L1 (ord 1) norm: few distinct values, and L1 makes many triples exact
+    equalities d_ij = d_ik + d_kj."""
+    dim = int(rng.integers(1, 4))
+    side = int(np.ceil(m ** (1.0 / dim))) + int(rng.integers(0, 3))
+    idx = rng.choice(side**dim, size=m, replace=False)
+    pts = np.stack(np.unravel_index(idx, (side,) * dim), axis=1).astype(float)
+    return np.linalg.norm(pts[:, None, :] - pts[None, :, :], ord=ord, axis=2)
+
+
+def test_triangle_check_matches_per_k_loop():
+    rng = np.random.default_rng(2024)
+    rejected = 0
+    for _ in range(3000):
+        m = int(rng.integers(2, 71))
+        d = lattice_metric(rng, m, int(rng.choice([1, 2])))
+        # power-of-two scales keep L1 equalities exact; others round them
+        if rng.random() < 0.5:
+            d *= 2.0 ** int(rng.integers(-8, 9))
+        else:
+            d *= 10 ** rng.uniform(-4, 4)
+        eps = rng.choice([0.0, 1e-13, 1e-12, 2e-12, 1e-9, 0.1, 1.0])
+        i, j = rng.choice(m, size=2, replace=False)
+        step = eps * float(d.max()) * rng.choice([-1.0, 1.0])
+        if d[i, j] + step > 0:
+            d[i, j] = d[j, i] = d[i, j] + step
+        rejected += assert_same_triangle_verdict(d) is not None
+    assert 500 < rejected < 2500
+
+
+@pytest.mark.parametrize("m", [200, 1030])
+def test_triangle_violation_in_last_partial_tile(m):
+    # the check tiles rows by max(16, 2**14 // m): 81 + 81 + 38 rows at
+    # m = 200, and 64 tiles of 16 then 6 rows at m = 1030
+    rows = max(16, 2**14 // m)
+    last = m - m % rows
+    assert 0 < m - last < rows
+    rng = np.random.default_rng(m)
+    d = lattice_metric(rng, m, 2)
+    i, j = last + 1, m - 1
+    d[i, j] = d[j, i] = 2.5 * float(d.max())  # only rows i and j see it
+    assert assert_same_triangle_verdict(d).witness[0] in (i, j)
