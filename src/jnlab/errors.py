@@ -1,5 +1,6 @@
-"""Shared exception types, the one check of the exponent p, and the one
-check that a JN_p value did not overflow.
+"""Shared exception types, the one check of the exponent p, the one check
+of a verifier's number of levels, and the one check that a JN_p value did
+not overflow.
 
 All carry enough payload to reconstruct the failing comparison.
 """
@@ -7,6 +8,7 @@ All carry enough payload to reconstruct the failing comparison.
 from __future__ import annotations
 
 import math
+import numbers
 
 __all__ = [
     "DepthOverflowError",
@@ -57,6 +59,14 @@ def _check_p(p: float) -> float:
     if not (p > 1.0 and math.isfinite(p)):
         raise ValueError(f"p must lie in (1, inf), got {p}")
     return p
+
+
+def _check_n_lambda(n_lambda: int) -> int:
+    """The number of sweep levels as an int; PreconditionError unless it
+    is an integer >= 1, since an empty sweep checks nothing."""
+    if not (isinstance(n_lambda, numbers.Integral) and n_lambda >= 1):
+        raise PreconditionError("n_lambda must be an integer >= 1", n_lambda=n_lambda)
+    return int(n_lambda)
 
 
 def _check_jn_value(value: float, p: float) -> float:

@@ -65,10 +65,14 @@ def jnp_dyadic(f: GridFunction, q0: DyadicCube, p: float) -> PartitionResult:
 
     Ties between a cube and its best-split children keep the cube, so the
     witness is the coarsest optimal partition; cubes appear in depth-first
-    lexicographic order.
+    lexicographic order.  The result is built once per (f, q0, p).
     """
     p = _check_p(p)
     f._check_cube(q0)
+    return f._memo(("jnp", q0, p), lambda: _best_partition(f, q0, p))
+
+
+def _best_partition(f: GridFunction, q0: DyadicCube, p: float) -> PartitionResult:
     terms = _subtree_terms(f, q0, p)
     with np.errstate(over="ignore"):  # an overflowed sum reaches the root too
         values, split = kernels.dp_sweep(terms, f.dim)
@@ -170,18 +174,20 @@ def weak_lp(f: GridFunction, q0: DyadicCube, p: float, centered: bool = True) ->
     """
     p = _check_p(p)
     block = f.zslice(q0)
-    if centered:
-        block = block - average(f, q0)
-    a = np.sort(np.abs(block))
+    # one working copy, then in place: at 2**20 cells each copy is 8 MB
+    a = block - average(f, q0) if centered else block.copy()
+    np.abs(a, out=a)
+    a.sort()
     a = a[np.searchsorted(a, 0.0, side="right"):]  # the values > 0
     if a.size == 0:
         return 0.0
-    # each distinct value starts a run of the sort, and the cells from
-    # that start on are those with |g| >= the value
-    starts = np.flatnonzero(np.concatenate(([True], a[1:] != a[:-1])))
-    vals = a[starts]
-    meas = f.root.measure * ((a.size - starts) / float(f.n_cells))
-    return float(np.max(vals * meas ** (1.0 / p)))
+    # the cells at or above a distinct value are those with |g| >= it
+    vals, n_ge = kernels._sorted_runs(a)
+    del a  # frees the working copy before meas is allocated
+    meas = n_ge / float(f.n_cells)
+    meas *= f.root.measure
+    meas **= 1.0 / p
+    return float(np.multiply(vals, meas, out=meas).max())
 
 
 def notlp_terms(p: float, n_terms: int, depth: int) -> np.ndarray:

@@ -168,6 +168,10 @@ class GridFunction:
         Number of dyadic refinements; the grid has ``2**(n*max_depth)`` cells.
     values : array_like
         One finite value per finest cell, lexicographic cell order.
+
+    The instance is immutable; what is derived from it (the Morton-order
+    values, the pyramids, the dyadic verifiers' per-(Q0, p) data) is
+    memoized in ``_cache`` and freed with it.
     """
 
     def __init__(self, root: RootCube, max_depth: int, values):
@@ -203,20 +207,25 @@ class GridFunction:
 
     # ---------------------------------------------------------- internals
 
+    def _memo(self, key, build):
+        """The value cached under `key`, made by ``build()`` on first use
+        (nothing is cached when it raises)."""
+        if key not in self._cache:
+            self._cache[key] = build()
+        return self._cache[key]
+
     @property
     def zperm(self) -> np.ndarray:
-        if "zperm" not in self._cache:
-            self._cache["zperm"] = _lex_to_z_perm(self.dim, self.max_depth)
-        return self._cache["zperm"]
+        return self._memo("zperm", lambda: _lex_to_z_perm(self.dim, self.max_depth))
 
     @property
     def zvalues(self) -> np.ndarray:
-        if "zvalues" not in self._cache:
+        def build():
             zv = np.empty_like(self.values)
             zv[self.zperm] = self.values
             zv.setflags(write=False)
-            self._cache["zvalues"] = zv
-        return self._cache["zvalues"]
+            return zv
+        return self._memo("zvalues", build)
 
     def _check_cube(self, cube: DyadicCube) -> None:
         if cube.root != self.root:
@@ -247,28 +256,27 @@ class GridFunction:
     def sum_pyramid(self) -> tuple[np.ndarray, ...]:
         """Tree sums of the values at every depth, one array per depth
         (interleaved order); the deepest entry is :attr:`zvalues` itself."""
-        if "pyr_sum" not in self._cache:
-            self._cache["pyr_sum"] = kernels.build_pyramid(self.zvalues, self.max_depth, self.dim)
-        return self._cache["pyr_sum"]
+        return self._memo("pyr_sum", lambda: kernels.build_pyramid(
+            self.zvalues, self.max_depth, self.dim))
 
     def abs_pyramid(self) -> tuple[np.ndarray, ...]:
         """Tree sums of |values| at every depth."""
-        if "pyr_abs" not in self._cache:
-            self._cache["pyr_abs"] = kernels.build_pyramid(
-                np.abs(self.zvalues), self.max_depth, self.dim
-            )
-        return self._cache["pyr_abs"]
+        return self._memo("pyr_abs", lambda: kernels.build_pyramid(
+            np.abs(self.zvalues), self.max_depth, self.dim))
 
     def osc_pyramid(self) -> tuple[np.ndarray, ...]:
         """Per-cube sums of |value - cube average| at every depth."""
-        if "pyr_osc" not in self._cache:
+        def build():
+            sums = self.sum_pyramid()
             levels = []
-            for k, sums in enumerate(self.sum_pyramid()):
+            for k in range(self.max_depth):
                 width = self.dim * (self.max_depth - k)
                 levels.append(kernels.osc_sums(
-                    self.zvalues, sums * (1.0 / float(1 << width)), width))
-            self._cache["pyr_osc"] = tuple(levels)
-        return self._cache["pyr_osc"]
+                    self.zvalues, sums[k] * (1.0 / float(1 << width)), width))
+            # a finest cell is its own average: |v - v| is +0.0 for finite v
+            levels.append(np.zeros(self.n_cells))
+            return tuple(levels)
+        return self._memo("pyr_osc", build)
 
     # ---------------------------------------------------------- geometry
 

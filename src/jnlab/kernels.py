@@ -59,6 +59,19 @@ def _pair_sums(x: np.ndarray, times: int) -> np.ndarray:
     return x
 
 
+def _sorted_runs(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct values of a sorted, non-empty 1-D array, and for each
+    the number of entries at or above it (int64); each distinct value
+    starts a run of the sort."""
+    new_run = np.empty(a.size, dtype=bool)
+    new_run[0] = True
+    np.not_equal(a[1:], a[:-1], out=new_run[1:])
+    starts = np.flatnonzero(new_run)
+    del new_run
+    values = a[starts]
+    return values, np.subtract(a.size, starts, out=starts)
+
+
 def build_pyramid(leaves: np.ndarray, depth: int, nbits: int) -> tuple[np.ndarray, ...]:
     """All-level tree sums of `leaves` (length (2**nbits)**depth, block
     order), one array per level; the last entry is `leaves` itself."""
@@ -88,8 +101,8 @@ def maximal_sweep(pyramid, nbits: int) -> tuple[np.ndarray, np.ndarray]:
         prov = np.repeat(prov, arity)
         avg = pyramid[k] * (1.0 / float(arity ** (depth - k)))
         better = avg > run
-        run[better] = avg[better]
-        prov[better] = k
+        np.copyto(run, avg, where=better)
+        np.copyto(prov, k, where=better)
     return run, prov
 
 

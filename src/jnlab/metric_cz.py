@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import g_factor, theorem_constants
-from .errors import InvariantViolation, PreconditionError
+from .errors import InvariantViolation, PreconditionError, _check_n_lambda
 from .metric import (Ball, MetricMeasureSpace, _first_overlap, _jn_term,
                      _witness_arrays, bmo_norm_metric, doubling_constant,
                      vitali_subcover)
@@ -327,6 +327,7 @@ def verify_mainresult(space: MetricMeasureSpace, f, b0: Ball, p: float,
     every ladder level's disjoint family 5-dilates, so rhs is a true bound
     whenever the JN_p functional is finite.
     """
+    n_lambda = _check_n_lambda(n_lambda)
     v = space.check_values(f)
     c = doubling_constant(space)
     cons = theorem_constants(c, p)
@@ -412,6 +413,7 @@ def verify_bmo_jn(space: MetricMeasureSpace, f, b0: Ball,
     sum_j mu(B_j(lam + a)) <= 1/2 sum_k mu(B_k(lam)) on the arithmetic
     ladder lam = a, 2a, ..., a = 2 c^8.
     """
+    n_lambda = _check_n_lambda(n_lambda)
     v = space.check_values(f)
     norm = bmo_norm_metric(space, v)
     if norm == 0.0:

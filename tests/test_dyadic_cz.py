@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from jnlab.dyadic_cz import (MaximalField, check_good_lambda_dyadic, cz_decompose_dyadic,
+from jnlab import dyadic_cz
+from jnlab.dyadic_cz import (check_good_lambda_dyadic, cz_decompose_dyadic,
                              dyadic_maximal, level_set, verify_jn_dyadic)
-from jnlab.dyadic_cz import _shifted_field
+from jnlab.dyadic_cz import _level_measure, _shifted_levels
 from jnlab.errors import PreconditionError
-from jnlab.functionals import jnp_bruteforce
+from jnlab.functionals import jnp_bruteforce, jnp_dyadic
 from jnlab.grid import (DyadicCube, GridFunction, RootCube, average, cube_from_zindex,
                         mean_oscillation)
 from jnlab.report import all_pass, reports_to_json
@@ -270,11 +271,13 @@ def test_level_measure_equals_level_set_bitwise():
     for f, q0 in level_cases():
         h = f.with_values(f.values - average(f, q0))
         field = dyadic_maximal(h, q0)
-        # the verifiers' field of h, swept over q0's cells alone, is the
-        # field of a whole-grid copy of h, bit for bit
-        local = _shifted_field(f, q0)
-        for name in ("values", "provenance", "_zvalues"):
-            assert same_bits(getattr(local, name), getattr(field, name)), (q0, name)
+        # the verifiers' levels of h, swept over q0's cells alone, are the
+        # sorted field of a whole-grid copy of h, bit for bit
+        levels = _shifted_levels(f, q0)
+        values, above = levels
+        assert np.all(values[1:] > values[:-1]) and above[-1] == 0
+        run_lengths = above[:-1] - above[1:]
+        assert same_bits(np.repeat(values, run_lengths), np.sort(field._zvalues)), q0
         vals = np.unique(field.values)
         lams = np.concatenate([vals, np.nextafter(vals, np.inf),
                                np.nextafter(vals, -np.inf),
@@ -282,14 +285,15 @@ def test_level_measure_equals_level_set_bitwise():
         measures = set()
         for lam in lams:
             want = level_set(field, float(lam)).measure
-            assert same_float(field._level_measure(float(lam)), want), (q0, lam)
+            assert same_float(_level_measure(f, levels, float(lam)), want), (q0, lam)
             measures.add(want)
         assert len(measures) > 10
         assert level_set(field, vals[0] - 1.0).measure == q0.measure
 
 
-def level_set_measure(field, lam):
-    return level_set(field, lam).measure
+def fresh(f):
+    """A copy of f with an empty cache."""
+    return GridFunction(f.root, f.max_depth, f.values)
 
 
 def test_verifiers_report_level_set_measures(monkeypatch):
@@ -303,7 +307,98 @@ def test_verifiers_report_level_set_measures(monkeypatch):
 
     cases = level_cases()
     fast = [run(f, q0) for f, q0 in cases]
-    monkeypatch.setattr(MaximalField, "_level_measure", level_set_measure)
     for (f, q0), got in zip(cases, fast):
-        assert reports_to_json(got) == reports_to_json(run(f, q0))
+        field = dyadic_maximal(f.with_values(f.values - average(f, q0)), q0)
+        monkeypatch.setattr(dyadic_cz, "_level_measure",
+                            lambda g, levels, lam: level_set(field, lam).measure)
+        assert reports_to_json(got) == reports_to_json(run(fresh(f), q0))
         assert any(r.lhs > 0 for r in got)
+
+
+# ----------------------------------------- one field and one JN_p per (f, q0, p)
+
+
+def memo_steps(f, q0):
+    """Closures of one verifier call each, by name, on a grid g."""
+    b = 2.0 ** -(f.dim + 1)
+    threshold = mean_oscillation(f, q0) / b
+    steps = {}
+    for p in (2.0, 3.0):
+        steps[("verify", p)] = (
+            lambda g, p=p: reports_to_json(verify_jn_dyadic(g, q0, p, n_lambda=30)))
+        for t in (1.01, 2.0, 4.0):
+            steps[("good-lambda", p, t)] = (
+                lambda g, p=p, t=t: reports_to_json(
+                    [check_good_lambda_dyadic(g, q0, p, b, t * threshold)]))
+    return steps
+
+
+def test_memo_call_orders_match_fresh_grids():
+    gls = [("good-lambda", 2.0, t) for t in (1.01, 2.0, 4.0)]
+    orders = {
+        "verify first": [("verify", 2.0)] + gls,
+        "verify last": gls + [("verify", 2.0)],
+        "p interleaved": [("good-lambda", 3.0, 2.0), ("verify", 2.0),
+                          ("good-lambda", 2.0, 1.01), ("verify", 3.0),
+                          ("good-lambda", 3.0, 4.0), ("good-lambda", 2.0, 4.0)],
+    }
+    cases = level_cases()
+    for (f, top), (_, sub) in (cases[0:2], cases[2:4]):
+        for name, order in orders.items():
+            g = fresh(f)
+            steps = memo_steps(f, top)
+            for key in order:
+                assert steps[key](g) == steps[key](fresh(f)), (name, key)
+        # a sub-cube q0 on a grid whose cache already holds the root's data
+        g = fresh(f)
+        steps_top, steps_sub = memo_steps(f, top), memo_steps(f, sub)
+        for key in [("verify", 2.0), ("good-lambda", 2.0, 2.0)]:
+            for steps in (steps_top, steps_sub, steps_top):
+                assert steps[key](g) == steps[key](fresh(f)), ("sub-cube", key)
+        assert jnp_dyadic(g, sub, 2.0) == jnp_dyadic(fresh(f), sub, 2.0)
+
+
+def test_memo_builds_once_and_levels_are_read_only():
+    f, q0 = level_cases()[1]
+    levels = _shifted_levels(f, q0)
+    assert _shifted_levels(f, q0) is levels
+    assert _shifted_levels(f, f.root.top()) is not levels
+    for arr in levels:
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 1
+    assert jnp_dyadic(f, q0, 2) is jnp_dyadic(f, q0, 2.0)
+    assert jnp_dyadic(f, q0, 3.0) is not jnp_dyadic(f, q0, 2.0)
+
+
+def test_overflowing_jnp_raises_on_every_call():
+    f = GridFunction(unit(1), 1, np.array([1e154, -1e154]))
+    q0 = f.root.top()
+    for _ in range(2):
+        with pytest.raises(PreconditionError, match="not finite"):
+            jnp_dyadic(f, q0, 3.0)
+        with pytest.raises(PreconditionError, match="not finite"):
+            verify_jn_dyadic(f, q0, 3.0)
+    assert not any(key[0] == "jnp" for key in f._cache if isinstance(key, tuple))
+
+
+def test_verify_jn_dyadic_rejects_empty_sweep():
+    f = rand_f(1, 5, 2)
+    const = GridFunction(unit(1), 5, np.full(32, 1.5))
+    for g in (f, const):
+        for n in (0, -1, 2.5, None):
+            with pytest.raises(PreconditionError, match="n_lambda"):
+                verify_jn_dyadic(g, g.root.top(), 2.0, n_lambda=n)
+    assert len(verify_jn_dyadic(f, f.root.top(), 2.0, n_lambda=np.int64(1))) == 1
+
+
+def test_good_lambda_rejects_bad_k():
+    f = rand_f(1, 6, 3)
+    q0 = f.root.top()
+    lam = 2.0 * mean_oscillation(f, q0) / 0.25
+    for K in (-1.0, -np.inf, np.inf, np.nan):
+        with pytest.raises(PreconditionError, match="K must be"):
+            check_good_lambda_dyadic(f, q0, 2.0, 0.25, lam, K=K)
+    for K in (0.0, 1.5):
+        rep = check_good_lambda_dyadic(f, q0, 2.0, 0.25, lam, K=K)
+        assert rep.witness["K"] == K

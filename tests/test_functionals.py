@@ -205,6 +205,21 @@ def weak_lp_unique(f, q0, p, centered=True):
     return float(np.max(vals * meas ** (1.0 / p)))
 
 
+def weak_lp_sort_copies(f, q0, p, centered=True):
+    """The weak_lp body before it worked in place: a new array per step."""
+    block = f.zslice(q0)
+    if centered:
+        block = block - average(f, q0)
+    a = np.sort(np.abs(block))
+    a = a[np.searchsorted(a, 0.0, side="right"):]
+    if a.size == 0:
+        return 0.0
+    starts = np.flatnonzero(np.concatenate(([True], a[1:] != a[:-1])))
+    vals = a[starts]
+    meas = f.root.measure * ((a.size - starts) / float(f.n_cells))
+    return float(np.max(vals * meas ** (1.0 / p)))
+
+
 def test_weak_lp_matches_unique_oracle():
     rng = np.random.default_rng(4)
     grids = [rand_f(1, 10, 3), rand_f(2, 5, 4),
@@ -216,8 +231,12 @@ def test_weak_lp_matches_unique_oracle():
         for q0 in (f.root.top(), DyadicCube(f.root, 1, (1,) * f.dim)):
             for p in (1.5, 2.0, 3.0):
                 for centered in (True, False):
-                    assert (weak_lp(f, q0, p, centered=centered)
-                            == weak_lp_unique(f, q0, p, centered=centered))
+                    got = weak_lp(f, q0, p, centered=centered)
+                    assert got == weak_lp_unique(f, q0, p, centered=centered)
+                    # the in-place body against a new array per step, bitwise
+                    want = weak_lp_sort_copies(f, q0, p, centered=centered)
+                    assert type(got) is type(want)
+                    assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
 
 def test_notlp_terms_flat_and_positive():

@@ -142,6 +142,29 @@ def test_osc_pyramid_matches_direct():
             assert abs(got - dev_total / sl.size) <= 1e-15 * max(1.0, abs(avg))
 
 
+def test_memo_builds_once_and_caches_no_failure():
+    f = rand_f(1, 3, 0)
+    built = []
+
+    def build():
+        built.append(1)
+        return object()
+
+    first = f._memo("k", build)
+    assert f._memo("k", build) is first and len(built) == 1
+
+    def fail():
+        built.append(1)
+        raise ValueError("no")
+
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            f._memo("bad", fail)
+    assert "bad" not in f._cache and len(built) == 3
+    assert f.sum_pyramid() is f.sum_pyramid()
+    assert f.osc_pyramid() is f.osc_pyramid()
+
+
 def test_depth_overflow():
     f = rand_f(1, 2, 0)
     deep = DyadicCube(f.root, 5, (3,))

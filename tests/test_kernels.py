@@ -194,3 +194,38 @@ def test_odd_length_pair_sums_raise():
         kernels.build_pyramid(np.ones(6), 2, 1)
     with pytest.raises(ValueError):
         kernels.dp_sweep((np.ones(1), np.ones(3)), 1)
+
+
+def mask_maximal_sweep(pyramid, nbits):
+    """The former maximal_sweep body: boolean-index assignments."""
+    arity = 1 << nbits
+    depth = len(pyramid) - 1
+    run = np.full(1, pyramid[0][0] / float(arity**depth))
+    prov = np.zeros(1, dtype=np.int64)
+    for k in range(1, depth + 1):
+        run = np.repeat(run, arity)
+        prov = np.repeat(prov, arity)
+        avg = pyramid[k] * (1.0 / float(arity ** (depth - k)))
+        better = avg > run
+        run[better] = avg[better]
+        prov[better] = k
+    return run, prov
+
+
+def test_maximal_sweep_matches_mask_oracle_bitwise():
+    for f, k in osc_sums_cases():
+        if k:
+            continue
+        for pyr in (f.sum_pyramid(), f.abs_pyramid(), f.osc_pyramid()):
+            run, prov = kernels.maximal_sweep(pyr, f.dim)
+            want_run, want_prov = mask_maximal_sweep(pyr, f.dim)
+            assert same_bits(run, want_run) and same_bits(prov, want_prov), f.dim
+            assert len(set(prov.tolist())) > 1 or pyr[0][0] == 0.0
+
+
+def test_osc_pyramid_leaf_level_is_zero_bitwise():
+    for f, k in osc_sums_cases():
+        if k == f.max_depth:
+            leaf = f.osc_pyramid()[k]
+            assert same_bits(leaf, kernels.osc_sums(f.zvalues, f.zvalues, 0))
+            assert same_bits(leaf, np.zeros(f.n_cells))

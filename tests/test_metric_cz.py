@@ -257,6 +257,17 @@ def test_verify_mainresult_degenerate_on_constant():
     assert reports[0].degenerate and reports[0].passed
 
 
+def test_metric_verifiers_reject_empty_sweep():
+    s = gen_line(12)
+    b0 = spanning_ball(s)
+    for f in (f_log_distance(s, 0), np.full(12, 4.0)):
+        for n in (0, -1, 2.5):
+            with pytest.raises(PreconditionError, match="n_lambda"):
+                verify_mainresult(s, f, b0, 2.0, n_lambda=n)
+            with pytest.raises(PreconditionError, match="n_lambda"):
+                verify_bmo_jn(s, f, b0, n_lambda=n)
+
+
 def test_verify_bmo_passes_with_both_claims():
     s = gen_grid2d(5)
     f = f_log_distance(s, 7)
