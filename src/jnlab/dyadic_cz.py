@@ -18,15 +18,7 @@ import numpy as np
 from . import kernels
 from .constants import theorem_constants
 from .errors import InvariantViolation, PreconditionError, _check_n_lambda
-from .grid import (
-    CellSet,
-    DyadicCube,
-    GridFunction,
-    average,
-    cube_from_zindex,
-    mean_oscillation,
-    _lex_to_z_perm,
-)
+from .grid import CellSet, DyadicCube, GridFunction, _lex_to_z_perm, _subtree_cubes, average
 from .report import CheckReport, degenerate_report
 
 __all__ = [
@@ -62,7 +54,6 @@ class MaximalField:
 
 def dyadic_maximal(f: GridFunction, q0: DyadicCube) -> MaximalField:
     """Per-cell max of ancestor |f|-averages within q0, with provenance."""
-    f._check_cube(q0)
     pyr = f.abs_pyramid()
     zrun, zprov = kernels.maximal_sweep(
         [f.pyramid_slice(pyr, q0, rel) for rel in range(f.max_depth - q0.depth + 1)], f.dim)
@@ -74,14 +65,9 @@ def dyadic_maximal(f: GridFunction, q0: DyadicCube) -> MaximalField:
 def level_set(field: MaximalField, lam: float) -> CellSet:
     """Cells of q0 where the maximal value strictly exceeds ``lam``,
     as a bitmask over the full grid."""
-    q0 = field.q0
-    dim = q0.root.dim
-    width = dim * (field.max_depth - q0.depth)
-    zmask = np.zeros(1 << (dim * field.max_depth), dtype=bool)
-    z0 = q0.zindex() << width
-    zmask[z0:z0 + (1 << width)] = field._zvalues > lam
-    return CellSet.from_zmask(q0.root, field.max_depth, zmask,
-                              _lex_to_z_perm(dim, field.max_depth))
+    if math.isnan(lam):
+        raise PreconditionError("level must not be NaN", lam=lam)
+    return CellSet._from_block(field.q0, field._zvalues > lam)
 
 
 @dataclass
@@ -104,65 +90,52 @@ def cz_decompose_dyadic(f: GridFunction, q0: DyadicCube, lam: float) -> CzCover:
     """Stopping-time selection of the maximal dyadic subcubes of q0 whose
     |f|-average exceeds lam; requires the q0 average itself to be <= lam.
     """
-    f._check_cube(q0)
     lam = float(lam)
     pyr = f.abs_pyramid()
     local_depth = f.max_depth - q0.depth
     arity = 1 << f.dim
 
     avg0 = float(f.pyramid_slice(pyr, q0, 0)[0]) / float(arity**local_depth)
-    if avg0 > lam:
+    if not avg0 <= lam:
         raise PreconditionError(
             "cz level must dominate the root |f| average", average=avg0, lam=lam
         )
 
-    picked: list[tuple[int, int]] = []  # (relative depth, local z)
-    picked_avgs: list[float] = []
+    # cubes in (depth, local z) order, one decode per level
+    cubes: list[DyadicCube] = []
+    avg_parts, depths = [np.empty(0)], [np.empty(0, dtype=np.int64)]
     active = np.ones(1, dtype=bool)
     for rel in range(1, local_depth + 1):
         cnt = 1 << (f.dim * (local_depth - rel))
         avgs = f.pyramid_slice(pyr, q0, rel) * (1.0 / float(cnt))
         active = np.repeat(active, arity)
         sel = active & (avgs > lam)
-        for z in np.flatnonzero(sel):
-            picked.append((rel, int(z)))
-            picked_avgs.append(float(avgs[z]))
+        z = np.flatnonzero(sel)
+        cubes.extend(_subtree_cubes(q0, rel, z))
+        avg_parts.append(avgs[z])
+        depths.append(np.full(z.size, q0.depth + rel))
         active &= ~sel
 
-    # cubes in (depth, z) order; on an empty subtree level the loop still ran
-    picked.sort()  # already sorted by construction; keep the guarantee explicit
-    cubes = tuple(
-        cube_from_zindex(f.root, q0.depth + rel, (q0.zindex() << (f.dim * rel)) + z)
-        for rel, z in picked
-    )
-
-    width = f.dim * local_depth
-    zres = np.zeros(1 << (f.dim * f.max_depth), dtype=bool)
-    zres[q0.zindex() << width:(q0.zindex() + 1) << width] = active
-    residual = CellSet.from_zmask(f.root, f.max_depth, zres,
-                                  _lex_to_z_perm(f.dim, f.max_depth))
-
-    cover = CzCover(lam, q0, cubes, np.asarray(picked_avgs), residual)
-    _verify_cz(f, cover)
+    cover = CzCover(lam, q0, tuple(cubes), np.concatenate(avg_parts),
+                    CellSet._from_block(q0, active))
+    _verify_cz(f, cover, np.concatenate(depths))
     return cover
 
 
-def _verify_cz(f: GridFunction, cover: CzCover) -> None:
-    lam, arity = cover.lam, 1 << f.dim
-    for q, avg in zip(cover.cubes, cover.averages):
-        if not (avg > lam):
-            raise InvariantViolation("selected cube average not above level",
-                                     cube=q, average=avg, lam=lam)
-        if not (avg <= arity * lam):
-            raise InvariantViolation("selected cube average above 2^n * level",
-                                     cube=q, average=avg, lam=lam)
-    if cover.residual.count:
-        res_vals = np.abs(f.values[cover.residual.mask])
-        worst = float(res_vals.max())
-        if worst > lam:
-            raise InvariantViolation("residual cell above level", value=worst, lam=lam)
-    total = cover.union_measure
-    integral = sum(float(avg) * q.measure for q, avg in zip(cover.cubes, cover.averages))
+def _verify_cz(f: GridFunction, cover: CzCover, depths: np.ndarray) -> None:
+    """Check a cover's invariants; `depths` holds the depth of each cube."""
+    lam, avgs = cover.lam, cover.averages
+    for bad, what in ((~(avgs > lam), "selected cube average not above level"),
+                      (~(avgs <= (1 << f.dim) * lam), "selected cube average above 2^n * level")):
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise InvariantViolation(what, cube=cover.cubes[i], average=float(avgs[i]), lam=lam)
+    worst = float(np.abs(f.values[cover.residual.mask]).max(initial=0.0))
+    if worst > lam:
+        raise InvariantViolation("residual cell above level", value=worst, lam=lam)
+    measures = f.root.measure / np.ldexp(1.0, f.dim * depths)
+    total = float(measures.sum())
+    integral = float(avgs @ measures)
     if lam > 0 and total * lam > integral * (1.0 + 1e-9) + 1e-300:
         raise InvariantViolation("union measure exceeds integral / level",
                                  union=total, integral=integral, lam=lam)
@@ -182,10 +155,7 @@ def _shifted_levels(f: GridFunction, q0: DyadicCube) -> tuple[np.ndarray, np.nda
         del dev
         run.sort()
         values, above = kernels._sorted_runs(run)
-        above = np.append(above, 0)
-        values.setflags(write=False)
-        above.setflags(write=False)
-        return values, above
+        return values, np.append(above, 0)
     return f._memo(("shifted_levels", q0), build)
 
 
@@ -225,7 +195,8 @@ def check_good_lambda_dyadic(
         raise PreconditionError("lambda must be positive", lam=lam)
     if K is not None and not (K >= 0 and math.isfinite(K)):
         raise PreconditionError("K must be finite and >= 0", K=K)
-    threshold = mean_oscillation(f, q0) / b
+    cells = 1 << (f.dim * (f.max_depth - q0.depth))
+    threshold = float(f.pyramid_slice(f.osc_pyramid(), q0, 0)[0]) / cells / b
     if lam < threshold * (1.0 - 1e-12):
         raise PreconditionError("lambda below the good-lambda threshold",
                                 lam=lam, threshold=threshold)

@@ -21,8 +21,8 @@ import numpy as np
 
 from . import kernels
 from .errors import _check_jn_value, _check_p
-from .grid import (DyadicCube, GridFunction, RootCube, average, cube_from_zindex,
-                   mean_oscillation)
+from .grid import (DyadicCube, GridFunction, RootCube, average, mean_oscillation,
+                   _subtree_cubes)
 
 __all__ = [
     "PartitionResult",
@@ -87,8 +87,7 @@ def _best_partition(f: GridFunction, q0: DyadicCube, p: float) -> PartitionResul
             base = z * arity
             stack.extend((rel + 1, base + j) for j in range(arity - 1, -1, -1))
         else:
-            gz = (q0.zindex() << (f.dim * rel)) + z
-            witness.append(cube_from_zindex(f.root, q0.depth + rel, gz))
+            witness += _subtree_cubes(q0, rel, [z])
     return PartitionResult(value, value ** (1.0 / p), p, tuple(witness))
 
 
@@ -138,15 +137,12 @@ def jnp_bruteforce(f: GridFunction, q0: DyadicCube, p: float,
         if best_val is None or val > best_val:
             best_val, best_keys = val, keys
     best_val = _check_jn_value(best_val, p)
-    witness = tuple(
-        cube_from_zindex(f.root, q0.depth + rel, (q0.zindex() << (f.dim * rel)) + z)
-        for rel, z in best_keys)
+    witness = tuple(c for rel, z in best_keys for c in _subtree_cubes(q0, rel, [z]))
     return PartitionResult(best_val, best_val ** (1.0 / p), p, witness)
 
 
 def bmo_dyadic(f: GridFunction, q0: DyadicCube) -> float:
     """Largest mean oscillation over all dyadic subcubes of ``q0`` (incl. q0)."""
-    f._check_cube(q0)
     pyr = f.osc_pyramid()
     best = 0.0
     for rel in range(f.max_depth - q0.depth + 1):

@@ -8,12 +8,14 @@ significant).  Internally the values are also kept in bit-interleaved
 block; all cube sums are computed by repeated adjacent-pair addition over
 such blocks, so a per-cube query and a full-grid sweep produce bitwise
 identical numbers.  Averages divide those sums by powers of two (exact).
+The Morton codec in this module is the only code that knows the bit
+layout: bit k of a cube's index on axis j is bit k*dim + dim-1-j of its
+z-index.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -99,11 +101,8 @@ class DyadicCube:
         return tuple(o + i * h for o, i in zip(self.root.origin, self.index))
 
     def children(self) -> tuple["DyadicCube", ...]:
-        kids = []
-        for bits in itertools.product((0, 1), repeat=self.dim):
-            idx = tuple(2 * i + b for i, b in zip(self.index, bits))
-            kids.append(DyadicCube(self.root, self.depth + 1, idx))
-        return tuple(kids)
+        """The 2**dim children, in lexicographic order of their indices."""
+        return _subtree_cubes(self, 1, np.arange(1 << self.dim))
 
     def ancestor(self, depth: int) -> "DyadicCube":
         if not 0 <= depth <= self.depth:
@@ -119,46 +118,95 @@ class DyadicCube:
 
     def zindex(self) -> int:
         """Bit-interleaved position among the cubes of this depth."""
-        z = 0
-        for level in range(self.depth):
-            for j, i in enumerate(self.index):
-                bit = (i >> level) & 1
-                z |= bit << (level * self.dim + (self.dim - 1 - j))
-        return z
+        return int(sum(_spread(np.int64(i), self.dim, self.depth) << (self.dim - 1 - j)
+                       for j, i in enumerate(self.index)))
 
 
 def cube_from_zindex(root: RootCube, depth: int, z: int) -> DyadicCube:
     """Inverse of :meth:`DyadicCube.zindex` at a fixed depth."""
-    index = [0] * root.dim
-    for level in range(depth):
-        for j in range(root.dim):
-            bit = (z >> (level * root.dim + (root.dim - 1 - j))) & 1
-            index[j] |= bit << level
-    return DyadicCube(root, depth, tuple(index))
+    return _subtree_cubes(root.top(), depth, [z])[0]
+
+
+# ------------------------------------------------------------ Morton codec
+
+_CHUNK = 8  # index bits moved per table lookup
+
+
+@functools.lru_cache(maxsize=16)
+def _spread_table(dim: int, bits: int) -> np.ndarray:
+    """t[i] = i with bit k moved to bit k * dim, for 0 <= i < 2**bits."""
+    t = np.zeros(1 << bits, dtype=np.int64)
+    for k in range(bits):  # doubling: the entries whose top bit is k
+        t[1 << k:2 << k] = t[:1 << k] + (1 << (k * dim))
+    t.setflags(write=False)
+    return t
+
+
+def _spread(x: np.ndarray, dim: int, depth: int) -> np.ndarray:
+    """Encode: each index x < 2**depth with bit k moved to bit k * dim."""
+    if dim * depth > 62:
+        raise ValueError(f"a depth-{depth} z-index in dim {dim} needs more than 62 bits")
+    t = _spread_table(dim, _CHUNK)
+    s = np.zeros(np.shape(x), dtype=np.int64)
+    for k in range(0, depth, _CHUNK):
+        s |= t[(x >> k) & ((1 << _CHUNK) - 1)] << (k * dim)
+    return s
+
+
+def _compact(s: np.ndarray, dim: int, depth: int) -> np.ndarray:
+    """Decode: the inverse of :func:`_spread`, ignoring bits of s that are
+    not at multiples of dim."""
+    t = _spread_table(dim, _CHUNK)
+    x = np.zeros(np.shape(s), dtype=np.int64)
+    for k in range(0, depth, _CHUNK):
+        x |= np.searchsorted(t, (s >> (k * dim)) & t[-1]) << k
+    return x
 
 
 @functools.lru_cache(maxsize=64)
 def _lex_to_z_perm(dim: int, depth: int) -> np.ndarray:
-    """perm[lex_position] = interleaved position, over all finest cells.
-
-    Cached; the returned array is index-only and must not be written to.
-    """
-    n_cells = 1 << (dim * depth)
-    lex = np.arange(n_cells, dtype=np.int64)
-    z = np.zeros(n_cells, dtype=np.int64)
-    rem = lex
-    for j in range(dim):
-        p = np.int64(1) << (depth * (dim - 1 - j))
-        coord = rem // p
-        rem = rem - coord * p
-        for level in range(depth):
-            bit = (coord >> level) & 1
-            z |= bit << (level * dim + (dim - 1 - j))
+    """perm[lex_position] = interleaved position, over all finest cells:
+    the outer sum of the spread coordinates, first axis most significant.
+    Cached and read-only."""
+    z = axis = _spread_table(dim, depth)
+    for _ in range(dim - 1):
+        z = np.add.outer(z << 1, axis).reshape(-1)
     z.setflags(write=False)
     return z
 
 
-class GridFunction:
+def _block(cube: DyadicCube, rel: int) -> slice:
+    """The run of interleaved positions of the descendants of `cube`
+    `rel` levels down."""
+    start = cube.zindex() << (cube.dim * rel)
+    return slice(start, start + (1 << (cube.dim * rel)))
+
+
+def _subtree_cubes(q0: DyadicCube, rel: int, z) -> tuple[DyadicCube, ...]:
+    """The descendants of q0 `rel` levels down at local z-indices `z`."""
+    z = np.asarray(z, dtype=np.int64)
+    index = np.stack([_compact(z >> (q0.dim - 1 - j), q0.dim, rel) + (i << rel)
+                      for j, i in enumerate(q0.index)], axis=-1)
+    return tuple(DyadicCube(q0.root, q0.depth + rel, tuple(i)) for i in index.tolist())
+
+
+class _Memoized:
+    """Mixin: keeps what an immutable object derives in its ``_cache``."""
+
+    def _memo(self, key, build):
+        """The value cached under `key`, made by ``build()`` on first use
+        (nothing is cached when it raises).  Every caller shares it, so an
+        array, or each array of a tuple, is made read-only."""
+        if key not in self._cache:
+            value = build()
+            for a in value if isinstance(value, tuple) else (value,):
+                if isinstance(a, np.ndarray):
+                    a.setflags(write=False)
+            self._cache[key] = value
+        return self._cache[key]
+
+
+class GridFunction(_Memoized):
     """Piecewise-constant function on the finest cells of a dyadic grid.
 
     Parameters
@@ -207,13 +255,6 @@ class GridFunction:
 
     # ---------------------------------------------------------- internals
 
-    def _memo(self, key, build):
-        """The value cached under `key`, made by ``build()`` on first use
-        (nothing is cached when it raises)."""
-        if key not in self._cache:
-            self._cache[key] = build()
-        return self._cache[key]
-
     @property
     def zperm(self) -> np.ndarray:
         return self._memo("zperm", lambda: _lex_to_z_perm(self.dim, self.max_depth))
@@ -223,7 +264,6 @@ class GridFunction:
         def build():
             zv = np.empty_like(self.values)
             zv[self.zperm] = self.values
-            zv.setflags(write=False)
             return zv
         return self._memo("zvalues", build)
 
@@ -236,9 +276,7 @@ class GridFunction:
     def zslice(self, cube: DyadicCube) -> np.ndarray:
         """The cube's finest-cell values as one contiguous block."""
         self._check_cube(cube)
-        width = self.dim * (self.max_depth - cube.depth)
-        z0 = cube.zindex() << width
-        return self.zvalues[z0:z0 + (1 << width)]
+        return self.zvalues[_block(cube, self.max_depth - cube.depth)]
 
     def pyramid_slice(self, pyramid, cube: DyadicCube, rel_depth: int) -> np.ndarray:
         """Entries of a pyramid level restricted to the subtree of `cube`.
@@ -246,12 +284,11 @@ class GridFunction:
         Returns the block of all depth-``cube.depth + rel_depth`` descendants
         of `cube`, in interleaved order, as a view into the pyramid.
         """
+        self._check_cube(cube)
         k = cube.depth + rel_depth
         if k > self.max_depth:
             raise DepthOverflowError(k, self.max_depth)
-        width = self.dim * rel_depth
-        z = cube.zindex()
-        return pyramid[k][z << width:(z + 1) << width]
+        return pyramid[k][_block(cube, rel_depth)]
 
     def sum_pyramid(self) -> tuple[np.ndarray, ...]:
         """Tree sums of the values at every depth, one array per depth
@@ -329,7 +366,6 @@ class GridFunction:
 
 def average(f: GridFunction, cube: DyadicCube) -> float:
     """Average of ``f`` over a dyadic cube (its sum pyramid entry / cell count)."""
-    f._check_cube(cube)
     cells = 1 << (f.dim * (f.max_depth - cube.depth))
     return float(f.pyramid_slice(f.sum_pyramid(), cube, 0)[0]) / float(cells)
 
@@ -355,8 +391,13 @@ class CellSet:
         self.mask.setflags(write=False)
 
     @classmethod
-    def from_zmask(cls, root: RootCube, depth: int, zmask: np.ndarray, zperm: np.ndarray):
-        return cls(root, depth, zmask[zperm])
+    def _from_block(cls, q0: DyadicCube, zmask: np.ndarray) -> "CellSet":
+        """The finest cells of q0 whose flag in `zmask` (one per cell of q0,
+        in q0's local interleaved order) is set."""
+        rel = (zmask.size.bit_length() - 1) // q0.dim
+        full = np.zeros(1 << (q0.dim * (q0.depth + rel)), dtype=bool)
+        full[_block(q0, rel)] = zmask
+        return cls(q0.root, q0.depth + rel, full[_lex_to_z_perm(q0.dim, q0.depth + rel)])
 
     @property
     def count(self) -> int:

@@ -16,6 +16,7 @@ import numpy as np
 
 from . import kernels
 from .errors import InvariantViolation, MetricAxiomError, _check_jn_value, _check_p
+from .grid import _Memoized
 
 __all__ = [
     "Ball",
@@ -124,7 +125,7 @@ def _radius_at(sd: np.ndarray) -> np.ndarray:
     return rad
 
 
-class MetricMeasureSpace:
+class MetricMeasureSpace(_Memoized):
     """Validated finite metric measure space (distances and weights)."""
 
     def __init__(self, dmat, weights):
@@ -152,28 +153,17 @@ class MetricMeasureSpace:
     @property
     def orders(self) -> np.ndarray:
         """Per-center stable distance order of all points (ties by index)."""
-        if "orders" not in self._cache:
-            o = np.argsort(self.d, axis=1, kind="stable").astype(np.int64)
-            o.setflags(write=False)
-            self._cache["orders"] = o
-        return self._cache["orders"]
+        return self._memo("orders", lambda: np.argsort(
+            self.d, axis=1, kind="stable").astype(np.int64))
 
     @property
     def sorted_d(self) -> np.ndarray:
-        if "sorted_d" not in self._cache:
-            sd = np.take_along_axis(self.d, self.orders, axis=1)
-            sd.setflags(write=False)
-            self._cache["sorted_d"] = sd
-        return self._cache["sorted_d"]
+        return self._memo("sorted_d", lambda: np.take_along_axis(self.d, self.orders, axis=1))
 
     @property
     def wcum(self) -> np.ndarray:
         """Cumulative weight along each center's distance order."""
-        if "wcum" not in self._cache:
-            wc = np.cumsum(self.w[self.orders], axis=1)
-            wc.setflags(write=False)
-            self._cache["wcum"] = wc
-        return self._cache["wcum"]
+        return self._memo("wcum", lambda: np.cumsum(self.w[self.orders], axis=1))
 
     def group_ends(self, center: int) -> np.ndarray:
         """Sorted positions ending a tie group of equal distances; prefixes
@@ -256,22 +246,21 @@ def doubling_constant(space: MetricMeasureSpace) -> float:
     mu(d < 2 a_{j+1}) / mu(d <= a_j).  Past the largest distance the ratio
     is 1.  Both measures are entries of the center's cumulative weights.
     """
-    if "doubling" in space._cache:
-        return space._cache["doubling"]
-    best = 1.0
-    sd, wcum = space.sorted_d, space.wcum
-    ends = _tie_group_ends(sd)
-    for c in range(space.m):
-        ds = sd[c]
-        nxt = np.flatnonzero(ends[c, :-1]) + 1  # first position of each group a_{j+1}
-        if nxt.size == 0:
-            continue
-        k_2r = np.searchsorted(ds, 2.0 * ds[nxt], side="left")
-        cand = float(np.max(wcum[c][k_2r - 1] / wcum[c][nxt - 1]))
-        if cand > best:
-            best = cand
-    space._cache["doubling"] = best
-    return best
+    def build():
+        best = 1.0
+        sd, wcum = space.sorted_d, space.wcum
+        ends = _tie_group_ends(sd)
+        for c in range(space.m):
+            ds = sd[c]
+            nxt = np.flatnonzero(ends[c, :-1]) + 1  # first position of each group a_{j+1}
+            if nxt.size == 0:
+                continue
+            k_2r = np.searchsorted(ds, 2.0 * ds[nxt], side="left")
+            cand = float(np.max(wcum[c][k_2r - 1] / wcum[c][nxt - 1]))
+            if cand > best:
+                best = cand
+        return best
+    return space._memo("doubling", build)
 
 
 def _first_overlap(masks) -> tuple[int, int] | None:

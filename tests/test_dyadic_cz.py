@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
+import grid_oracles as oracle
 from jnlab import dyadic_cz
 from jnlab.dyadic_cz import (check_good_lambda_dyadic, cz_decompose_dyadic,
                              dyadic_maximal, level_set, verify_jn_dyadic)
 from jnlab.dyadic_cz import _level_measure, _shifted_levels
 from jnlab.errors import PreconditionError
 from jnlab.functionals import jnp_bruteforce, jnp_dyadic
+from jnlab.generators import gen_random_martingale
 from jnlab.grid import (DyadicCube, GridFunction, RootCube, average, cube_from_zindex,
                         mean_oscillation)
 from jnlab.report import all_pass, reports_to_json
@@ -127,6 +129,75 @@ def test_cz_requires_dominating_level():
     f = rand_f(1, 4, 0, lo=0.5, hi=1.0)
     with pytest.raises(PreconditionError):
         cz_decompose_dyadic(f, f.root.top(), 0.1)
+
+
+def test_nan_level_is_rejected_by_cz():
+    f = rand_f(1, 4, 0)
+    with pytest.raises(PreconditionError, match="dominate"):
+        cz_decompose_dyadic(f, f.root.top(), float("nan"))
+
+
+def test_nan_level_is_rejected_by_level_set():
+    f = rand_f(2, 3, 0)
+    field = dyadic_maximal(f, f.root.top())
+    with pytest.raises(PreconditionError, match="NaN"):
+        level_set(field, float("nan"))
+
+
+def _oracle_grids():
+    side3 = GridFunction(RootCube(2, (0.5, -1.0), 3.0), 5,
+                         np.random.default_rng(3).standard_normal(1 << 10))
+    return [gen_random_martingale(1, 12, 1), gen_random_martingale(2, 6, 2),
+            gen_random_martingale(3, 4, 3), side3]
+
+
+def test_cz_equals_per_cube_construction():
+    covers = 0
+    for f in _oracle_grids():
+        g = f.with_values(np.abs(f.values))
+        last = DyadicCube(f.root, 1, (1,) * f.dim)
+        for q0 in (f.root.top(), last, DyadicCube(f.root, 2, (2,) * f.dim)):
+            for scale in (1.0, 1.05, 1.5, 3.0):
+                lam = scale * average(g, q0)
+                cover = cz_decompose_dyadic(f, q0, lam)
+                cubes, avgs, residual, union = oracle.cz_cover(f, q0, lam)
+                assert cover.cubes == cubes
+                assert cover.averages.dtype == avgs.dtype
+                assert cover.averages.tobytes() == avgs.tobytes()
+                assert cover.residual == residual
+                assert cover.union_measure == union
+                covers += len(cubes) > 0
+    assert covers >= 20
+
+
+def test_verify_cz_names_the_first_failing_cube():
+    from jnlab.errors import InvariantViolation
+    f = gen_random_martingale(2, 6, 2)
+    lam = 1.05 * average(f.with_values(np.abs(f.values)), f.root.top())
+    cover = cz_decompose_dyadic(f, f.root.top(), lam)
+    depths = np.array([c.depth for c in cover.cubes])
+    assert len(cover.cubes) >= 3
+    for avg, what in ((0.5 * lam, "not above"), (5.0 * lam, r"above 2\^n")):
+        avgs = cover.averages.copy()
+        avgs[1:] = avg
+        bad = dyadic_cz.CzCover(lam, cover.q0, cover.cubes, avgs, cover.residual)
+        with pytest.raises(InvariantViolation, match=what) as err:
+            dyadic_cz._verify_cz(f, bad, depths)
+        assert err.value.details["cube"] == cover.cubes[1]
+
+
+def test_good_lambda_threshold_equals_mean_oscillation():
+    # the threshold comes from the cached oscillation pyramid; the full
+    # osc_sums pass of mean_oscillation is the bitwise oracle
+    tiny = GridFunction(unit(1), 4, np.random.default_rng(5).standard_normal(16) * 1e-310)
+    for f in _oracle_grids() + [tiny]:
+        for q0 in (f.root.top(), DyadicCube(f.root, 1, (1,) * f.dim)):
+            b = 2.0 ** -(f.dim + 1)
+            threshold = mean_oscillation(f, q0) / b
+            with pytest.raises(PreconditionError, match="threshold") as err:
+                check_good_lambda_dyadic(f, q0, 2.0, b, threshold * (1.0 - 1e-9))
+            assert err.value.details["threshold"] == threshold
+            check_good_lambda_dyadic(f, q0, 2.0, b, threshold)
 
 
 def test_cz_properties_random():

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
+import grid_oracles as oracle
 from jnlab.errors import DepthOverflowError
-from jnlab.grid import (CellSet, DyadicCube, GridFunction, RootCube, average,
-                        cube_from_zindex, mean_oscillation)
+from jnlab.grid import (CellSet, DyadicCube, GridFunction, RootCube, _lex_to_z_perm,
+                        average, cube_from_zindex, mean_oscillation)
 
 
 def tree_total(values):
@@ -69,6 +70,63 @@ def test_zindex_round_trip():
                 seen.add(z)
                 assert cube_from_zindex(root, depth, z) == c
         assert seen == set(range(1 << (2 * depth)))
+
+
+# every (dim <= 4, depth) with dim * depth <= 14, and two benchmark shapes
+CODEC_SHAPES = [(dim, depth) for dim in range(1, 5) for depth in range(14 // dim + 1)]
+CODEC_SHAPES += [(1, 20), (2, 10)]
+
+
+@pytest.mark.parametrize("dim,depth", CODEC_SHAPES)
+def test_codec_matches_per_bit_oracles(dim, depth):
+    perm = _lex_to_z_perm(dim, depth)
+    assert perm.dtype == np.int64 and not perm.flags.writeable
+    assert np.array_equal(perm, oracle.lex_to_z_perm(dim, depth))
+    root = unit(dim)
+    n = 1 << (dim * depth)
+    rng = np.random.default_rng(dim * 100 + depth)
+    zs = range(n) if n <= 1024 else [0, n - 1, *rng.integers(0, n, 300).tolist()]
+    for z in zs:
+        c = oracle.cube_from_zindex(root, depth, z)
+        assert cube_from_zindex(root, depth, z) == c
+        assert c.zindex() == oracle.zindex(c) == z
+
+
+def test_codec_at_the_cell_cap():
+    # 2**24 cells, the CLI's cap; built uncached so the 128 MB table is freed
+    dim, depth = 2, 12
+    perm = _lex_to_z_perm.__wrapped__(dim, depth)
+    n = 1 << (dim * depth)
+    assert perm.size == n and perm.min() == 0 and perm.max() == n - 1
+    seen = np.zeros(n, dtype=bool)
+    seen[perm] = True
+    assert seen.all()
+    del seen
+    root, side = unit(dim), 1 << depth
+    for lex in np.random.default_rng(12).integers(0, n, 200).tolist():
+        c = DyadicCube(root, depth, divmod(lex, side))
+        assert c.zindex() == int(perm[lex]) == oracle.zindex(c)
+
+
+def test_codec_on_deep_cubes():
+    rng = np.random.default_rng(62)
+    for dim, depth in ((1, 62), (2, 31), (3, 20), (4, 15)):
+        root = unit(dim)
+        for _ in range(20):
+            idx = tuple(int(i) for i in rng.integers(0, 1 << depth, dim))
+            c = DyadicCube(root, depth, idx)
+            assert c.zindex() == oracle.zindex(c)
+            assert cube_from_zindex(root, depth, c.zindex()) == c
+    with pytest.raises(ValueError, match="62 bits"):
+        DyadicCube(unit(2), 32, (1, 0)).zindex()
+
+
+def test_children_are_the_lexicographic_refinement():
+    for dim in (1, 2, 3):
+        c = DyadicCube(unit(dim), 2, (1,) * dim)
+        kids = c.children()
+        assert [k.index for k in kids] == sorted(k.index for k in kids)
+        assert all(k.ancestor(2) == c for k in kids) and len(set(kids)) == 1 << dim
 
 
 def test_zindex_children_contiguous():
@@ -163,6 +221,9 @@ def test_memo_builds_once_and_caches_no_failure():
     assert "bad" not in f._cache and len(built) == 3
     assert f.sum_pyramid() is f.sum_pyramid()
     assert f.osc_pyramid() is f.osc_pyramid()
+    # a shared result cannot be written through, array or tuple of arrays
+    assert not f._memo("arr", lambda: np.zeros(2)).flags.writeable
+    assert not any(level.flags.writeable for level in f.abs_pyramid())
 
 
 def test_depth_overflow():

@@ -73,6 +73,18 @@ def test_space_does_not_alias_caller_arrays():
     assert np.array_equal(s.sorted_d, np.sort(s.d, axis=1))
 
 
+def test_sorted_tables_share_the_grid_memo():
+    from jnlab.grid import GridFunction
+    assert MetricMeasureSpace._memo is GridFunction._memo
+    s = space_from_points(np.array([0.0, 1.0, 3.0, 7.0]))
+    for name in ("orders", "sorted_d", "wcum"):
+        assert isinstance(vars(MetricMeasureSpace)[name], property)
+        table = getattr(s, name)
+        assert table is getattr(s, name) and not table.flags.writeable
+    first = doubling_constant(s)
+    assert s._cache["doubling"] == first == doubling_constant(s)
+
+
 def test_members_are_strict():
     s = space_from_points(np.array([0.0, 1.0, 2.0]))
     assert s.members(Ball(0, 1.0)).tolist() == [True, False, False]
