@@ -23,10 +23,12 @@ contiguous block, and a subtree's pyramid is a sequence of slices.
 
 Of the metric kernels, ``ball_tables`` gives the per-center prefix sums
 of weight and weighted values along the distance order, which is all the
-maximal functions and witness tables need.  ``osc_table`` builds
-the O(m^3) table of prefix oscillations that only the BMO norm reads.
-Both sum left to right along each center's order, so their entries are
-bitwise those of the direct per-center loops.
+maximal functions and witness tables need.  ``osc_entries`` sums the
+weighted oscillation of only the requested (center, prefix) entries: the
+BMO norm bounds every realized ball first and sums exactly only the few
+that can attain the supremum, so no O(m^3) table is built.  Both sum
+left to right along each center's order, so their entries are bitwise
+those of the direct per-center loops.
 """
 
 from __future__ import annotations
@@ -38,9 +40,12 @@ __all__ = [
     "build_pyramid",
     "dp_sweep",
     "maximal_sweep",
+    "osc_entries",
     "osc_sums",
-    "osc_table",
 ]
+
+
+_OSC_RUN = 2**15  # entries per position-major run in osc_entries
 
 
 def _pair_sum(x: np.ndarray) -> np.ndarray:
@@ -145,30 +150,51 @@ def ball_tables(orders: np.ndarray, w: np.ndarray,
     return wcum, fcum
 
 
-def osc_table(orders: np.ndarray, w: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """osc[c, k] = sum_{i<=k} w_i |f_i - avg_{c,k}|, where avg_{c,k} is the
-    weighted mean of the first k+1 points in center c's distance order.
+def osc_entries(orders: np.ndarray, w: np.ndarray, f: np.ndarray, rows: np.ndarray,
+                ends: np.ndarray, avg: np.ndarray) -> np.ndarray:
+    """osc[j] = sum_{i<=ends[j]} w_x |f_x - avg[j]|, x = orders[rows[j], i]:
+    the weighted oscillation sum of entry j, the first ends[j]+1 points in
+    center rows[j]'s distance order, about the given mean avg[j].
 
-    O(m^3) work.  The sum runs left to right over i, as in the direct
-    per-entry loop, but position-major: step i adds point i's term to every
-    prefix k >= i of every center at once, on (position x center) arrays.
-    The result is the transpose of that layout, a (center x position) view.
+    The sum runs left to right over i from 0, as in the direct per-entry
+    loop, but position-major, in runs of up to _OSC_RUN entries of nearby
+    centers so that a run's arrays stay in cache: with a run's entries
+    sorted longest first, step i adds point i's term to the entries that
+    reach position i, reading f and w at each center's position-i point
+    once.
     """
-    orders = np.ascontiguousarray(orders, dtype=np.int64)
-    w = np.ascontiguousarray(w, dtype=np.float64)
-    f = np.ascontiguousarray(f, dtype=np.float64)
-    m = w.shape[0]
-    wcum, fcum = ball_tables(orders, w, f)
-    avg = np.ascontiguousarray(np.divide(fcum, wcum, out=fcum).T)
-    del wcum, fcum
-    cols = orders.T  # cols[i] = the sorted position-i point of every center
-    acc = np.zeros((m, m), dtype=np.float64)
-    buf = np.empty((m, m), dtype=np.float64)
-    for i in range(m):
-        pts = cols[i]
-        dev = buf[i:]
-        np.subtract(f[pts], avg[i:], out=dev)
-        np.abs(dev, out=dev)
-        dev *= w[pts]
-        acc[i:] += dev
-    return acc.T
+    rows = np.asarray(rows, dtype=np.int64)
+    ends = np.asarray(ends, dtype=np.int64)
+    avg = np.asarray(avg, dtype=np.float64)
+    w = np.asarray(w, dtype=np.float64)
+    f = np.asarray(f, dtype=np.float64)
+    out = np.empty(ends.size)
+    by_row = np.argsort(rows, kind="stable")
+    for lo in range(0, ends.size, _OSC_RUN):
+        run = by_row[lo:lo + _OSC_RUN]
+        run = run[np.argsort(ends[run])[::-1]]
+        out[run] = _osc_run(orders, w, f, rows[run], ends[run], avg[run])
+    return out
+
+
+def _osc_run(orders: np.ndarray, w: np.ndarray, f: np.ndarray, rows: np.ndarray,
+             ends: np.ndarray, avg: np.ndarray) -> np.ndarray:
+    """`osc_entries` for entries sorted by non-increasing `ends`."""
+    first = int(rows.min())
+    block = orders[first:int(rows.max()) + 1]
+    rows = rows - first
+    # reach[i] = number of entries whose prefix holds position i
+    reach = np.searchsorted(-ends, -np.arange(int(ends[0]) + 1), side="right")
+    acc = np.zeros(ends.size)
+    dev = np.empty_like(acc)
+    wts = np.empty_like(acc)
+    for i, n in enumerate(reach):
+        pts = block[:, i]
+        r, d, ww = rows[:n], dev[:n], wts[:n]
+        np.take(f[pts], r, out=d, mode="wrap")  # r is in range; skip the check
+        np.subtract(d, avg[:n], out=d)
+        np.abs(d, out=d)
+        np.take(w[pts], r, out=ww, mode="wrap")
+        d *= ww
+        acc[:n] += d
+    return acc

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .errors import InvariantViolation, MetricAxiomError, _check_jn_value, _check_p
+from .errors import (InvariantViolation, MetricAxiomError, PreconditionError, _check_jn_value,
+                     _check_p)
 from .grid import _Memoized
 
 __all__ = [
@@ -61,6 +62,8 @@ def _validate_metric(d: np.ndarray, w: np.ndarray) -> None:
         raise MetricAxiomError(f"distance matrix must be square, got {d.shape}")
     if w.shape != (m,):
         raise MetricAxiomError(f"need {m} weights, got shape {w.shape}")
+    if m == 0:
+        raise MetricAxiomError("a space needs at least one point")
     if not np.all(np.isfinite(d)):
         i, j = np.argwhere(~np.isfinite(d))[0]
         raise MetricAxiomError("non-finite distance", witness=(int(i), int(j)))
@@ -373,12 +376,159 @@ def global_maximal(space: MetricMeasureSpace, f) -> np.ndarray:
     return _witness_arrays(space, g, np.ones(space.m, dtype=bool))[0]
 
 
+_EPS = 2.0**-52
+_OSC_NODES = 8  # quantiles of f that serve as nodes of the oscillation bound
+
+
+def _prefix_means(space: MetricMeasureSpace, v: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """fl(F / W) at every sorted position of centers lo..hi-1: the
+    weighted mean of each prefix of their distance orders, bitwise as
+    `kernels.ball_tables` sums F and W."""
+    o = space.orders[lo:hi]
+    fcum = v[o]
+    fcum *= space.w[o]
+    np.cumsum(fcum, axis=1, out=fcum)
+    return np.divide(fcum, space.wcum[lo:hi], out=fcum)
+
+
+def _osc_nodes(v: np.ndarray) -> np.ndarray:
+    """At least two increasing nodes for `_osc_bounds`: _OSC_NODES
+    quantiles of v and its maximum."""
+    s = np.sort(v)
+    t = np.unique(np.append(s[np.arange(_OSC_NODES) * s.size // _OSC_NODES], s[-1]))
+    if t.size == 1:
+        t = np.append(t, t[0] + max(abs(float(t[0])), 1.0))
+    return t
+
+
+def _osc_bounds(space: MetricMeasureSpace, lo: int, hi: int, v: np.ndarray,
+                t: np.ndarray, out: np.ndarray, buf: np.ndarray) -> np.ndarray:
+    """Into `out`: for centers lo..hi-1 and every sorted position, a bound
+    on the computed mean oscillation of the ball ending there, -inf where
+    no realized ball ends (see `bmo_norm_metric`).  Returns the prefix
+    means, `_prefix_means(space, v, lo, hi)`.  `buf` is scratch of at
+    least m * t.size * (hi - lo) elements."""
+    o, wcum = space.orders[lo:hi], space.wcum[lo:hi]
+    a = _prefix_means(space, v, lo, hi)
+    # at[k, b, c] = T(t_b) over the first k+1 points of center lo+c:
+    # position-major, so that each step adds whole rows
+    at = buf[:space.m * t.size * (hi - lo)].reshape(space.m, t.size, hi - lo)
+    np.subtract(v[o.T][:, None, :], t[:, None], out=at)
+    np.abs(at, out=at)
+    at *= space.w[o.T][:, None, :]
+    for k in range(1, space.m):
+        np.add(at[k - 1], at[k], out=at[k])
+    j = np.searchsorted(t, a, side="right") - 1
+    np.clip(j, 0, t.size - 2, out=j)
+    tl, tr = t[j], t[j + 1]
+    ac = np.clip(a, tl, tr)  # a'
+    h = tr - tl
+    lam = np.subtract(tr, ac, out=tr)
+    lam /= h
+    lam += 2.0**-1074
+    lam *= np.take_along_axis(at, j.T[:, None, :], axis=1)[:, 0, :].T
+    mu = np.subtract(ac, tl, out=tl)
+    mu /= h
+    mu += 2.0**-1074
+    j += 1
+    mu *= np.take_along_axis(at, j.T[:, None, :], axis=1)[:, 0, :].T
+    del at
+    lam += mu
+    outside = np.subtract(a, ac, out=ac)
+    np.abs(outside, out=outside)
+    outside *= wcum
+    lam += outside
+    np.divide(lam, wcum, out=out)
+    n = np.arange(1.0, space.m + 1.0)  # points in each prefix
+    out *= 1.0 + (2.0 * n + 32.0) * _EPS
+    tiny = np.reciprocal(wcum, out=mu)
+    tiny += 1.0
+    tiny *= (8.0 * n + 32.0) * 2.0**-1070
+    out += tiny
+    out[~_tie_group_ends(space.sorted_d[lo:hi])] = -np.inf
+    return a
+
+
 def bmo_norm_metric(space: MetricMeasureSpace, f) -> float:
-    """Largest weighted mean oscillation of f over all realized balls."""
+    """Largest weighted mean oscillation of f over all realized balls.
+
+    The ball ending at sorted position k of center c has, as computed,
+    the mean a = fl(F_k / W_k) of the prefix sums F (of w f) and W (of
+    w), and the value r = fl(S / W_k), where S sums w_i |f_i - a| left
+    to right (`kernels.osc_entries`).  Summing every entry costs O(m^3).
+    Instead every entry gets a bound ub >= r in O(m^2 q), per tile of
+    centers, for q = _OSC_NODES; each center's entry of largest bound is
+    summed exactly, the best of these is the incumbent L, and then
+    exactly the entries where ub < L is not true are summed.  The maximum
+    is bitwise that of summing every entry, since a pruned entry has
+    r <= ub < L.
+
+    The bound: T(x) = sum_{i<=k} w_i |f_i - x| is convex in x, so for
+    nodes t_j < t_{j+1} (quantiles of f, so few points lie between two
+    nodes) and a' the point of [t_j, t_{j+1}] nearest a,
+
+        T(a) <= lam T(t_j) + mu T(t_{j+1}) + W |a - a'|,
+
+    lam = (t_{j+1} - a') / (t_{j+1} - t_j), mu = (a' - t_j) / (t_{j+1} - t_j).
+    Every sum in it has non-negative terms, so rounding costs relative
+    error only, with u = eps / 2: S <= (1 + u)^(n+1) T(a) for n = k + 1
+    points, each computed T(t_b) is at least (1 - u)^(n+1) times the
+    exact one, W_k at least (1 - u)^(n-1) times the exact weight, and lam
+    and mu, each raised by 2^-1074 to cover an underflowing quotient, at
+    least (1 - u) / (1 + u)^2 times the exact ones.  The bound's few
+    operations after that cost (1 - u)^10 at most, so the factor
+    (1 + (2n + 32) eps) on the computed bound divided by W_k covers
+    r <= (1 + u)^(n+2) T(a) / W_k.  Underflow adds at most
+    (2n + 8) 2^-1075 (1 + 1/W_k) to any of these, and
+    tiny = (8n + 32) 2^-1070 (1 + 1/W_k) covers it.  A bound that
+    overflows is inf or NaN; neither is below L, so it never prunes.
+
+    PreconditionError unless 4 max(max |f|, sum w |f|) < 2^1023 (checked
+    on exponents, so the check itself cannot overflow): otherwise a
+    prefix sum, a difference f - a or a sum S could overflow, and the
+    norm would not be finite.
+    """
     v = space.check_values(f)
-    osc = kernels.osc_table(space.orders, space.w, v)
-    ends = _tie_group_ends(space.sorted_d)
-    return max(0.0, float(np.max(osc[ends] / space.wcum[ends])))
+    m, w = space.m, space.w
+    absv = np.abs(v)
+    top = float(absv.max())
+    e_top = math.frexp(top)[1]  # |f| < 2^e_top
+    mass = float(np.dot(w, np.ldexp(absv, -e_top)))  # sum w |f| / 2^e_top
+    if not math.isfinite(mass) or e_top + math.frexp(max(mass, 1.0))[1] > 1021:
+        raise PreconditionError("values too large for the BMO norm: its sums could overflow",
+                                max_abs=top)
+    t = _osc_nodes(v)
+    orders, wcum = space.orders, space.wcum
+    # a tile's node table fills one block the size of an m x m array, so
+    # that the allocator reuses the blocks of the space's own tables
+    rows = max(1, m // t.size)
+    tiles = [(lo, min(lo + rows, m)) for lo in range(0, m, rows)]
+    ub = np.empty((m, m))
+    seed_k = np.empty(m, dtype=np.int64)
+    seed_avg = np.empty(m)
+    buf = np.empty(m * max(m, t.size))
+    for lo, hi in tiles:
+        a = _osc_bounds(space, lo, hi, v, t, ub[lo:hi], buf)
+        seed_k[lo:hi] = np.argmax(ub[lo:hi], axis=1)
+        seed_avg[lo:hi] = a[np.arange(hi - lo), seed_k[lo:hi]]
+    del buf
+    centers = np.arange(m)
+    osc = kernels.osc_entries(orders, w, v, centers, seed_k, seed_avg)
+    best = float(np.max(osc / wcum[centers, seed_k]))
+    ub[centers, seed_k] = -np.inf  # summed already
+    cand_c, cand_k, cand_avg = [], [], []
+    for lo, hi in tiles:
+        r, k = np.nonzero(~(ub[lo:hi] < best))
+        if r.size:
+            cand_c.append(r + lo)
+            cand_k.append(k)
+            cand_avg.append(_prefix_means(space, v, lo, hi)[r, k])
+    del ub
+    if cand_c:
+        cand_c, cand_k = np.concatenate(cand_c), np.concatenate(cand_k)
+        osc = kernels.osc_entries(orders, w, v, cand_c, cand_k, np.concatenate(cand_avg))
+        best = max(best, float(np.max(osc / wcum[cand_c, cand_k])))
+    return max(0.0, best)
 
 
 # ------------------------------------------------------------- admissible

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from jnlab.cli import _emit_reports, load_config, main
+from jnlab.metric import space_from_points, space_to_csv, values_to_csv
 from jnlab.report import CheckReport
 
 
@@ -404,6 +405,25 @@ def test_jnp_overflow_exit_2(tmp_path, capsys):
     vals.write_text("m,4\n0,6e153\n1,-6e153\n2,6e153\n3,-6e153\n")
     assert run("analyze", *space, "--p", "2") == 2
     assert "JN_p value is not finite" in one_line_error(capsys)
+
+
+def test_bmo_norm_overflow_exit_2(tmp_path, capsys):
+    # verify bmo used to exit 0 and write "bmo_norm": Infinity (not JSON)
+    space, vals, out = tmp_path / "s.csv", tmp_path / "v.csv", tmp_path / "r.json"
+    space_to_csv(space_from_points([0.0, 1.0, 3.0, 4.0]), space)
+    values_to_csv(np.array([1e308, -1e308, 1e308, 0.0]), vals)
+    assert run("verify", "bmo", "--space", str(space), "--values", str(vals),
+               "--out", str(out)) == 2
+    assert "too large for the BMO norm" in one_line_error(capsys)
+    assert not out.exists()
+
+
+def test_empty_space_csv_exit_2(tmp_path, capsys):
+    space, vals = tmp_path / "s.csv", tmp_path / "v.csv"
+    space.write_text("m,0\n")
+    vals.write_text("m,0\n")
+    assert run("verify", "bmo", "--space", str(space), "--values", str(vals)) == 2
+    assert "at least one point" in one_line_error(capsys)
 
 
 @pytest.mark.parametrize("line,option", [("format = xml", "--format"),

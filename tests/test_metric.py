@@ -51,6 +51,15 @@ def test_axioms_reject_bad_weights():
         build_space(dmat=d, weights=np.array([1.0, 0.0]))
 
 
+def test_axioms_reject_empty_space(tmp_path):
+    with pytest.raises(MetricAxiomError, match="at least one point"):
+        MetricMeasureSpace(np.zeros((0, 0)), [])
+    path = tmp_path / "s.csv"
+    path.write_text("m,0\n")
+    with pytest.raises(MetricAxiomError, match="at least one point"):
+        space_from_csv(path)
+
+
 def test_axioms_reject_zero_offdiagonal():
     d = np.zeros((2, 2))
     with pytest.raises(MetricAxiomError):

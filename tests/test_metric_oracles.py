@@ -3,16 +3,18 @@ against the loop oracles, bitwise."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import metric_oracles as oracle
 from jnlab import kernels
 from jnlab.errors import MetricAxiomError
-from jnlab.generators import (f_log_distance, f_random, gen_grid2d, gen_line,
+from jnlab.generators import (f_distance, f_log_distance, f_random, gen_grid2d, gen_line,
                               gen_random_cloud, gen_tree_graph)
-from jnlab.metric import (Ball, _first_overlap, _validate_metric, bmo_norm_metric,
-                          check_admissible, doubling_constant, global_maximal,
-                          hl_maximal_restricted, jnp_metric_lower, space_from_points,
-                          vitali_subcover)
+from jnlab.metric import (Ball, MetricMeasureSpace, _first_overlap, _osc_bounds, _osc_nodes,
+                          _validate_metric, bmo_norm_metric, check_admissible,
+                          doubling_constant, global_maximal, hl_maximal_restricted,
+                          jnp_metric_lower, space_from_points, vitali_subcover)
 from jnlab.metric_cz import compute_witness, nested_cz
 
 SEEDS = range(10)
@@ -57,6 +59,20 @@ def value_sets(space, seed):
     ]
 
 
+def osc_means(space, f):
+    """The prefix means fl(F / W) that every oscillation entry is about."""
+    wcum, fcum = kernels.ball_tables(space.orders, space.w, f)
+    return fcum / wcum
+
+
+def osc_at_every_entry(space, f):
+    """kernels.osc_entries asked for all m x m (center, prefix) entries."""
+    m = space.m
+    rows, ends = np.divmod(np.arange(m * m), m)
+    avg = osc_means(space, f).reshape(-1)
+    return kernels.osc_entries(space.orders, space.w, f, rows, ends, avg).reshape(m, m)
+
+
 def assert_path_matches(space, f):
     g = np.abs(f)
     wc, fc, osc = oracle.ball_tables(space.orders, space.w, f)
@@ -65,7 +81,7 @@ def assert_path_matches(space, f):
     assert np.array_equal(got_fc, fc)
     for c in range(space.m):
         assert np.array_equal(space.critical_radii(c), oracle.critical_radii(space, c))
-    assert np.array_equal(kernels.osc_table(space.orders, space.w, f), osc)
+    assert np.array_equal(osc_at_every_entry(space, f), osc)
     assert bmo_norm_metric(space, f) == oracle.bmo_norm_metric(space, f)
     assert np.array_equal(global_maximal(space, f), oracle.global_maximal(space, f))
     for b0 in base_balls(space):
@@ -110,6 +126,96 @@ def test_prefix_path_single_point():
     assert doubling_constant(space) == oracle.doubling_constant(space) == 1.0
     table = compute_witness(space, np.array([3.0]), Ball(0, 0.25))
     assert table.balls == [Ball(0, 1.0)] and table.values.tolist() == [3.0]
+
+
+def bmo_cases():
+    """(name, space, values) on which rounding, ties and pruning differ."""
+    rng = np.random.default_rng(5)
+    cloud = gen_random_cloud(120, 3)
+    u = rng.uniform(0.0, 1.0, cloud.m)
+    weighted = MetricMeasureSpace(cloud.d, rng.choice([0.25, 1.0, 3.0, 7.5], cloud.m))
+    grid = gen_grid2d(7)
+    return [
+        ("linear f_distance", cloud, f_distance(cloud)),
+        ("integer values with ties", grid, rng.integers(0, 4, grid.m).astype(float)),
+        ("offset 1e8 + 1e-8 U", cloud, 1e8 + 1e-8 * u),
+        ("offset 1e15 + U", cloud, 1e15 + u),
+        ("scale 1e-300", cloud, 1e-300 * u),
+        ("scale 1e300", cloud, 1e300 * (u - 0.5)),
+        ("non-unit weights", weighted, f_log_distance(weighted, 7)),
+        ("non-unit weights, offset", weighted, 1e8 + 1e-8 * u),
+        # equal weight at +-1 in every even ball: mean oscillation = sigma = 1
+        ("two values", gen_line(20), np.resize([1.0, -1.0], 20)),
+        ("m = 1", space_from_points([[0.5]], weights=[3.0]), np.array([0.1])),
+        ("m = 2", space_from_points([0.0, 2.0], weights=[1.0, 3.0]), np.array([0.1, -0.7])),
+    ]
+
+
+@pytest.mark.parametrize("name,space,f", bmo_cases(), ids=[c[0] for c in bmo_cases()])
+def test_bmo_norm_is_the_oracle_bitwise(name, space, f):
+    assert bmo_norm_metric(space, f) == oracle.bmo_norm_metric(space, f)
+
+
+@pytest.mark.parametrize("name,space,f", bmo_cases(), ids=[c[0] for c in bmo_cases()])
+def test_osc_bounds_cover_every_computed_entry(name, space, f):
+    wcum, _, osc = oracle.ball_tables(space.orders, space.w, f)
+    ub = np.empty((space.m, space.m))
+    t = _osc_nodes(f)
+    a = _osc_bounds(space, 0, space.m, f, t, ub, np.empty(space.m**2 * t.size))
+    assert np.array_equal(a, osc_means(space, f))
+    ends = np.isfinite(ub)
+    assert np.array_equal(ends, ub > -np.inf)
+    assert np.all(ub[ends] >= osc[ends] / wcum[ends])
+    for c in range(space.m):
+        assert np.array_equal(np.flatnonzero(ends[c]), space.group_ends(c))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_bmo_norm_sums_few_balls_exactly(seed, monkeypatch):
+    """The bounds prune all but a few percent of the balls, for evenly
+    spread values as for a log singularity, so the cost of the norm
+    hardly depends on the values."""
+    summed = []
+
+    def counting(orders, w, f, rows, ends, avg):
+        summed.append(len(ends))
+        return osc_entries(orders, w, f, rows, ends, avg)
+
+    osc_entries = kernels.osc_entries
+    monkeypatch.setattr(kernels, "osc_entries", counting)
+    space = gen_random_cloud(120, seed)
+    for f in (f_distance(space), f_distance(space, 60), f_log_distance(space, 5)):
+        summed.clear()
+        assert bmo_norm_metric(space, f) == oracle.bmo_norm_metric(space, f)
+        assert summed[0] == space.m  # one seed ball per center
+        assert sum(summed[1:]) <= space.m**2 // 20
+
+
+def test_bmo_norm_of_a_constant_is_zero():
+    space = gen_random_cloud(40, 1)
+    f = np.full(space.m, 2.5)
+    assert bmo_norm_metric(space, f) == oracle.bmo_norm_metric(space, f) == 0.0
+
+
+@st.composite
+def small_spaces(draw):
+    m = draw(st.integers(1, 9))
+    # distinct integer points on a line, so many distances tie
+    pts = np.array(draw(st.lists(st.integers(0, 12), min_size=m, max_size=m, unique=True)),
+                   dtype=float)
+    w = np.array(draw(st.lists(st.sampled_from([0.5, 1.0, 2.0, 3.0]), min_size=m,
+                               max_size=m)))
+    scale = draw(st.sampled_from([1.0, 1e-200, 1e200]))
+    offset = draw(st.sampled_from([0.0, 1e8, -1e15]))
+    f = np.array(draw(st.lists(st.floats(-4.0, 4.0), min_size=m, max_size=m)))
+    return space_from_points(pts, weights=w), offset + scale * f
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(small_spaces())
+def test_bmo_norm_matches_oracle_on_small_spaces(case):
+    space, f = case
+    assert bmo_norm_metric(space, f) == oracle.bmo_norm_metric(space, f)
 
 
 # ------------------------------------------------------- ball families
