@@ -108,6 +108,10 @@ def _validate_metric(d: np.ndarray, w: np.ndarray) -> None:
                 "triangle inequality fails",
                 witness=(i, j, k, float(d[i, j]), float(d[i, k] + d[k, j])),
             )
+    with np.errstate(over="ignore"):  # the same sum as `total_measure`
+        total = float(np.sum(w))
+    if not math.isfinite(total):
+        raise MetricAxiomError("total weight is not finite")
 
 
 def _tie_group_ends(sd: np.ndarray) -> np.ndarray:
@@ -605,168 +609,160 @@ def _jn_term(space: MetricMeasureSpace, v: np.ndarray, mask: np.ndarray,
     return _check_jn_value(term, p)
 
 
+def _bits(mask: np.ndarray) -> int:
+    """A boolean point mask as a Python-int bitset: two masks share a point
+    iff the AND of their bitsets is nonzero."""
+    return int.from_bytes(np.packbits(mask).tobytes(), "big")
+
+
 def jnp_metric_lower(space: MetricMeasureSpace, f, b0: Ball, p: float,
                      budget: int = 4000) -> JnSearchResult:
     """Deterministic search for a heavy admissible family.
 
+    The pool holds one ball per center in B0 and critical radius (one per
+    tie group) whose member set stays inside 11*B0: the arrays `centers`
+    and `radii`, in center-then-radius order, and the list `terms` of
+    mu(B) osc_B(f)^p.  At a spanning B0 it has m^2 balls, so nothing the
+    size of pool x m is built from all of it.
+
     Candidate stream (fixed order, independent of budget, so the result is
-    non-decreasing in budget): all realized single-ball families, Vitali
-    subcovers at several radius scales (both the disjoint balls and their
-    5-dilates), steepest-ascent add/swap moves over the realized pool, and
-    finally a depth-first enumeration of admissible pool subsets, which
-    completes on small spaces and turns the lower bound into the exact pool
-    supremum there.  Every candidate family / move probe counts against
-    `budget`, which must be at least 1.
+    non-decreasing in budget): all pool singletons, Vitali subcovers at
+    several radius scales (both the disjoint balls and their 5-dilates),
+    steepest-ascent add/swap moves over the pool, and finally a depth-first
+    enumeration of admissible pool subsets, which completes on small spaces
+    and turns the lower bound into the exact pool supremum there.  Every
+    candidate family / move probe counts against `budget`, which must be at
+    least 1.
+
+    The singletons spend one evaluation per pool ball, so the later stages
+    run only when the pool is smaller than the budget.  Only then is each
+    pool ball's fifth built, once, as a bitset over the m points (and, for
+    the enumeration's dedup, its member set): each table holds fewer than
+    budget x m bits.  The incumbent is a tuple of pool indices, or the
+    balls of a 5-dilate family, and becomes `Ball`s once, at the end.
     """
     v = space.check_values(f)
     p = _check_p(p)
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
-    mask0 = space.members(b0)
-    big = space.members(b0.dilate(11.0))
+    d = space.d
+    outside = ~space.members(b0.dilate(11.0))
+    # B(c, r) stays inside 11*B0 iff r <= reach[c], the distance from c to
+    # the nearest point outside it
+    reach = np.full(space.m, np.inf)
+    centers, radii, terms = [], [], []
+    for c in np.flatnonzero(space.members(b0)).tolist():
+        reach[c] = d[c][outside].min(initial=np.inf)
+        for r in space.critical_radii(c).tolist():
+            if r <= reach[c]:
+                centers.append(c)
+                radii.append(r)
+                terms.append(_jn_term(space, v, d[c] < r, p))
+    n = len(terms)
+    centers, radii = np.array(centers, dtype=np.int64), np.array(radii)
 
-    def term(ball: Ball) -> float | None:
-        """mu * osc^p of one ball, or None when it escapes 11*B0."""
-        mem = space.members(ball)
-        if np.any(mem & ~big):
-            return None
-        return _jn_term(space, v, mem, p)
-
-    # realized candidate pool: one ball per (center in B0, tie group)
-    pool: list[Ball] = []
-    pool_term: list[float] = []
-    for c in range(space.m):
-        if not mask0[c]:
-            continue
-        for r in space.critical_radii(c):
-            ball = Ball(c, float(r))
-            t = term(ball)
-            if t is not None:
-                pool.append(ball)
-                pool_term.append(t)
-
-    evals = 0
     best_val = 0.0
+    best_idx: tuple[int, ...] = ()
     best_balls: tuple[Ball, ...] = ()
-    best_pool_idx: tuple[int, ...] = ()
 
-    def consider(val: float, balls, idx=()) -> None:
-        nonlocal best_val, best_balls, best_pool_idx
+    def consider(val: float, idx, balls: tuple[Ball, ...] = ()) -> None:
+        nonlocal best_val, best_idx, best_balls
         if val > best_val:
-            best_val = val
-            best_balls = tuple(balls)
-            best_pool_idx = tuple(idx)
+            best_val, best_idx, best_balls = val, tuple(idx), balls
 
-    # 1. singletons
-    for i in range(len(pool)):
-        if evals >= budget:
-            break
-        evals += 1
-        consider(pool_term[i], (pool[i],), (i,))
+    # 1. singletons (the first of equal terms wins)
+    evals = min(n, budget)
+    if evals:
+        i = int(np.argmax(terms[:evals]))
+        consider(terms[i], (i,))
 
-    # 2. Vitali seeds at a few radius scales
-    if pool and evals < budget:
-        radii = np.array([b.radius for b in pool])
-        scales = np.quantile(radii, [0.1, 0.25, 0.5, 0.75, 0.9, 1.0])
-        for s in scales:
+    if evals < budget and n:
+        fbits = [_bits(d[c] < r * 0.2) for c, r in zip(centers, radii)]
+
+        # 2. Vitali seeds at a few radius scales
+        for s in np.quantile(radii, [0.1, 0.25, 0.5, 0.75, 0.9, 1.0]):
             if evals >= budget:
                 break
-            largest_below: dict[int, int] = {}
-            for i, b in enumerate(pool):  # per center, radii ascend
-                if b.radius <= s:
-                    largest_below[b.center] = i
-            cand_idx = [largest_below[c] for c in sorted(largest_below)]
-            if not cand_idx:
-                continue
-            kept = vitali_subcover(space, [pool[i] for i in cand_idx])
-            fam = tuple(sorted(cand_idx[k] for k in kept))
+            # the largest radius <= s of each center: pool order is center, then radius
+            below = np.flatnonzero(radii <= s)
+            cand = below[np.diff(centers[below], append=-1) != 0]
+            kept = vitali_subcover(space, [Ball(int(centers[i]), float(radii[i]))
+                                           for i in cand])
+            fam = sorted(cand[kept].tolist())
             evals += 1
-            consider(float(sum(pool_term[i] for i in fam)),
-                     tuple(pool[i] for i in fam), fam)
+            consider(float(sum(terms[i] for i in fam)), fam)
             # disjoint balls have disjoint fifths, and so do their 5-dilates
             if evals >= budget:
                 break
-            dil, dil_terms = [], []
-            for i in fam:
-                bb = pool[i].dilate(5.0)
-                t = term(bb)
-                if t is not None:
-                    dil.append(bb)
-                    dil_terms.append(t)
+            dil = [Ball(int(centers[i]), float(radii[i]) * 5.0) for i in fam
+                   if radii[i] * 5.0 <= reach[centers[i]]]
             if dil:
                 evals += 1
-                consider(float(sum(dil_terms)), tuple(dil))
+                consider(float(sum(_jn_term(space, v, space.members(b), p) for b in dil)),
+                         (), tuple(dil))
 
-    # 3. steepest ascent (runs when the incumbent is a pool family)
-    if best_pool_idx and evals < budget:
-        cur = list(best_pool_idx)
-        cur_fifth = {i: space.members(pool[i].dilate(0.2)) for i in cur}
-        improved = True
-        while improved and evals < budget:
-            improved = False
-            best_gain, best_move = 0.0, None
-            for j in range(len(pool)):
-                if evals >= budget:
-                    break
-                if j in cur_fifth:
-                    continue
-                evals += 1
-                fj = space.members(pool[j].dilate(0.2))
-                clash = [i for i in cur if np.any(fj & cur_fifth[i])]
-                if not clash:
-                    gain = pool_term[j]
-                    if gain > best_gain:
-                        best_gain, best_move = gain, ("add", j)
-                elif len(clash) == 1:
-                    gain = pool_term[j] - pool_term[clash[0]]
-                    if gain > best_gain:
-                        best_gain, best_move = gain, ("swap", j, clash[0])
-            if best_move is not None:
-                j = best_move[1]
-                if best_move[0] == "swap":
-                    old = best_move[2]
-                    cur.remove(old)
-                    del cur_fifth[old]
-                cur.append(j)
-                cur.sort()
-                cur_fifth[j] = space.members(pool[j].dilate(0.2))
-                improved = True
-        consider(float(sum(pool_term[i] for i in cur)),
-                 tuple(pool[i] for i in cur), tuple(cur))
+        # 3. steepest ascent (runs when the incumbent is a pool family)
+        if best_idx and evals < budget:
+            cur = list(best_idx)
+            improved = True
+            while improved and evals < budget:
+                improved = False
+                best_gain, best_move = 0.0, None
+                for j in range(n):
+                    if evals >= budget:
+                        break
+                    if j in cur:
+                        continue
+                    evals += 1
+                    clash = [i for i in cur if fbits[j] & fbits[i]]
+                    if not clash:
+                        gain = terms[j]
+                        if gain > best_gain:
+                            best_gain, best_move = gain, (j, None)
+                    elif len(clash) == 1:
+                        gain = terms[j] - terms[clash[0]]
+                        if gain > best_gain:
+                            best_gain, best_move = gain, (j, clash[0])
+                if best_move is not None:
+                    j, old = best_move
+                    if old is not None:
+                        cur.remove(old)
+                    cur.append(j)
+                    cur.sort()
+                    improved = True
+            consider(float(sum(terms[i] for i in cur)), cur)
 
-    # 4. exhaustive subset enumeration over the deduplicated pool with the
-    # remaining budget; same-center balls always clash, so the admissible
-    # count stays tame on small spaces and the DFS finishes there
-    if pool and evals < budget:
-        sig_first: dict[bytes, int] = {}
-        for i, b in enumerate(pool):
-            key = (space.members(b).tobytes()
-                   + space.members(b.dilate(0.2)).tobytes())
-            sig_first.setdefault(key, i)
-        dedup = sorted(sig_first.values())
-        fifth = {i: space.members(pool[i].dilate(0.2)) for i in dedup}
+        # 4. exhaustive subset enumeration over the deduplicated pool with the
+        # remaining budget; same-center balls always clash, so the admissible
+        # count stays tame on small spaces and the DFS finishes there
+        if evals < budget:
+            first: dict[tuple[int, int], int] = {}
+            for i, (c, r) in enumerate(zip(centers, radii)):
+                first.setdefault((_bits(d[c] < r), fbits[i]), i)
+            dedup = list(first.values())  # ascending: first occurrences
+            chosen: list[int] = []
 
-        # `used` is the union of the chosen fifths, which a fifth meets iff it meets one
-        def extend(chosen: tuple[int, ...], used: np.ndarray, start: int,
-                   val: float) -> None:
-            nonlocal evals
-            for t in range(start, len(dedup)):
-                if evals >= budget:
-                    return
-                i = dedup[t]
-                if np.any(fifth[i] & used):
-                    continue
-                grown = chosen + (i,)
-                evals += 1
-                consider(val + pool_term[i],
-                         tuple(pool[j] for j in grown), grown)
-                extend(grown, used | fifth[i], t + 1, val + pool_term[i])
+            # `used` is the union of the chosen fifths
+            def extend(start: int, used: int, val: float) -> None:
+                nonlocal evals
+                for t in range(start, len(dedup)):
+                    if evals >= budget:
+                        return
+                    i = dedup[t]
+                    if fbits[i] & used:
+                        continue
+                    chosen.append(i)
+                    evals += 1
+                    consider(val + terms[i], chosen)
+                    extend(t + 1, used | fbits[i], val + terms[i])
+                    chosen.pop()
 
-        extend((), np.zeros(space.m, dtype=bool), 0, 0.0)
+            extend(0, 0, 0.0)
 
     best_val = _check_jn_value(best_val, p)  # a sum of finite terms may overflow
-    family = check_admissible(space, b0, best_balls)
-    if best_balls and not family.admissible:
+    balls = best_balls or tuple(Ball(int(centers[i]), float(radii[i])) for i in best_idx)
+    family = check_admissible(space, b0, balls)
+    if balls and not family.admissible:
         raise InvariantViolation("search produced an inadmissible family",
                                  flags=(family.centered, family.contained,
                                         family.fifth_disjoint))

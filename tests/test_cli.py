@@ -426,6 +426,16 @@ def test_empty_space_csv_exit_2(tmp_path, capsys):
     assert "at least one point" in one_line_error(capsys)
 
 
+def test_space_csv_weight_overflow_exit_2(tmp_path, capsys):
+    # finite weights whose total is inf used to pass as a space
+    space, vals = tmp_path / "s.csv", tmp_path / "v.csv"
+    space.write_text("m,2\n0.0,1.0,1e308\n1.0,0.0,1e308\n")
+    vals.write_text("m,2\n0,0.0\n1,1.0\n")
+    for cmd in (("analyze",), ("verify", "bmo"), ("verify", "mainresult")):
+        assert run(*cmd, "--space", str(space), "--values", str(vals)) == 2
+        assert "total weight is not finite" in one_line_error(capsys)
+
+
 @pytest.mark.parametrize("line,option", [("format = xml", "--format"),
                                          ("values_kind = nope", "--values-kind")])
 def test_config_choices_exit_2(tmp_path, line, option, capsys):

@@ -51,6 +51,14 @@ def test_axioms_reject_bad_weights():
         build_space(dmat=d, weights=np.array([1.0, 0.0]))
 
 
+def test_axioms_reject_total_weight_overflow():
+    # each weight is finite, but their sum is inf; the check itself must
+    # not raise numpy's overflow RuntimeWarning
+    with pytest.raises(MetricAxiomError, match="total weight is not finite"):
+        MetricMeasureSpace([[0.0, 1.0], [1.0, 0.0]], [1e308, 1e308])
+    assert MetricMeasureSpace([[0.0, 1.0], [1.0, 0.0]], [8e307, 8e307]).total_measure == 1.6e308
+
+
 def test_axioms_reject_empty_space(tmp_path):
     with pytest.raises(MetricAxiomError, match="at least one point"):
         MetricMeasureSpace(np.zeros((0, 0)), [])

@@ -1,6 +1,8 @@
 """The vectorized prefix-table path and the ball-family overlap tests
 against the loop oracles, bitwise."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -266,6 +268,26 @@ def search_cases():
         assert full.evaluations < 10**6  # the enumeration completes
         for f in value_sets(space, 4):
             yield space, f, b0, range(1, full.evaluations + 2, stride)
+
+
+def test_search_pool_beyond_budget_matches_oracle_in_small_memory():
+    # a spanning B0 puts all m^2 = 6400 balls in the pool, so the budget
+    # ends among the singletons; nothing pool x m may be built then
+    space = gen_random_cloud(80, 5)
+    c = int(np.argmin(space.d.max(axis=1)))
+    b0 = Ball(c, 1.5 * float(space.d[c].max()) + 1.0)
+    f = f_random(space, 5)
+    assert pool_size(space, b0) == space.m ** 2
+    want = oracle.jnp_metric_lower(space, f, b0, 2.0, budget=2000)
+    tracemalloc.start()
+    try:
+        got = jnp_metric_lower(space, f, b0, 2.0, budget=2000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.value == want.value and got.evaluations == want.evaluations == 2000
+    assert got.family == want.family
+    assert peak < 1.5e6
 
 
 def random_families(space, rng, n_fam=20):
