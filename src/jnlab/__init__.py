@@ -29,8 +29,8 @@ from .metric import (Ball, BallFamily, JnSearchResult, MetricMeasureSpace,
                      vitali_subcover)
 from .metric_cz import (CzBallCover, NestedCovers, check_toiterate, compute_witness,
                         cz_balls, nested_cz, verify_bmo_jn, verify_mainresult)
-from .report import (CheckReport, all_pass, degenerate_report, reports_to_json,
-                     write_reports_csv, write_reports_json)
+from .report import (CheckReport, all_pass, degenerate_report, reports_to_csv,
+                     reports_to_json, write_reports_csv, write_reports_json)
 
 __version__ = "0.1.0"
 
@@ -92,6 +92,7 @@ __all__ = [
     "mean_oscillation",
     "nested_cz",
     "notlp_terms",
+    "reports_to_csv",
     "reports_to_json",
     "space_from_csv",
     "space_from_points",

@@ -7,9 +7,13 @@ Four subcommands:
   cz       run a Calderon-Zygmund decomposition and dump the cover
   verify   run an inequality verifier and write pass/fail reports
 
-Option precedence is flags > config file > built-in defaults; the config
-file (--config) is a flat ``key = value`` text file using the long option
-names.  Identical arguments and seed produce byte-identical output files.
+Every option is one entry of ``OPTIONS``: its name, type, default,
+choices or range, help text and the subcommands that take it.  The parser,
+the config file and the input checks all read that table.  Option
+precedence is flags > config file > built-in defaults; the config file
+(--config) is a flat ``key = value`` text file whose keys are the long
+option names.  A flag and a config value are parsed and checked alike.
+Identical arguments and seed produce byte-identical output files.
 
 Exit codes:
 
@@ -26,6 +30,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,32 +43,102 @@ from .metric import (Ball, bmo_norm_metric, doubling_constant, hl_maximal_restri
                      jnp_metric_lower, space_from_csv, space_to_csv,
                      values_from_csv, values_to_csv)
 from .metric_cz import check_toiterate, cz_balls, verify_bmo_jn, verify_mainresult
-from .report import _jsonable, all_pass, write_reports_csv, write_reports_json
+from .report import _jsonable, all_pass, reports_to_csv, reports_to_json
 
-GRID_KINDS = ("constant", "step", "power-singularity", "log-singularity",
-              "random-uniform", "random-martingale")
-SPACE_KINDS = ("line", "grid2d", "tree-graph", "random-cloud")
-VALUE_KINDS = ("log-distance", "distance", "random-values")
-FORMATS = ("json", "csv")
+# ---------------------------------------------------------------- generators
 
-VERIFY_CLAIMS = ("jn-dyadic", "good-lambda", "mainresult", "bmo", "toiterate")
-
-# per-key parsers for config-file values; also the set of known option names
-_SCHEMA = {
-    "seed": int, "depth": int, "dim": int, "m": int, "side": int,
-    "terms": int, "anchor": int, "budget": int, "n_lambda": int,
-    "p": float, "lam": float, "value": float, "b": float,
-    "out": str, "format": str, "space": str, "values": str,
-    "values_kind": str, "q0": str, "ball": str, "config": str,
-    "curve_out": str,
+# grid generators: name -> (always 1-D, builder from the resolved options)
+GRIDS = {
+    "constant": (False, lambda o: gen.gen_constant(o["dim"], o["depth"], o["value"])),
+    "step": (False, lambda o: gen.gen_step(o["dim"], o["depth"])),
+    "power-singularity": (True, lambda o: gen.gen_power_singularity(o["p"], o["depth"])),
+    "log-singularity": (True, lambda o: gen.gen_log_singularity(o["depth"])),
+    "random-uniform": (False, lambda o: gen.gen_random_uniform(o["dim"], o["depth"], o["seed"])),
+    "random-martingale": (False, lambda o: gen.gen_random_martingale(o["dim"], o["depth"],
+                                                                     o["seed"])),
+}
+SPACES = {
+    "line": lambda o: gen.gen_line(o["m"]),
+    "grid2d": lambda o: gen.gen_grid2d(o["side"]),
+    "tree-graph": lambda o: gen.gen_tree_graph(o["m"], o["seed"]),
+    "random-cloud": lambda o: gen.gen_random_cloud(o["m"], o["seed"], dim=max(2, o["dim"])),
+}
+VALUES = {
+    "log-distance": lambda o, space: gen.f_log_distance(space, o["anchor"]),
+    "distance": lambda o, space: gen.f_distance(space, o["anchor"]),
+    "random-values": lambda o, space: gen.f_random(space, o["seed"]),
 }
 
-_DEFAULTS = {
-    "seed": 0, "depth": 8, "dim": 1, "m": 32, "side": 8, "terms": 6,
-    "anchor": 0, "budget": 4000, "n_lambda": 60,
-    "p": 2.0, "value": 1.0,
-    "format": "json", "q0": "0", "ball": "0:auto",
-}
+# ------------------------------------------------------------------- options
+
+_TYPE_NAMES = {int: "an integer", float: "a number"}
+
+
+@dataclass(frozen=True)
+class Option:
+    """One option: the flag ``--name`` (``-`` for ``_``) and the config key
+    ``name``, taken by `commands` (None: every subcommand).  ``low`` is the
+    smallest allowed value; ``finite`` rejects nan and +-inf."""
+
+    name: str
+    type: type = str
+    default: object = None
+    commands: tuple[str, ...] | None = None
+    choices: tuple[str, ...] = ()
+    low: int | None = None
+    finite: bool = False
+    help: str | None = None
+
+    @property
+    def flag(self) -> str:
+        return "--" + self.name.replace("_", "-")
+
+    def parse(self, text: str):
+        """The typed value of a flag or config-file string."""
+        try:
+            return self.type(text)
+        except ValueError:
+            raise ValueError(f"{self.flag} must be {_TYPE_NAMES[self.type]}, "
+                             f"got {text!r}") from None
+
+    def check(self, value) -> None:
+        """Reject a value no command can use, before any work."""
+        if self.low is not None and value < self.low:
+            raise ValueError(f"{self.flag} must be >= {self.low}, got {value}")
+        if self.finite and not math.isfinite(value):
+            raise ValueError(f"{self.flag} must be finite, got {value}")
+        if self.choices and value not in self.choices:
+            raise ValueError(f"{self.flag} must be one of {', '.join(self.choices)}, "
+                             f"got {value!r}")
+
+
+# in --help order; a command's own options come before the shared ones
+OPTIONS = {opt.name: opt for opt in (
+    Option("terms", int, 6, ("analyze",)),
+    Option("budget", int, 4000, ("analyze",), low=1),
+    Option("curve_out", commands=("analyze",),
+           help="also write the distribution curve CSV here"),
+    Option("lam", float, commands=("cz", "verify"), finite=True),
+    Option("b", float, commands=("verify",), finite=True),
+    Option("n_lambda", int, 60, ("verify",), low=1),
+    Option("seed", int, 0),
+    Option("out"),
+    Option("format", default="json", choices=("json", "csv")),
+    Option("config"),
+    Option("depth", int, 8, low=0),
+    Option("dim", int, 1),
+    Option("p", float, 2.0, finite=True),
+    Option("m", int, 32, low=1),
+    Option("side", int, 8, low=1),
+    Option("value", float, 1.0),
+    Option("anchor", int, 0),
+    Option("space", help="space CSV path or space kind"),
+    Option("values", help="values CSV path"),
+    Option("values_kind", choices=tuple(VALUES)),
+    Option("ball", default="0:auto",
+           help="B0 as center:radius (radius 'auto' spans the space)"),
+    Option("q0", default="0", help="dyadic base cube as depth:i0,i1,..."),
+)}
 
 
 def load_config(path: str) -> dict:
@@ -78,59 +153,50 @@ def load_config(path: str) -> dict:
                 raise ValueError(f"{path}:{lineno}: expected key = value")
             key, _, val = line.partition("=")
             key = key.strip().replace("-", "_")
-            if key not in _SCHEMA:
+            if key not in OPTIONS:
                 raise ValueError(f"{path}:{lineno}: unknown option {key!r}")
             try:
-                out[key] = _SCHEMA[key](val.strip())
+                out[key] = OPTIONS[key].parse(val.strip())
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from None
     return out
 
 
 def _resolve(args: argparse.Namespace) -> dict:
-    """flags > config file > defaults"""
-    cfg = dict(_DEFAULTS)
-    if getattr(args, "config", None):
-        cfg.update(load_config(args.config))
-    for key, val in vars(args).items():
-        if val is not None and key in _SCHEMA:
-            cfg[key] = val
+    """flags > config file > defaults, then every value checked"""
+    flags = {key: OPTIONS[key].parse(val) for key, val in vars(args).items()
+             if key in OPTIONS and val is not None}
+    cfg = {name: opt.default for name, opt in OPTIONS.items()}
+    if flags.get("config"):
+        cfg.update(load_config(flags["config"]))
+    cfg.update(flags)
+    for name, opt in OPTIONS.items():
+        if cfg[name] is not None:
+            opt.check(cfg[name])
     for key in ("command", "kind", "source", "claim"):
         if hasattr(args, key):
             cfg[key] = getattr(args, key)
-    _check_inputs(cfg)
     return cfg
 
 
-def _check_inputs(cfg: dict) -> None:
-    """Reject sizes and levels no command can use, before any work."""
-    for key in ("m", "side", "n_lambda", "budget"):
-        if cfg[key] < 1:
-            raise ValueError(f"--{key.replace('_', '-')} must be >= 1, got {cfg[key]}")
-    if cfg["depth"] < 0:
-        raise ValueError(f"--depth must be >= 0, got {cfg['depth']}")
-    for key in ("p", "lam", "b"):
-        val = cfg.get(key)
-        if val is not None and not math.isfinite(val):
-            raise ValueError(f"--{key} must be finite, got {val}")
-    for key, choices in (("format", FORMATS), ("values_kind", VALUE_KINDS)):
-        if cfg.get(key) is not None and cfg[key] not in choices:
-            raise ValueError(f"--{key.replace('_', '-')} must be one of "
-                             f"{', '.join(choices)}, got {cfg[key]!r}")
-
-
-def _check_grid_size(cfg: dict, source: str) -> None:
+def _check_grid_size(cfg: dict, source: str, one_d: bool) -> None:
     """Refuse a generated grid above the cell cap before it is allocated,
     and a --dim other than 1 for a source that is always 1-D."""
     dim, depth = cfg["dim"], cfg["depth"]
-    if source in ("power-singularity", "log-singularity", "notlp") and dim != 1:
+    if one_d and dim != 1:
         raise ValueError(f"--dim must be 1 for {source}, got {dim}")
     if dim * depth > MAX_CELL_BITS:
         raise ValueError(f"--depth {depth} gives a {dim}-D grid of 2**{dim * depth} "
                          f"cells; the cap is 2**{MAX_CELL_BITS}")
 
 
-# ------------------------------------------------------------------ sources
+def _need_lam(cfg: dict, what: str) -> float:
+    if cfg.get("lam") is None:
+        raise ValueError(f"{what} needs --lam")
+    return cfg["lam"]
+
+
+# -------------------------------------------------------------------- inputs
 
 
 def _read_csv(reader, path: str):
@@ -144,43 +210,11 @@ def _read_csv(reader, path: str):
 def _grid_from_source(cfg: dict, source: str) -> GridFunction:
     if os.path.exists(source):
         return _read_csv(GridFunction.from_csv, source)
-    _check_grid_size(cfg, source)
-    if source == "constant":
-        return gen.gen_constant(cfg["dim"], cfg["depth"], cfg["value"])
-    if source == "step":
-        return gen.gen_step(cfg["dim"], cfg["depth"])
-    if source == "power-singularity":
-        return gen.gen_power_singularity(cfg["p"], cfg["depth"])
-    if source == "log-singularity":
-        return gen.gen_log_singularity(cfg["depth"])
-    if source == "random-uniform":
-        return gen.gen_random_uniform(cfg["dim"], cfg["depth"], cfg["seed"])
-    if source == "random-martingale":
-        return gen.gen_random_martingale(cfg["dim"], cfg["depth"], cfg["seed"])
-    raise ValueError(f"unknown grid source {source!r} (not a file, not a generator)")
-
-
-def _space_from_kind(cfg: dict, kind: str):
-    if kind == "line":
-        return gen.gen_line(cfg["m"])
-    if kind == "grid2d":
-        return gen.gen_grid2d(cfg["side"])
-    if kind == "tree-graph":
-        return gen.gen_tree_graph(cfg["m"], cfg["seed"])
-    if kind == "random-cloud":
-        return gen.gen_random_cloud(cfg["m"], cfg["seed"],
-                                    dim=max(2, cfg["dim"]))
-    raise ValueError(f"unknown space kind {kind!r}")
-
-
-def _values_from_kind(cfg: dict, space, kind: str) -> np.ndarray:
-    if kind == "log-distance":
-        return gen.f_log_distance(space, cfg["anchor"])
-    if kind == "distance":
-        return gen.f_distance(space, cfg["anchor"])
-    if kind == "random-values":
-        return gen.f_random(space, cfg["seed"])
-    raise ValueError(f"unknown values kind {kind!r}")
+    if source not in GRIDS:
+        raise ValueError(f"unknown grid source {source!r} (not a file, not a generator)")
+    one_d, build = GRIDS[source]
+    _check_grid_size(cfg, source, one_d)
+    return build(cfg)
 
 
 def _load_space(cfg: dict):
@@ -189,33 +223,36 @@ def _load_space(cfg: dict):
         raise ValueError("this command needs --space (a CSV path or a space kind)")
     if os.path.exists(src):
         return _read_csv(space_from_csv, src)
-    return _space_from_kind(cfg, src)
+    if src not in SPACES:
+        raise ValueError(f"unknown space kind {src!r}")
+    return SPACES[src](cfg)
 
 
-def _load_values(cfg: dict, space) -> np.ndarray:
-    path = cfg.get("values")
-    kind = cfg.get("values_kind")
-    if path and kind:
-        raise ValueError("give --values or --values-kind, not both")
-    if path:
-        return _read_csv(lambda p: space.check_values(values_from_csv(p)), path)
-    return _values_from_kind(cfg, space, kind or "log-distance")
-
-
-def _parse_q0(spec: str, f: GridFunction) -> DyadicCube:
-    """"0" = root; "2:1,3" = depth 2, index (1,3)."""
-    head, _, tail = spec.partition(":")
+def _grid_input(cfg: dict) -> tuple[GridFunction, DyadicCube]:
+    """The grid source and its base cube Q0 ("0" = root; "2:1,3" = depth
+    2, index (1,3))."""
+    f = _grid_from_source(cfg, cfg["source"])
+    head, _, tail = cfg["q0"].partition(":")
     depth = int(head)
     if tail:
         index = tuple(int(t) for t in tail.split(","))
     else:
         index = (0,) * f.dim
-    return DyadicCube(f.root, depth, index)
+    return f, DyadicCube(f.root, depth, index)
 
 
-def _parse_ball(spec: str, space) -> Ball:
-    """"c:r"; radius "auto" (or omitted) takes in the whole space."""
-    head, _, tail = spec.partition(":")
+def _space_input(cfg: dict) -> tuple:
+    """The space, its values and the ball B0 ("c:r"; radius "auto", or
+    none, takes in the whole space)."""
+    space = _load_space(cfg)
+    path, kind = cfg.get("values"), cfg.get("values_kind")
+    if path and kind:
+        raise ValueError("give --values or --values-kind, not both")
+    if path:
+        f = _read_csv(lambda p: space.check_values(values_from_csv(p)), path)
+    else:
+        f = VALUES[kind or "log-distance"](cfg, space)
+    head, _, tail = cfg["ball"].partition(":")
     center = int(head)
     if center < 0 or center >= space.m:
         raise ValueError(f"ball center {center} out of range for m={space.m}")
@@ -223,23 +260,22 @@ def _parse_ball(spec: str, space) -> Ball:
         radius = 1.5 * float(np.max(space.d[center])) + 1.0
     else:
         radius = float(tail)
-    return Ball(center, radius)
+    return space, f, Ball(center, radius)
 
 
 # ------------------------------------------------------------------- output
 
 
-def _dump_json(obj, out: str | None) -> None:
-    text = json.dumps(_jsonable(obj), indent=2, sort_keys=True) + "\n"
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+def _json(obj) -> str:
+    return json.dumps(_jsonable(obj), indent=2, sort_keys=True) + "\n"
 
 
-def _dump_lines(lines: list[str], out: str | None) -> None:
-    text = "\n".join(lines) + "\n"
+def _lines(rows: list[str]) -> str:
+    return "\n".join(rows) + "\n"
+
+
+def _write(text: str, out: str | None) -> None:
+    """Write `text` to the file `out`, or to stdout when there is none."""
     if out:
         with open(out, "w") as fh:
             fh.write(text)
@@ -248,14 +284,8 @@ def _dump_lines(lines: list[str], out: str | None) -> None:
 
 
 def _emit_reports(reports, cfg: dict) -> int:
-    out = cfg.get("out")
-    if out:
-        if cfg["format"] == "csv":
-            write_reports_csv(reports, out)
-        else:
-            write_reports_json(reports, out)
-    else:
-        _dump_json([r.to_dict() for r in reports], None)
+    text = reports_to_csv(reports) if cfg["format"] == "csv" else reports_to_json(reports)
+    _write(text, cfg.get("out"))
     if not reports:
         print("FAIL: no checks ran", file=sys.stderr)
         return 1
@@ -277,21 +307,19 @@ def cmd_gen(cfg: dict) -> int:
     out = cfg.get("out")
     if not out:
         raise ValueError("gen needs --out")
-    if kind in GRID_KINDS:
+    if kind in GRIDS:
         _grid_from_source(cfg, kind).to_csv(out)
-    elif kind in SPACE_KINDS:
-        space_to_csv(_space_from_kind(cfg, kind), out)
-    elif kind in VALUE_KINDS:
-        space = _load_space(cfg)
-        values_to_csv(_values_from_kind(cfg, space, kind), out)
+    elif kind in SPACES:
+        space_to_csv(SPACES[kind](cfg), out)
+    elif kind in VALUES:
+        values_to_csv(VALUES[kind](cfg, _load_space(cfg)), out)
     else:
         raise ValueError(f"unknown generator {kind!r}")
     return 0
 
 
 def _analyze_grid(cfg: dict) -> int:
-    f = _grid_from_source(cfg, cfg["source"])
-    q0 = _parse_q0(cfg["q0"], f)
+    f, q0 = _grid_input(cfg)
     p = cfg["p"]
     jn = jnp_dyadic(f, q0, p)
     field = dyadic_maximal(f, q0)
@@ -308,7 +336,7 @@ def _analyze_grid(cfg: dict) -> int:
         "weak_lp": weak_lp(f, q0, p),
         "maximal_sup": field.sup,
     }
-    _dump_json(result, cfg.get("out"))
+    _write(_json(result), cfg.get("out"))
     if cfg.get("curve_out"):
         g = np.abs(f.values - average(f, q0))
         top = float(g.max())
@@ -316,25 +344,23 @@ def _analyze_grid(cfg: dict) -> int:
         rows = ["lambda,measure"]
         rows += [f"{repr(float(l))},{repr(distribution(f, q0, float(l)))}"
                  for l in lams]
-        _dump_lines(rows, cfg["curve_out"])
+        _write(_lines(rows), cfg["curve_out"])
     return 0
 
 
 def _analyze_notlp(cfg: dict) -> int:
-    _check_grid_size(cfg, "notlp")
+    _check_grid_size(cfg, "notlp", one_d=True)
     terms = notlp_terms(cfg["p"], cfg["terms"], cfg["depth"])
     partial = np.cumsum(terms)
     rows = ["j,term,partial"]
     rows += [f"{j},{repr(float(terms[j]))},{repr(float(partial[j]))}"
              for j in range(terms.size)]
-    _dump_lines(rows, cfg.get("out"))
+    _write(_lines(rows), cfg.get("out"))
     return 0
 
 
 def _analyze_space(cfg: dict) -> int:
-    space = _load_space(cfg)
-    f = _load_values(cfg, space)
-    b0 = _parse_ball(cfg["ball"], space)
+    space, f, b0 = _space_input(cfg)
     jn = jnp_metric_lower(space, f, b0, cfg["p"], budget=cfg["budget"])
     mf = hl_maximal_restricted(space, f, b0)
     mask0 = space.members(b0)
@@ -355,7 +381,7 @@ def _analyze_space(cfg: dict) -> int:
         },
         "maximal_sup": float(np.nanmax(mf)),
     }
-    _dump_json(result, cfg.get("out"))
+    _write(_json(result), cfg.get("out"))
     return 0
 
 
@@ -371,21 +397,19 @@ def cmd_analyze(cfg: dict) -> int:
 
 
 def cmd_cz(cfg: dict) -> int:
-    if cfg.get("lam") is None:
-        raise ValueError("cz needs --lam")
-    lam = cfg["lam"]
+    lam = _need_lam(cfg, "cz")
+    csv = cfg["format"] == "csv"
     if cfg.get("source"):
-        f = _grid_from_source(cfg, cfg["source"])
-        q0 = _parse_q0(cfg["q0"], f)
+        f, q0 = _grid_input(cfg)
         cover = cz_decompose_dyadic(f, q0, lam)
-        if cfg["format"] == "csv":
+        if csv:
             rows = ["depth,index,average,measure"]
             rows += ["%d,%s,%s,%s" % (c.depth, ";".join(map(str, c.index)),
                                       repr(float(a)), repr(c.measure))
                      for c, a in zip(cover.cubes, cover.averages)]
-            _dump_lines(rows, cfg.get("out"))
+            text = _lines(rows)
         else:
-            _dump_json({
+            text = _json({
                 "lambda": lam,
                 "q0": _cube_dict(q0),
                 "n_cubes": len(cover.cubes),
@@ -393,23 +417,20 @@ def cmd_cz(cfg: dict) -> int:
                           for c, a in zip(cover.cubes, cover.averages)],
                 "union_measure": cover.union_measure,
                 "residual_measure": cover.residual.measure,
-            }, cfg.get("out"))
-        return 0
-    if cfg.get("space"):
-        space = _load_space(cfg)
-        f = _load_values(cfg, space)
-        b0 = _parse_ball(cfg["ball"], space)
+            })
+    elif cfg.get("space"):
+        space, f, b0 = _space_input(cfg)
         cover = cz_balls(space, f, b0, lam)
-        if cfg["format"] == "csv":
+        if csv:
             rows = ["center,radius,average,average5,measure"]
             rows += ["%d,%s,%s,%s,%s" % (b.center, repr(b.radius),
                                          repr(float(a)), repr(float(a5)),
                                          repr(mu))
                      for b, a, a5, mu in zip(cover.balls, cover.averages,
                                              cover.averages5, cover.measures)]
-            _dump_lines(rows, cfg.get("out"))
+            text = _lines(rows)
         else:
-            _dump_json({
+            text = _json({
                 "lambda": lam,
                 "ball": {"center": b0.center, "radius": b0.radius},
                 "n_balls": len(cover.balls),
@@ -422,61 +443,37 @@ def cmd_cz(cfg: dict) -> int:
                 "total_measure": cover.total_measure,
                 "level_measure": space.measure_mask(cover.level_mask),
                 "truncated": cover.truncated,
-            }, cfg.get("out"))
-        return 0
-    raise ValueError("cz needs a grid source argument or --space")
+            })
+    else:
+        raise ValueError("cz needs a grid source argument or --space")
+    _write(text, cfg.get("out"))
+    return 0
+
+
+# verify claims: name -> (input loader, reports from the options and inputs)
+CLAIMS = {
+    "jn-dyadic": (_grid_input, lambda o, f, q0: verify_jn_dyadic(
+        f, q0, o["p"], n_lambda=o["n_lambda"])),
+    "good-lambda": (_grid_input, lambda o, f, q0: [check_good_lambda_dyadic(
+        f, q0, o["p"], o["b"], _need_lam(o, "verify good-lambda"))]),
+    "mainresult": (_space_input, lambda o, space, f, b0: verify_mainresult(
+        space, f, b0, o["p"], n_lambda=o["n_lambda"])),
+    "bmo": (_space_input, lambda o, space, f, b0: verify_bmo_jn(
+        space, f, b0, n_lambda=o["n_lambda"])),
+    "toiterate": (_space_input, lambda o, space, f, b0: [check_toiterate(
+        space, f, b0, _need_lam(o, "verify toiterate"), o["p"])]),
+}
 
 
 def cmd_verify(cfg: dict) -> int:
     claim = cfg["claim"]
-    if claim in ("jn-dyadic", "good-lambda"):
-        if not cfg.get("source"):
-            raise ValueError(f"verify {claim} needs a grid source argument")
-        f = _grid_from_source(cfg, cfg["source"])
-        q0 = _parse_q0(cfg["q0"], f)
-        if claim == "jn-dyadic":
-            reports = verify_jn_dyadic(f, q0, cfg["p"], n_lambda=cfg["n_lambda"])
-        else:
-            if cfg.get("lam") is None:
-                raise ValueError("verify good-lambda needs --lam")
-            reports = [check_good_lambda_dyadic(f, q0, cfg["p"], cfg.get("b"), cfg["lam"])]
-        return _emit_reports(reports, cfg)
-    space = _load_space(cfg)
-    f = _load_values(cfg, space)
-    b0 = _parse_ball(cfg["ball"], space)
-    if claim == "mainresult":
-        reports = verify_mainresult(space, f, b0, cfg["p"], n_lambda=cfg["n_lambda"])
-    elif claim == "bmo":
-        reports = verify_bmo_jn(space, f, b0, n_lambda=cfg["n_lambda"])
-    elif claim == "toiterate":
-        if cfg.get("lam") is None:
-            raise ValueError("verify toiterate needs --lam")
-        reports = [check_toiterate(space, f, b0, cfg["lam"], cfg["p"])]
-    else:
-        raise ValueError(f"unknown claim {claim!r}")
-    return _emit_reports(reports, cfg)
+    load, run = CLAIMS[claim]
+    if load is _grid_input and not cfg.get("source"):
+        raise ValueError(f"verify {claim} needs a grid source argument")
+    return _emit_reports(run(cfg, *load(cfg)), cfg)
 
 
 # ------------------------------------------------------------------- parser
-
-
-def _add_common(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--seed", type=int)
-    sp.add_argument("--out")
-    sp.add_argument("--format", choices=FORMATS)
-    sp.add_argument("--config")
-    sp.add_argument("--depth", type=int)
-    sp.add_argument("--dim", type=int)
-    sp.add_argument("--p", type=float)
-    sp.add_argument("--m", type=int)
-    sp.add_argument("--side", type=int)
-    sp.add_argument("--value", type=float)
-    sp.add_argument("--anchor", type=int)
-    sp.add_argument("--space", help="space CSV path or space kind")
-    sp.add_argument("--values", help="values CSV path")
-    sp.add_argument("--values-kind", dest="values_kind", choices=VALUE_KINDS)
-    sp.add_argument("--ball", help="B0 as center:radius (radius 'auto' spans the space)")
-    sp.add_argument("--q0", help="dyadic base cube as depth:i0,i1,...")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -484,34 +481,26 @@ def build_parser() -> argparse.ArgumentParser:
         prog="jnlab",
         description="Calderon-Zygmund decompositions and John-Nirenberg checks")
     sub = ap.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("gen", help="generate inputs")
-    sp.add_argument("kind", help="one of: %s; %s; %s" % (
-        ", ".join(GRID_KINDS), ", ".join(SPACE_KINDS), ", ".join(VALUE_KINDS)))
-    _add_common(sp)
-
-    sp = sub.add_parser("analyze", help="compute functionals")
-    sp.add_argument("source", nargs="?",
-                    help="grid CSV path, grid generator name, or 'notlp'")
-    sp.add_argument("--terms", type=int)
-    sp.add_argument("--budget", type=int)
-    sp.add_argument("--curve-out", dest="curve_out",
-                    help="also write the distribution curve CSV here")
-    _add_common(sp)
-
-    sp = sub.add_parser("cz", help="run a decomposition at level --lam")
-    sp.add_argument("source", nargs="?", help="grid CSV path or generator name")
-    sp.add_argument("--lam", type=float)
-    _add_common(sp)
-
-    sp = sub.add_parser("verify", help="run an inequality verifier")
-    sp.add_argument("claim", choices=VERIFY_CLAIMS)
-    sp.add_argument("source", nargs="?", help="grid CSV path or generator name")
-    sp.add_argument("--lam", type=float)
-    sp.add_argument("--b", type=float)
-    sp.add_argument("--n-lambda", dest="n_lambda", type=int)
-    _add_common(sp)
-
+    subs = {
+        "gen": sub.add_parser("gen", help="generate inputs"),
+        "analyze": sub.add_parser("analyze", help="compute functionals"),
+        "cz": sub.add_parser("cz", help="run a decomposition at level --lam"),
+        "verify": sub.add_parser("verify", help="run an inequality verifier"),
+    }
+    subs["gen"].add_argument("kind", help="one of: %s; %s; %s" % (
+        ", ".join(GRIDS), ", ".join(SPACES), ", ".join(VALUES)))
+    subs["analyze"].add_argument("source", nargs="?",
+                                 help="grid CSV path, grid generator name, or 'notlp'")
+    subs["cz"].add_argument("source", nargs="?", help="grid CSV path or generator name")
+    subs["verify"].add_argument("claim", choices=tuple(CLAIMS))
+    subs["verify"].add_argument("source", nargs="?", help="grid CSV path or generator name")
+    # values stay strings here: Option.parse and Option.check read flags
+    # and config values alike, so a bad value is one line by either route
+    for opt in OPTIONS.values():
+        metavar = "{%s}" % ",".join(opt.choices) if opt.choices else None
+        for command in opt.commands or subs:
+            subs[command].add_argument(opt.flag, dest=opt.name, metavar=metavar,
+                                       help=opt.help)
     return ap
 
 

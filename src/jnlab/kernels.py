@@ -21,14 +21,12 @@ Level ``k`` holds the ``A**k`` depth-k values in depth-first
 (bit-interleaved) order, so each node's descendants at any level form a
 contiguous block, and a subtree's pyramid is a sequence of slices.
 
-Of the metric kernels, ``ball_tables`` gives the per-center prefix sums
-of weight and weighted values along the distance order, which is all the
-maximal functions and witness tables need.  ``osc_entries`` sums the
-weighted oscillation of only the requested (center, prefix) entries: the
-BMO norm bounds every realized ball first and sums exactly only the few
-that can attain the supremum, so no O(m^3) table is built.  Both sum
-left to right along each center's order, so their entries are bitwise
-those of the direct per-center loops.
+The metric kernel ``osc_entries`` sums the weighted oscillation of only
+the requested (center, prefix) entries: the BMO norm bounds every
+realized ball first and sums exactly only the few that can attain the
+supremum, so no O(m^3) table is built.  It sums left to right along each
+center's distance order, so its entries are bitwise those of the direct
+per-center loops.
 """
 
 from __future__ import annotations
@@ -36,7 +34,6 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
-    "ball_tables",
     "build_pyramid",
     "dp_sweep",
     "maximal_sweep",
@@ -128,26 +125,7 @@ def dp_sweep(terms, nbits: int) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarra
     return tuple(reversed(values)), tuple(reversed(splits))
 
 
-# ---------------------------------------------------------------- ball tables
-
-
-def ball_tables(orders: np.ndarray, w: np.ndarray,
-                f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Prefix sums over distance-sorted points, one row per center.
-
-    Returns (wcum, fcum): cumulative weight and cumulative weighted f along
-    each row of `orders`, summed left to right, so entry [c, k] covers the
-    first k+1 points in center c's distance order.
-    """
-    orders = np.ascontiguousarray(orders, dtype=np.int64)
-    w = np.ascontiguousarray(w, dtype=np.float64)
-    f = np.ascontiguousarray(f, dtype=np.float64)
-    wcum = w[orders]
-    fcum = f[orders]
-    fcum *= wcum
-    np.cumsum(fcum, axis=1, out=fcum)
-    np.cumsum(wcum, axis=1, out=wcum)
-    return wcum, fcum
+# ------------------------------------------------------------ metric entries
 
 
 def osc_entries(orders: np.ndarray, w: np.ndarray, f: np.ndarray, rows: np.ndarray,

@@ -333,9 +333,7 @@ def _witness_arrays(space: MetricMeasureSpace, g: np.ndarray, mask0: np.ndarray)
     centers = np.full(m, -1, dtype=np.int64)
     cent = np.flatnonzero(mask0)
     orders, sd = space.orders[cent], space.sorted_d[cent]
-    wcum, fcum = kernels.ball_tables(orders, space.w, g)
-    avg = np.divide(fcum, wcum, out=fcum)
-    del wcum
+    avg = _prefix_means(space, g, cent)
     allowed = np.logical_and.accumulate(mask0[orders], axis=1)
     allowed &= _tie_group_ends(sd)
     avg[~allowed] = -np.inf
@@ -384,15 +382,16 @@ _EPS = 2.0**-52
 _OSC_NODES = 8  # quantiles of f that serve as nodes of the oscillation bound
 
 
-def _prefix_means(space: MetricMeasureSpace, v: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    """fl(F / W) at every sorted position of centers lo..hi-1: the
-    weighted mean of each prefix of their distance orders, bitwise as
-    `kernels.ball_tables` sums F and W."""
-    o = space.orders[lo:hi]
+def _prefix_means(space: MetricMeasureSpace, v: np.ndarray, rows) -> np.ndarray:
+    """fl(F / W) at every sorted position of the centers `rows` (a slice
+    or an index array): the weighted mean of each prefix of their
+    distance orders, with F the sum of w v and W that of w (`space.wcum`),
+    both summed left to right."""
+    o = space.orders[rows]
     fcum = v[o]
     fcum *= space.w[o]
     np.cumsum(fcum, axis=1, out=fcum)
-    return np.divide(fcum, space.wcum[lo:hi], out=fcum)
+    return np.divide(fcum, space.wcum[rows], out=fcum)
 
 
 def _osc_nodes(v: np.ndarray) -> np.ndarray:
@@ -410,10 +409,10 @@ def _osc_bounds(space: MetricMeasureSpace, lo: int, hi: int, v: np.ndarray,
     """Into `out`: for centers lo..hi-1 and every sorted position, a bound
     on the computed mean oscillation of the ball ending there, -inf where
     no realized ball ends (see `bmo_norm_metric`).  Returns the prefix
-    means, `_prefix_means(space, v, lo, hi)`.  `buf` is scratch of at
-    least m * t.size * (hi - lo) elements."""
+    means, `_prefix_means(space, v, slice(lo, hi))`.  `buf` is scratch of
+    at least m * t.size * (hi - lo) elements."""
     o, wcum = space.orders[lo:hi], space.wcum[lo:hi]
-    a = _prefix_means(space, v, lo, hi)
+    a = _prefix_means(space, v, slice(lo, hi))
     # at[k, b, c] = T(t_b) over the first k+1 points of center lo+c:
     # position-major, so that each step adds whole rows
     at = buf[:space.m * t.size * (hi - lo)].reshape(space.m, t.size, hi - lo)
@@ -526,7 +525,7 @@ def bmo_norm_metric(space: MetricMeasureSpace, f) -> float:
         if r.size:
             cand_c.append(r + lo)
             cand_k.append(k)
-            cand_avg.append(_prefix_means(space, v, lo, hi)[r, k])
+            cand_avg.append(_prefix_means(space, v, slice(lo, hi))[r, k])
     del ub
     if cand_c:
         cand_c, cand_k = np.concatenate(cand_c), np.concatenate(cand_k)
@@ -607,6 +606,14 @@ def _jn_term(space: MetricMeasureSpace, v: np.ndarray, mask: np.ndarray,
     except OverflowError:
         term = math.inf
     return _check_jn_value(term, p)
+
+
+def _family_jn_sum(space: MetricMeasureSpace, v: np.ndarray, balls, p: float) -> float:
+    """sum mu(B) osc_B(v)^p over a family, left to right."""
+    total = 0.0
+    for b in balls:
+        total += _jn_term(space, v, space.members(b), p)
+    return total
 
 
 def _bits(mask: np.ndarray) -> int:
@@ -698,8 +705,7 @@ def jnp_metric_lower(space: MetricMeasureSpace, f, b0: Ball, p: float,
                    if radii[i] * 5.0 <= reach[centers[i]]]
             if dil:
                 evals += 1
-                consider(float(sum(_jn_term(space, v, space.members(b), p) for b in dil)),
-                         (), tuple(dil))
+                consider(_family_jn_sum(space, v, dil, p), (), tuple(dil))
 
         # 3. steepest ascent (runs when the incumbent is a pool family)
         if best_idx and evals < budget:

@@ -27,8 +27,8 @@ import numpy as np
 
 from .constants import g_factor, theorem_constants
 from .errors import InvariantViolation, PreconditionError, _check_n_lambda
-from .metric import (Ball, MetricMeasureSpace, _first_overlap, _jn_term,
-                     _witness_arrays, bmo_norm_metric, doubling_constant,
+from .metric import (Ball, MetricMeasureSpace, _family_jn_sum, _first_overlap,
+                     _jn_term, _witness_arrays, bmo_norm_metric, doubling_constant,
                      vitali_subcover)
 from .report import CheckReport, degenerate_report
 
@@ -63,7 +63,8 @@ class WitnessTable:
 def compute_witness(space: MetricMeasureSpace, f: np.ndarray, b0: Ball) -> WitnessTable:
     """Deterministic witness assignment: maximize the ball f-average,
     break ties by smaller radius, then smaller center index."""
-    values, radii, centers = _witness_arrays(space, f, space.members(b0))
+    values, radii, centers = _witness_arrays(space, space.check_values(f),
+                                             space.members(b0))
     balls = [None if c < 0 else Ball(c, r)
              for c, r in zip(centers.tolist(), radii.tolist())]
     return WitnessTable(b0=b0, balls=balls, values=values)
@@ -265,15 +266,6 @@ def nested_cz(space: MetricMeasureSpace, f, b0: Ball, levels,
 
 
 # ------------------------------------------------------------------ checks
-
-
-def _family_jn_sum(space: MetricMeasureSpace, f_signed: np.ndarray,
-                   balls, p: float) -> float:
-    """sum mu(B) osc(B)^p over a family (osc of the signed function)."""
-    total = 0.0
-    for b in balls:
-        total += _jn_term(space, f_signed, space.members(b), p)
-    return total
 
 
 def check_toiterate(space: MetricMeasureSpace, f, b0: Ball, lam: float,

@@ -18,6 +18,7 @@ __all__ = [
     "PASS_SLACK",
     "all_pass",
     "degenerate_report",
+    "reports_to_csv",
     "reports_to_json",
     "write_reports_csv",
     "write_reports_json",
@@ -98,10 +99,15 @@ def write_reports_json(reports, path) -> None:
         fh.write(reports_to_json(reports))
 
 
-def write_reports_csv(reports, path) -> None:
+def reports_to_csv(reports) -> str:
     """lambda,lhs,rhs rows (full-precision floats), one line per report."""
+    rows = ["lambda,lhs,rhs\n"]
+    for r in reports:
+        lam = "" if r.lam is None else repr(float(r.lam))
+        rows.append(f"{lam},{repr(float(r.lhs))},{repr(float(r.rhs))}\n")
+    return "".join(rows)
+
+
+def write_reports_csv(reports, path) -> None:
     with open(path, "w", encoding="ascii") as fh:
-        fh.write("lambda,lhs,rhs\n")
-        for r in reports:
-            lam = "" if r.lam is None else repr(float(r.lam))
-            fh.write(f"{lam},{repr(float(r.lhs))},{repr(float(r.rhs))}\n")
+        fh.write(reports_to_csv(reports))

@@ -1,3 +1,4 @@
+import argparse
 import json
 import subprocess
 import sys
@@ -5,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from jnlab.cli import _emit_reports, load_config, main
+from jnlab.cli import _emit_reports, _resolve, build_parser, load_config, main
 from jnlab.metric import space_from_points, space_to_csv, values_to_csv
 from jnlab.report import CheckReport
 
@@ -235,6 +236,22 @@ def test_verify_csv_format(tmp_path):
     assert out.read_text().splitlines()[0] == "lambda,lhs,rhs"
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("argv", [
+    ("verify", "jn-dyadic", "step", "--depth", "3", "--n-lambda", "2"),
+    ("verify", "bmo", "--space", "line", "--m", "8", "--n-lambda", "3"),
+    ("cz", "step", "--depth", "3", "--lam", "0.6"),
+    ("cz", "--space", "grid2d", "--side", "3", "--values-kind", "distance", "--lam", "3.0"),
+])
+def test_stdout_is_the_out_file(argv, fmt, tmp_path, capsys):
+    # verify used to print JSON to stdout whatever --format said
+    out = tmp_path / "o"
+    assert run(*argv, "--format", fmt, "--out", str(out)) == 0
+    assert capsys.readouterr().out == ""
+    assert run(*argv, "--format", fmt) == 0
+    assert capsys.readouterr().out == out.read_text()
+
+
 def test_verify_toiterate_requires_lam():
     assert run("verify", "toiterate", "--space", "line", "--m", "10",
                "--values-kind", "log-distance") == 2
@@ -445,4 +462,76 @@ def test_config_choices_exit_2(tmp_path, line, option, capsys):
     assert run("verify", "jn-dyadic", "step", "--depth", "4", "--out", str(out),
                "--config", str(conf)) == 2
     assert option in one_line_error(capsys)
+    assert not out.exists()
+
+
+# ------------------------------------------------ flags and config files
+
+# option -> (a good value, its typed form, bad values: wrong type, out of
+# range, not finite or outside the choices)
+SAMPLES = {
+    "terms": ("3", 3, ["1.5"]),
+    "budget": ("3", 3, ["x", "0"]),
+    "curve_out": ("c.csv", "c.csv", []),
+    "lam": ("0.75", 0.75, ["x", "nan"]),
+    "b": ("0.75", 0.75, ["x", "inf"]),
+    "n_lambda": ("3", 3, ["3.0", "0"]),
+    "seed": ("3", 3, ["x"]),
+    "out": ("o.json", "o.json", []),
+    "format": ("csv", "csv", ["xml"]),
+    "depth": ("3", 3, ["x", "-1"]),
+    "dim": ("2", 2, ["1.0"]),
+    "p": ("1.5", 1.5, ["x", "nan"]),
+    "m": ("5", 5, ["x", "0"]),
+    "side": ("5", 5, ["x", "0"]),
+    "value": ("0.75", 0.75, ["x"]),
+    "anchor": ("3", 3, ["x"]),
+    "space": ("line", "line", []),
+    "values": ("v.csv", "v.csv", []),
+    "values_kind": ("distance", "distance", ["nope"]),
+    "ball": ("1:2.5", "1:2.5", []),
+    "q0": ("1:1", "1:1", []),
+}
+POSITIONALS = {"gen": ["constant"], "analyze": [], "cz": [], "verify": ["bmo"]}
+
+
+def subcommand_options():
+    """(subcommand, option dest) for every option of every subcommand but
+    --config, which names the config file itself."""
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return [(cmd, a.dest) for cmd, sp in sub.choices.items() for a in sp._actions
+            if a.option_strings and a.dest not in ("help", "config")]
+
+
+def test_samples_cover_every_option():
+    assert {name for _, name in subcommand_options()} == set(SAMPLES)
+
+
+def flag(name):
+    return "--" + name.replace("_", "-")
+
+
+@pytest.mark.parametrize("cmd,name", subcommand_options())
+def test_flag_and_config_key_resolve_alike(cmd, name, tmp_path):
+    text, typed, _ = SAMPLES[name]
+    conf = tmp_path / "c.txt"
+    conf.write_text(f"{name} = {text}\n")
+    parser = build_parser()
+    by_flag = _resolve(parser.parse_args([cmd, *POSITIONALS[cmd], flag(name), text]))
+    by_key = _resolve(parser.parse_args([cmd, *POSITIONALS[cmd], "--config", str(conf)]))
+    assert by_flag[name] == by_key[name] == typed
+    assert type(by_flag[name]) is type(by_key[name]) is type(typed)
+
+
+@pytest.mark.parametrize("cmd,name,bad", [(cmd, name, bad) for cmd, name in subcommand_options()
+                                          for bad in SAMPLES[name][2]])
+def test_bad_value_exit_2_by_flag_and_by_config(cmd, name, bad, tmp_path, capsys):
+    out = tmp_path / "o"
+    assert run(cmd, *POSITIONALS[cmd], flag(name), bad, "--out", str(out)) == 2
+    assert flag(name) in one_line_error(capsys)
+    conf = tmp_path / "c.txt"
+    conf.write_text(f"{name} = {bad}\n")
+    assert run(cmd, *POSITIONALS[cmd], "--config", str(conf), "--out", str(out)) == 2
+    assert flag(name) in one_line_error(capsys)
     assert not out.exists()

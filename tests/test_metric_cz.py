@@ -87,6 +87,17 @@ def test_witness_matches_restricted_maximal():
             assert np.isclose(table.values[x], mf[x], rtol=1e-12, atol=0)
 
 
+def test_witness_takes_any_numeric_values():
+    # integer values and lists are read as float64, as the other maximal
+    # functions read them
+    s = gen_random_cloud(12, 3)
+    ints = np.random.default_rng(3).integers(0, 5, s.m)
+    want = compute_witness(s, ints.astype(float), spanning_ball(s))
+    for f in (ints, ints.tolist()):
+        got = compute_witness(s, f, spanning_ball(s))
+        assert got.balls == want.balls and np.array_equal(got.values, want.values)
+
+
 def test_witness_prefers_smaller_balls_on_ties():
     # constant function: every ball has the same average; the witness must
     # be the singleton at the point, by the radius-then-center tie rule

@@ -14,7 +14,7 @@ from jnlab.errors import MetricAxiomError
 from jnlab.generators import (f_distance, f_log_distance, f_random, gen_grid2d, gen_line,
                               gen_random_cloud, gen_tree_graph)
 from jnlab.metric import (Ball, MetricMeasureSpace, _first_overlap, _osc_bounds, _osc_nodes,
-                          _validate_metric, bmo_norm_metric, check_admissible,
+                          _prefix_means, _validate_metric, bmo_norm_metric, check_admissible,
                           doubling_constant, global_maximal, hl_maximal_restricted,
                           jnp_metric_lower, space_from_points, vitali_subcover)
 from jnlab.metric_cz import compute_witness, nested_cz
@@ -62,9 +62,12 @@ def value_sets(space, seed):
 
 
 def osc_means(space, f):
-    """The prefix means fl(F / W) that every oscillation entry is about."""
-    wcum, fcum = kernels.ball_tables(space.orders, space.w, f)
-    return fcum / wcum
+    """The prefix means fl(F / W) that every oscillation entry is about,
+    checked against the oracle's tables."""
+    wcum, fcum, _ = oracle.ball_tables(space.orders, space.w, f)
+    means = _prefix_means(space, f, slice(None))
+    assert np.array_equal(space.wcum, wcum) and np.array_equal(means, fcum / wcum)
+    return means
 
 
 def osc_at_every_entry(space, f):
@@ -78,9 +81,10 @@ def osc_at_every_entry(space, f):
 def assert_path_matches(space, f):
     g = np.abs(f)
     wc, fc, osc = oracle.ball_tables(space.orders, space.w, f)
-    got_wc, got_fc = kernels.ball_tables(space.orders, space.w, f)
-    assert np.array_equal(got_wc, wc) and np.array_equal(got_wc, space.wcum)
-    assert np.array_equal(got_fc, fc)
+    assert np.array_equal(space.wcum, wc)
+    assert np.array_equal(_prefix_means(space, f, slice(None)), fc / wc)
+    rows = np.arange(space.m)[::-2]  # an index array, as the witness tables pass
+    assert np.array_equal(_prefix_means(space, f, rows), (fc / wc)[rows])
     for c in range(space.m):
         assert np.array_equal(space.critical_radii(c), oracle.critical_radii(space, c))
     assert np.array_equal(osc_at_every_entry(space, f), osc)
