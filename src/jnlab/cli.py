@@ -207,14 +207,18 @@ def _read_csv(reader, path: str):
         raise ValueError(f"{path}: {exc}") from None
 
 
+def _generate_grid(cfg: dict, name: str) -> GridFunction:
+    one_d, build = GRIDS[name]
+    _check_grid_size(cfg, name, one_d)
+    return build(cfg)
+
+
 def _grid_from_source(cfg: dict, source: str) -> GridFunction:
     if os.path.exists(source):
         return _read_csv(GridFunction.from_csv, source)
     if source not in GRIDS:
         raise ValueError(f"unknown grid source {source!r} (not a file, not a generator)")
-    one_d, build = GRIDS[source]
-    _check_grid_size(cfg, source, one_d)
-    return build(cfg)
+    return _generate_grid(cfg, source)
 
 
 def _load_space(cfg: dict):
@@ -233,11 +237,12 @@ def _grid_input(cfg: dict) -> tuple[GridFunction, DyadicCube]:
     2, index (1,3))."""
     f = _grid_from_source(cfg, cfg["source"])
     head, _, tail = cfg["q0"].partition(":")
-    depth = int(head)
-    if tail:
-        index = tuple(int(t) for t in tail.split(","))
-    else:
-        index = (0,) * f.dim
+    try:
+        depth = int(head)
+        index = tuple(int(t) for t in tail.split(",")) if tail else (0,) * f.dim
+    except ValueError:
+        raise ValueError(f"--q0 must be depth or depth:i0,i1,... in integers, "
+                         f"got {cfg['q0']!r}") from None
     return f, DyadicCube(f.root, depth, index)
 
 
@@ -253,13 +258,16 @@ def _space_input(cfg: dict) -> tuple:
     else:
         f = VALUES[kind or "log-distance"](cfg, space)
     head, _, tail = cfg["ball"].partition(":")
-    center = int(head)
+    try:
+        center = int(head)
+        radius = None if tail in ("", "auto") else float(tail)
+    except ValueError:
+        raise ValueError(f"--ball must be center:radius with an integer center and a "
+                         f"number or 'auto' for radius, got {cfg['ball']!r}") from None
     if center < 0 or center >= space.m:
         raise ValueError(f"ball center {center} out of range for m={space.m}")
-    if not tail or tail == "auto":
+    if radius is None:
         radius = 1.5 * float(np.max(space.d[center])) + 1.0
-    else:
-        radius = float(tail)
     return space, f, Ball(center, radius)
 
 
@@ -308,7 +316,7 @@ def cmd_gen(cfg: dict) -> int:
     if not out:
         raise ValueError("gen needs --out")
     if kind in GRIDS:
-        _grid_from_source(cfg, kind).to_csv(out)
+        _generate_grid(cfg, kind).to_csv(out)
     elif kind in SPACES:
         space_to_csv(SPACES[kind](cfg), out)
     elif kind in VALUES:
@@ -506,10 +514,34 @@ def build_parser() -> argparse.ArgumentParser:
 
 _COMMANDS = {"gen": cmd_gen, "analyze": cmd_analyze, "cz": cmd_cz,
              "verify": cmd_verify}
+_FLAGS = {opt.flag for opt in OPTIONS.values()}
+
+
+def _is_number(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
+def _attach_signed_values(argv: list[str]) -> list[str]:
+    """``--lam -1e3`` as ``--lam=-1e3``.  argparse takes a token that starts
+    with '-' for a flag unless it is a plain decimal, so "-1e3" and "-inf"
+    would stop at its usage block instead of reaching Option.parse and
+    Option.check like every other value."""
+    out = []
+    for tok in argv:
+        if out and out[-1] in _FLAGS and tok.startswith("-") and _is_number(tok):
+            out[-1] += "=" + tok
+        else:
+            out.append(tok)
+    return out
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser().parse_args(_attach_signed_values(argv))
     try:
         cfg = _resolve(args)
         return _COMMANDS[args.command](cfg)

@@ -56,6 +56,11 @@ class Ball:
         return Ball(self.center, self.radius * factor)
 
 
+# the triangle check's block of (rows, columns); its sums fill a
+# rows x columns x m buffer, 600 KB at m = 600
+_TRIANGLE_TILE = (8, 16)
+
+
 def _validate_metric(d: np.ndarray, w: np.ndarray) -> None:
     m = d.shape[0]
     if d.shape != (m, m):
@@ -74,40 +79,51 @@ def _validate_metric(d: np.ndarray, w: np.ndarray) -> None:
     if np.any(np.diag(d) != 0.0):
         i = int(np.flatnonzero(np.diag(d) != 0.0)[0])
         raise MetricAxiomError("nonzero diagonal distance", witness=(i, float(d[i, i])))
-    off = d + np.eye(m)  # lift the diagonal so only off-diagonal zeros trip
-    if np.any(off <= 0):
-        i, j = np.argwhere(off <= 0)[0]
+    apart = d > 0
+    np.fill_diagonal(apart, True)
+    if not apart.all():
+        i, j = np.argwhere(~apart)[0]
         raise MetricAxiomError("distinct points at distance <= 0",
                                witness=(int(i), int(j), float(d[i, j])))
     scale = float(d.max()) if m > 1 else 1.0
-    asym = np.abs(d - d.T)
-    if float(asym.max(initial=0.0)) > 1e-12 * max(1.0, scale):
+    tol = 1e-12 * max(1.0, scale)
+    asym = np.subtract(d, d.T)
+    np.abs(asym, out=asym)
+    if float(asym.max(initial=0.0)) > tol:
         i, j = np.argwhere(asym == asym.max())[0]
         raise MetricAxiomError("asymmetric distances",
                                witness=(int(i), int(j), float(d[i, j]), float(d[j, i])))
-    tol = 1e-12 * max(1.0, scale)
-    # one min-plus pass per row tile: best[i, j] = min_k fl(d_ik + d_kj).
-    # fl(d_ij - x) is monotone in x, so max_k fl(d_ij - fl(d_ik + d_kj))
-    # equals fl(d_ij - best[i, j]) and the verdict is the per-k loop's.
-    rows = max(16, 2**14 // max(m, 1))
-    best = np.empty((min(rows, m), m))
-    via = np.empty_like(best)
+    # min-plus on contiguous blocks: best[i, j] = min_k fl(d_ik + dT_jk),
+    # the per-k loop's sums with dT_jk = d_kj.  fl(d_ij - x) is monotone in
+    # x, so max_k fl(d_ij - fl(d_ik + d_kj)) = fl(d_ij - best[i, j]) and the
+    # verdict is the per-k loop's.  A bitwise symmetric d is its own dT, and
+    # a violation at (i, j) has an equal mirror at (j, i), so a row block
+    # needs only the columns j >= its first row.
+    sym = not asym.any()
+    del asym  # keep one m x m temporary alive at a time
+    dT = d if sym else np.ascontiguousarray(d.T)
+    rows, cols = _TRIANGLE_TILE
+    buf = np.empty((min(rows, m), min(cols, m), m))
+    best = np.empty((buf.shape[0], m))
+    worst, at = tol, None  # the worst violation, first in row-major order
     for lo in range(0, m, rows):
-        blk = d[lo:lo + rows]
-        b, v = best[:blk.shape[0]], via[:blk.shape[0]]
-        np.add(blk[:, 0, None], d[0], out=b)
-        for k in range(1, m):
-            np.add(blk[:, k, None], d[k], out=v)
-            np.minimum(b, v, out=b)
-        bad = np.subtract(blk, b, out=b)
-        if float(bad.max()) > tol:
-            i, j = divmod(int(np.argmax(bad)), m)
-            i += lo
-            k = int(np.argmin(d[i] + d[:, j]))
-            raise MetricAxiomError(
-                "triangle inequality fails",
-                witness=(i, j, k, float(d[i, j]), float(d[i, k] + d[k, j])),
-            )
+        hi = min(lo + rows, m)
+        j0 = lo if sym else 0
+        for c in range(j0, m, cols):
+            t = buf[:hi - lo, :min(cols, m - c)]
+            np.add(d[lo:hi, None], dT[None, c:c + cols], out=t)
+            np.minimum.reduce(t, axis=2, out=best[:hi - lo, c:c + cols])
+        bad = np.subtract(d[lo:hi, j0:], best[:hi - lo, j0:], out=best[:hi - lo, j0:])
+        i, j = np.unravel_index(np.argmax(bad), bad.shape)
+        if bad[i, j] > worst:
+            worst, at = float(bad[i, j]), (lo + int(i), j0 + int(j))
+    if at is not None:
+        i, j = at
+        k = int(np.argmin(d[i] + d[:, j]))
+        raise MetricAxiomError(
+            "triangle inequality fails",
+            witness=(i, j, k, float(d[i, j]), float(d[i, k] + d[k, j])),
+        )
     with np.errstate(over="ignore"):  # the same sum as `total_measure`
         total = float(np.sum(w))
     if not math.isfinite(total):

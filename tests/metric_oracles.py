@@ -9,8 +9,9 @@ member-mask loops behind the Vitali, admissibility, CZ-cover and nested-
 cover checks, the JN_p search that scanned its chosen balls one by one
 for a clash, the tree generator's per-pair lowest-common-ancestor
 loop, and the triangle check's full m x m pass per intermediate point.
-Tests compare the package against them bitwise, and the triangle check
-by its accept/reject verdict.
+Tests compare the package against them bitwise.  The triangle check is
+compared by its accept/reject verdict, and a rejection's (i, j) against
+the whole matrix's worst violation.
 """
 
 from __future__ import annotations
@@ -38,9 +39,9 @@ def ball_tables(orders, w, f):
 
 
 def triangle_check(d):
-    """The triangle inequality on a square, symmetric, finite matrix with
-    zero diagonal: for each k, one full m x m add, subtract and max against
-    the tolerance 1e-12 * max(1, max d)."""
+    """The triangle inequality on a square, finite matrix with zero diagonal,
+    symmetric within the tolerance: for each k, one full m x m add, subtract
+    and max against the tolerance 1e-12 * max(1, max d)."""
     m = d.shape[0]
     scale = float(d.max()) if m > 1 else 1.0
     tol = 1e-12 * max(1.0, scale)
@@ -54,6 +55,17 @@ def triangle_check(d):
                 "triangle inequality fails",
                 witness=(int(i), int(j), int(k), float(d[i, j]), float(via[i, j])),
             )
+
+
+def worst_triangle_violation(d):
+    """(i, j) of the largest d_ij - min_k fl(d_ik + d_kj) over the whole
+    matrix, the first in row-major order on ties."""
+    best, via = np.full(d.shape, np.inf), np.empty(d.shape)
+    for k in range(d.shape[0]):
+        np.add(d[:, k][:, None], d[k, :][None, :], out=via)
+        np.minimum(best, via, out=best)
+    i, j = np.unravel_index(np.argmax(d - best), d.shape)
+    return int(i), int(j)
 
 
 def critical_radii(space, c):

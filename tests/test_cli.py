@@ -46,6 +46,17 @@ def test_gen_unknown_kind(tmp_path):
     assert run("gen", "sawtooth", "--out", str(tmp_path / "x.csv")) == 2
 
 
+def test_gen_ignores_a_same_named_file(tmp_path, monkeypatch):
+    # gen builds a grid generator's output, whatever files the directory holds
+    from jnlab.generators import gen_constant, gen_step
+
+    monkeypatch.chdir(tmp_path)
+    gen_constant(1, 2, 5.0).to_csv("step")
+    gen_step(1, 3).to_csv("want.csv")
+    assert run("gen", "step", "--depth", "3", "--out", "got.csv") == 0
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
 def test_config_precedence(tmp_path):
     conf = tmp_path / "c.txt"
     conf.write_text("depth = 3\nseed = 9\n# comment\ndim = 1\n")
@@ -291,6 +302,10 @@ def one_line_error(capsys):
     ("verify", "toiterate", "--space", "grid2d", "--side", "4", "--lam", "inf"),
     ("verify", "mainresult", "--space", "line", "--m", "8", "--p", "nan"),
     ("verify", "good-lambda", "step", "--depth", "4", "--lam", "1", "--b", "nan"),
+    # argparse would take these for flags, not values
+    ("verify", "toiterate", "--space", "line", "--m", "9", "--lam", "-1e3"),
+    ("verify", "toiterate", "--space", "line", "--m", "9", "--lam", "-inf"),
+    ("verify", "toiterate", "--space", "line", "--m", "9", "--lam", "-1.5e-3"),
 ])
 def test_bad_numbers_exit_2(argv, capsys):
     assert run(*argv) == 2
@@ -346,6 +361,11 @@ def test_internal_error_exit_3(monkeypatch, capsys):
     (("analyze", "--space", "line", "--m", "5", "--anchor", "-1"), "anchor"),
     (("analyze", "--space", "line", "--m", "5", "--budget", "-3"), "--budget"),
     (("analyze", "--space", "line", "--m", "5", "--budget", "0"), "--budget"),
+    # malformed specs
+    (("analyze", "step", "--q0", "a"), "--q0"),
+    (("cz", "step", "--lam", "1", "--q0", "1:0,"), "--q0"),
+    (("analyze", "--space", "line", "--m", "5", "--ball", "0:abc"), "--ball"),
+    (("analyze", "--space", "line", "--m", "5", "--ball", "x:1"), "--ball"),
 ])
 def test_out_of_range_option_exit_2(argv, option, capsys):
     assert run(*argv) == 2

@@ -13,10 +13,11 @@ from jnlab import kernels
 from jnlab.errors import MetricAxiomError
 from jnlab.generators import (f_distance, f_log_distance, f_random, gen_grid2d, gen_line,
                               gen_random_cloud, gen_tree_graph)
-from jnlab.metric import (Ball, MetricMeasureSpace, _first_overlap, _osc_bounds, _osc_nodes,
-                          _prefix_means, _validate_metric, bmo_norm_metric, check_admissible,
-                          doubling_constant, global_maximal, hl_maximal_restricted,
-                          jnp_metric_lower, space_from_points, vitali_subcover)
+from jnlab.metric import (_TRIANGLE_TILE, Ball, MetricMeasureSpace, _first_overlap,
+                          _osc_bounds, _osc_nodes, _prefix_means, _validate_metric,
+                          bmo_norm_metric, check_admissible, doubling_constant, global_maximal,
+                          hl_maximal_restricted, jnp_metric_lower, space_from_points,
+                          vitali_subcover)
 from jnlab.metric_cz import compute_witness, nested_cz
 
 SEEDS = range(10)
@@ -359,9 +360,10 @@ def triangle_verdict(check, d):
 
 
 def assert_same_triangle_verdict(d):
-    """The tiled check and the per-k loop agree; a rejection names a triple
-    that really violates the inequality beyond the tolerance.  Returns
-    the tiled check's error, or None when both accept."""
+    """The blocked check and the per-k loop agree; a rejection names the
+    whole matrix's worst violation and a triple that really violates the
+    inequality beyond the tolerance.  Returns the blocked check's error, or
+    None when both accept."""
     got = triangle_verdict(lambda x: _validate_metric(x, np.ones(x.shape[0])), d)
     want = triangle_verdict(oracle.triangle_check, d)
     assert (got is None) == (want is None)
@@ -369,6 +371,7 @@ def assert_same_triangle_verdict(d):
         return None
     assert str(got).startswith("triangle inequality fails")
     i, j, k, dij, via = got.witness
+    assert (i, j) == oracle.worst_triangle_violation(d)
     assert dij == d[i, j] and via == d[i, k] + d[k, j]
     assert dij - via > 1e-12 * max(1.0, float(d.max()))
     return got
@@ -405,15 +408,44 @@ def test_triangle_check_matches_per_k_loop():
     assert 500 < rejected < 2500
 
 
+@pytest.mark.parametrize("frac", [0.25, 0.5])
+def test_triangle_check_matches_per_k_loop_near_symmetric(frac):
+    # d_ij raised by frac * tol on one side only: symmetric within the
+    # tolerance but not bitwise, so the check reads every column
+    rng = np.random.default_rng(int(4 * frac))
+    rejected = 0
+    for _ in range(600):
+        m = int(rng.integers(2, 71))
+        d = lattice_metric(rng, m, int(rng.choice([1, 2])))
+        d *= 2.0 ** int(rng.integers(-8, 9))
+        eps = rng.choice([0.0, 1e-13, 1e-12, 2e-12, 1e-9, 0.1])
+        i, j = rng.choice(m, size=2, replace=False)
+        step = eps * float(d.max()) * rng.choice([-1.0, 1.0])
+        if d[i, j] + step > 0:
+            d[i, j] = d[j, i] = d[i, j] + step
+        i, j = rng.choice(m, size=2, replace=False)
+        d[i, j] += frac * 1e-12 * max(1.0, float(d.max()))
+        assert d[i, j] != d[j, i]
+        rejected += assert_same_triangle_verdict(d) is not None
+    assert 100 < rejected < 500
+
+
 @pytest.mark.parametrize("m", [200, 1030])
 def test_triangle_violation_in_last_partial_tile(m):
-    # the check tiles rows by max(16, 2**14 // m): 81 + 81 + 38 rows at
-    # m = 200, and 64 tiles of 16 then 6 rows at m = 1030
-    rows = max(16, 2**14 // m)
-    last = m - m % rows
-    assert 0 < m - last < rows
+    # the worst violation at (lo, m - 1) and its mirror, with lo the first
+    # row of the last row block: at m = 1030 that block has 6 of its 8 rows.
+    # Bitwise symmetric, the block reads columns lo..m-1 only; symmetric
+    # within the tolerance, it reads every column, and column m - 1 lies
+    # in the last block of 8 (m = 200) or 6 (m = 1030) of 16 columns.  A
+    # smaller violation at (0, 1) sits in the first block
+    rows, cols = _TRIANGLE_TILE
+    lo = (m - 1) // rows * rows
+    assert 0 < m % cols < cols and 0 < m - lo < cols
     rng = np.random.default_rng(m)
     d = lattice_metric(rng, m, 2)
-    i, j = last + 1, m - 1
-    d[i, j] = d[j, i] = 2.5 * float(d.max())  # only rows i and j see it
-    assert assert_same_triangle_verdict(d).witness[0] in (i, j)
+    top = float(d.max())
+    d[0, 1] = d[1, 0] = 1.5 * top  # violated by at most 1.5 * top
+    d[lo, m - 1] = d[m - 1, lo] = 4.0 * top  # by at least 2 * top
+    assert assert_same_triangle_verdict(d).witness[:2] == (lo, m - 1)
+    d[2, 3] += 0.5e-12 * float(d.max())
+    assert assert_same_triangle_verdict(d).witness[:2] == (lo, m - 1)
