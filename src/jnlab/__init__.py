@@ -12,8 +12,8 @@ from .dyadic_cz import (MaximalField, check_good_lambda_dyadic, cz_decompose_dya
                         dyadic_maximal, level_set, verify_jn_dyadic)
 from .errors import (DepthOverflowError, InvariantViolation, MetricAxiomError,
                      PreconditionError)
-from .functionals import (PartitionResult, bmo_dyadic, distribution, jnp_bruteforce,
-                          jnp_dyadic, notlp_terms, weak_lp)
+from .functionals import (PartitionResult, bmo_dyadic, distribution, jnp_dyadic,
+                          notlp_terms, weak_lp)
 from .generators import (f_distance, f_log_distance, f_random, gen_constant,
                          gen_grid2d, gen_line, gen_log_singularity,
                          gen_power_singularity, gen_random_cloud,
@@ -85,7 +85,6 @@ __all__ = [
     "gen_tree_graph",
     "global_maximal",
     "hl_maximal_restricted",
-    "jnp_bruteforce",
     "jnp_dyadic",
     "jnp_metric_lower",
     "level_set",

@@ -243,7 +243,12 @@ def _grid_input(cfg: dict) -> tuple[GridFunction, DyadicCube]:
     except ValueError:
         raise ValueError(f"--q0 must be depth or depth:i0,i1,... in integers, "
                          f"got {cfg['q0']!r}") from None
-    return f, DyadicCube(f.root, depth, index)
+    try:
+        q0 = DyadicCube(f.root, depth, index)
+        f._check_cube(q0)
+    except ValueError as exc:
+        raise ValueError(f"--q0 {cfg['q0']}: {exc}") from None
+    return f, q0
 
 
 def _space_input(cfg: dict) -> tuple:
@@ -265,10 +270,14 @@ def _space_input(cfg: dict) -> tuple:
         raise ValueError(f"--ball must be center:radius with an integer center and a "
                          f"number or 'auto' for radius, got {cfg['ball']!r}") from None
     if center < 0 or center >= space.m:
-        raise ValueError(f"ball center {center} out of range for m={space.m}")
+        raise ValueError(f"--ball {cfg['ball']}: center {center} out of range for m={space.m}")
     if radius is None:
         radius = 1.5 * float(np.max(space.d[center])) + 1.0
-    return space, f, Ball(center, radius)
+    try:
+        b0 = Ball(center, radius)
+    except ValueError as exc:
+        raise ValueError(f"--ball {cfg['ball']}: {exc}") from None
+    return space, f, b0
 
 
 # ------------------------------------------------------------------- output

@@ -14,7 +14,6 @@ value(Q) = max(term(Q), sum of children values).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,7 +27,6 @@ __all__ = [
     "PartitionResult",
     "bmo_dyadic",
     "distribution",
-    "jnp_bruteforce",
     "jnp_dyadic",
     "notlp_terms",
     "weak_lp",
@@ -89,56 +87,6 @@ def _best_partition(f: GridFunction, q0: DyadicCube, p: float) -> PartitionResul
         else:
             witness += _subtree_cubes(q0, rel, [z])
     return PartitionResult(value, value ** (1.0 / p), p, tuple(witness))
-
-
-def _partition_count(arity: int, extra_depth: int) -> int:
-    n = 1
-    for _ in range(extra_depth):
-        n = 1 + n**arity
-    return n
-
-
-def jnp_bruteforce(f: GridFunction, q0: DyadicCube, p: float,
-                   max_extra_depth: int, _cap: int = 200_000) -> PartitionResult:
-    """Literal enumeration of every dyadic partition of ``q0`` down to
-    ``max_extra_depth`` further levels; intended as an oracle on tiny grids.
-
-    Terms come from the same table the DP uses (vectorized pow is not
-    bitwise reproducible term by term), so any disagreement with
-    ``jnp_dyadic`` isolates a bug in the recursion, not in rounding.
-    """
-    p = _check_p(p)
-    f._check_cube(q0)
-    depth_budget = min(max_extra_depth, f.max_depth - q0.depth)
-    arity = 1 << f.dim
-    n_part = _partition_count(arity, depth_budget)
-    if n_part > _cap:
-        raise ValueError(
-            f"{n_part} partitions exceed the enumeration cap {_cap}; "
-            "reduce max_extra_depth"
-        )
-    terms = _subtree_terms(f, q0, p)
-
-    def enum(rel: int, z: int, budget: int):
-        # (value, ((rel, z), ...)) for every partition of this subtree
-        out = [(float(terms[rel][z]), ((rel, z),))]
-        if budget > 0:
-            per_child = [enum(rel + 1, arity * z + t, budget - 1)
-                         for t in range(arity)]
-            for combo in itertools.product(*per_child):
-                vals = [v for v, _ in combo]
-                while len(vals) > 1:
-                    vals = [vals[i] + vals[i + 1] for i in range(0, len(vals), 2)]
-                out.append((vals[0], tuple(c for _, cs in combo for c in cs)))
-        return out
-
-    best_val, best_keys = None, None
-    for val, keys in enum(0, 0, depth_budget):
-        if best_val is None or val > best_val:
-            best_val, best_keys = val, keys
-    best_val = _check_jn_value(best_val, p)
-    witness = tuple(c for rel, z in best_keys for c in _subtree_cubes(q0, rel, [z]))
-    return PartitionResult(best_val, best_val ** (1.0 / p), p, witness)
 
 
 def bmo_dyadic(f: GridFunction, q0: DyadicCube) -> float:

@@ -188,17 +188,6 @@ class MetricMeasureSpace(_Memoized):
         """Cumulative weight along each center's distance order."""
         return self._memo("wcum", lambda: np.cumsum(self.w[self.orders], axis=1))
 
-    def group_ends(self, center: int) -> np.ndarray:
-        """Sorted positions ending a tie group of equal distances; prefixes
-        up to these positions are exactly the realized ball member sets."""
-        return np.flatnonzero(_tie_group_ends(self.sorted_d[center]))
-
-    def critical_radii(self, center: int) -> np.ndarray:
-        """One radius per realized member set of balls at this center:
-        midpoints between consecutive distinct distances, then one value
-        past the largest distance."""
-        return _radius_at(self.sorted_d[center])[self.group_ends(center)]
-
     # ------------------------------------------------------- ball algebra
 
     def members(self, ball: Ball) -> np.ndarray:
@@ -616,7 +605,11 @@ class JnSearchResult:
 
 def _jn_term(space: MetricMeasureSpace, v: np.ndarray, mask: np.ndarray,
              p: float) -> float:
-    """mu(B) * osc_B(v)^p for the member set `mask` of one ball B."""
+    """mu(B) * osc_B(v)^p for the member set `mask` of one ball B, by
+    masked reductions.  Kept for the few balls outside the search pool
+    (5-dilates, B0 and 11*B0): `kernels.osc_entries` walks every sorted
+    position up to its longest entry, so a handful of large balls costs
+    more through it than through one mask each."""
     try:
         term = space.measure_mask(mask) * space.osc_mask(v, mask) ** p
     except OverflowError:
@@ -638,15 +631,41 @@ def _bits(mask: np.ndarray) -> int:
     return int.from_bytes(np.packbits(mask).tobytes(), "big")
 
 
+def _jn_pool(space: MetricMeasureSpace, v: np.ndarray, b0: Ball, p: float):
+    """(centers, radii, terms, reach) of the search pool, in center-then-
+    radius order: every (center c in B0, tie-group end k) entry of the
+    sorted tables whose radius is at most reach[c], the distance from c to
+    the nearest point outside 11*B0.  A term is W (S / W)^p with
+    W = wcum[c, k] and S = sum w |v - a| about the prefix mean a, all
+    summed left to right; PreconditionError, with no numpy warning, when
+    one is not finite."""
+    cent = np.flatnonzero(space.members(b0))
+    outside = ~space.members(b0.dilate(11.0))
+    reach = np.full(space.m, np.inf)
+    reach[cent] = np.min(space.d[cent], axis=1, where=outside, initial=np.inf)
+    sd = space.sorted_d[cent]
+    rad = _radius_at(sd)
+    row, end = np.nonzero(_tie_group_ends(sd) & (rad <= reach[cent, None]))
+    centers, radii = cent[row], rad[row, end]
+    with np.errstate(over="ignore", invalid="ignore"):
+        avg = _prefix_means(space, v, cent)[row, end]
+        wsum = space.wcum[centers, end]
+        osc = kernels.osc_entries(space.orders, space.w, v, centers, end, avg)
+        terms = wsum * (osc / wsum) ** p
+    _check_jn_value(float(terms.max(initial=0.0)), p)
+    return centers, radii, terms, reach
+
+
 def jnp_metric_lower(space: MetricMeasureSpace, f, b0: Ball, p: float,
                      budget: int = 4000) -> JnSearchResult:
     """Deterministic search for a heavy admissible family.
 
-    The pool holds one ball per center in B0 and critical radius (one per
-    tie group) whose member set stays inside 11*B0: the arrays `centers`
-    and `radii`, in center-then-radius order, and the list `terms` of
-    mu(B) osc_B(f)^p.  At a spanning B0 it has m^2 balls, so nothing the
-    size of pool x m is built from all of it.
+    The pool holds one ball per center in B0 and realized member set (one
+    per tie group of the center's sorted distances) that stays inside
+    11*B0: the arrays `centers` and `radii`, in center-then-radius order,
+    and the terms mu(B) osc_B(f)^p, built in one pass over the sorted
+    tables by `_jn_pool`.  At a spanning B0 it has m^2 balls, so beyond
+    those O(m^2) arrays nothing the size of pool x m is built.
 
     Candidate stream (fixed order, independent of budget, so the result is
     non-decreasing in budget): all pool singletons, Vitali subcovers at
@@ -669,20 +688,9 @@ def jnp_metric_lower(space: MetricMeasureSpace, f, b0: Ball, p: float,
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
     d = space.d
-    outside = ~space.members(b0.dilate(11.0))
-    # B(c, r) stays inside 11*B0 iff r <= reach[c], the distance from c to
-    # the nearest point outside it
-    reach = np.full(space.m, np.inf)
-    centers, radii, terms = [], [], []
-    for c in np.flatnonzero(space.members(b0)).tolist():
-        reach[c] = d[c][outside].min(initial=np.inf)
-        for r in space.critical_radii(c).tolist():
-            if r <= reach[c]:
-                centers.append(c)
-                radii.append(r)
-                terms.append(_jn_term(space, v, d[c] < r, p))
+    centers, radii, terms, reach = _jn_pool(space, v, b0, p)
+    terms = terms.tolist()
     n = len(terms)
-    centers, radii = np.array(centers, dtype=np.int64), np.array(radii)
 
     best_val = 0.0
     best_idx: tuple[int, ...] = ()

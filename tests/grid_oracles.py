@@ -6,14 +6,19 @@ loops of ``DyadicCube.zindex``, ``cube_from_zindex`` and the lex-to-Morton
 permutation, and the CZ construction that decoded one cube at a time and
 built the residual through a full-grid Morton mask.  They work on Python
 ints, so they hold at any depth.  Tests compare the package against them
-bitwise.
+bitwise.  ``jnp_bruteforce`` enumerates every dyadic partition, the
+oracle of the JN_p dynamic program on tiny grids.
 """
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
-from jnlab.grid import CellSet, DyadicCube
+from jnlab.errors import _check_jn_value, _check_p
+from jnlab.functionals import PartitionResult, _subtree_terms
+from jnlab.grid import CellSet, DyadicCube, GridFunction, _subtree_cubes
 
 
 def zindex(cube: DyadicCube) -> int:
@@ -79,3 +84,53 @@ def cz_cover(f, q0: DyadicCube, lam: float):
     residual = CellSet(f.root, f.max_depth, zres[lex_to_z_perm(f.dim, f.max_depth)])
     union = float(sum(q.measure for q in cubes))
     return cubes, np.asarray(picked_avgs), residual, union
+
+
+def _partition_count(arity: int, extra_depth: int) -> int:
+    n = 1
+    for _ in range(extra_depth):
+        n = 1 + n**arity
+    return n
+
+
+def jnp_bruteforce(f: GridFunction, q0: DyadicCube, p: float,
+                   max_extra_depth: int, _cap: int = 200_000) -> PartitionResult:
+    """Literal enumeration of every dyadic partition of ``q0`` down to
+    ``max_extra_depth`` further levels; intended as an oracle on tiny grids.
+
+    Terms come from the same table the DP uses (vectorized pow is not
+    bitwise reproducible term by term), so any disagreement with
+    ``jnp_dyadic`` isolates a bug in the recursion, not in rounding.
+    """
+    p = _check_p(p)
+    f._check_cube(q0)
+    depth_budget = min(max_extra_depth, f.max_depth - q0.depth)
+    arity = 1 << f.dim
+    n_part = _partition_count(arity, depth_budget)
+    if n_part > _cap:
+        raise ValueError(
+            f"{n_part} partitions exceed the enumeration cap {_cap}; "
+            "reduce max_extra_depth"
+        )
+    terms = _subtree_terms(f, q0, p)
+
+    def enum(rel: int, z: int, budget: int):
+        # (value, ((rel, z), ...)) for every partition of this subtree
+        out = [(float(terms[rel][z]), ((rel, z),))]
+        if budget > 0:
+            per_child = [enum(rel + 1, arity * z + t, budget - 1)
+                         for t in range(arity)]
+            for combo in itertools.product(*per_child):
+                vals = [v for v, _ in combo]
+                while len(vals) > 1:
+                    vals = [vals[i] + vals[i + 1] for i in range(0, len(vals), 2)]
+                out.append((vals[0], tuple(c for _, cs in combo for c in cs)))
+        return out
+
+    best_val, best_keys = None, None
+    for val, keys in enum(0, 0, depth_budget):
+        if best_val is None or val > best_val:
+            best_val, best_keys = val, keys
+    best_val = _check_jn_value(best_val, p)
+    witness = tuple(c for rel, z in best_keys for c in _subtree_cubes(q0, rel, [z]))
+    return PartitionResult(best_val, best_val ** (1.0 / p), p, witness)

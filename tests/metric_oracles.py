@@ -7,11 +7,13 @@ the per-center maximal loop, the per-center witness loop, the doubling
 constant's scan of radii between breakpoints, the pairwise
 member-mask loops behind the Vitali, admissibility, CZ-cover and nested-
 cover checks, the JN_p search that scanned its chosen balls one by one
-for a clash, the tree generator's per-pair lowest-common-ancestor
-loop, and the triangle check's full m x m pass per intermediate point.
-Tests compare the package against them bitwise.  The triangle check is
-compared by its accept/reject verdict, and a rejection's (i, j) against
-the whole matrix's worst violation.
+for a clash, the search pool's per-center loop of masked terms, the tree
+generator's per-pair lowest-common-ancestor loop, and the triangle
+check's full m x m pass per intermediate point.  Tests compare the
+package against them bitwise.  The pool's terms are compared within a
+rounding bound, since the masked sums run in another order.  The triangle
+check is compared by its accept/reject verdict, and a rejection's (i, j)
+against the whole matrix's worst violation.
 """
 
 from __future__ import annotations
@@ -66,6 +68,14 @@ def worst_triangle_violation(d):
         np.minimum(best, via, out=best)
     i, j = np.unravel_index(np.argmax(d - best), d.shape)
     return int(i), int(j)
+
+
+def group_ends(space, c):
+    """Sorted positions of center c whose next distance differs, then the
+    last position: the ends of c's realized member sets."""
+    sd = space.sorted_d[c]
+    return np.array([k for k in range(space.m) if k == space.m - 1 or sd[k + 1] != sd[k]],
+                    dtype=np.int64)
 
 
 def critical_radii(space, c):
@@ -139,7 +149,7 @@ def maximal(space, g, mask0):
     for c in range(space.m):
         if not mask0[c]:
             continue
-        ends = space.group_ends(c)
+        ends = group_ends(space, c)
         inb = mask0[orders[c]]
         bad = np.flatnonzero(~inb)
         first_out = bad[0] if bad.size else space.m
@@ -186,7 +196,7 @@ def compute_witness(space, f, b0):
     for c in range(space.m):
         if not mask0[c]:
             continue
-        ends = space.group_ends(c)
+        ends = group_ends(space, c)
         radii = critical_radii(space, c)
         inb = mask0[orders[c]]
         bad = np.flatnonzero(~inb)
@@ -228,7 +238,7 @@ def bmo_norm_metric(space, f):
     wcum, _, osc = ball_tables(space.orders, space.w, v)
     best = 0.0
     for c in range(space.m):
-        ends = space.group_ends(c)
+        ends = group_ends(space, c)
         cand = float(np.max(osc[c][ends] / wcum[c][ends]))
         if cand > best:
             best = cand
@@ -332,9 +342,32 @@ def check_admissible(space, b0, balls):
     )
 
 
+def search_pool(space, f, b0, p):
+    """(centers, radii, terms) of the JN_p search pool, one center at a
+    time, each term mu(B) osc_B(f)^p by masked reductions over the ball's
+    member set (numpy's pairwise sums, in point order)."""
+    v = space.check_values(f)
+    mask0 = space.members(b0)
+    big = space.members(b0.dilate(11.0))
+    centers, radii, terms = [], [], []
+    for c in range(space.m):
+        if not mask0[c]:
+            continue
+        for r in critical_radii(space, c):
+            mem = space.d[c] < r
+            if not np.any(mem & ~big):
+                centers.append(c)
+                radii.append(r)
+                terms.append(_jn_term(space, v, mem, p))
+    return np.array(centers, dtype=np.int64), np.array(radii), np.array(terms)
+
+
 def jnp_metric_lower(space, f, b0, p, budget=4000):
     """The JN_p search with its clash tests made against each chosen ball
-    in turn, on the loop versions of vitali_subcover and check_admissible."""
+    in turn, on the loop versions of vitali_subcover and check_admissible.
+    A pool ball's term is read from its center's prefix tables (the
+    package's formula, so the two searches compare bitwise); a 5-dilate's
+    is summed over its member mask."""
     v = space.check_values(f)
     p = float(p)
     if not p > 1:
@@ -348,17 +381,21 @@ def jnp_metric_lower(space, f, b0, p, budget=4000):
             return None
         return _jn_term(space, v, mem, p)
 
-    pool = []
-    pool_term = []
+    wcum, _, osc = ball_tables(space.orders, space.w, v)
+    pool, pool_w, pool_osc = [], [], []
     for c in range(space.m):
         if not mask0[c]:
             continue
-        for r in space.critical_radii(c):
+        for r in critical_radii(space, c):
             ball = Ball(c, float(r))
-            t = term(ball)
-            if t is not None:
+            mem = space.members(ball)
+            if not np.any(mem & ~big):
+                k = int(np.count_nonzero(mem)) - 1  # the ball is a prefix of c's order
                 pool.append(ball)
-                pool_term.append(t)
+                pool_w.append(wcum[c, k])
+                pool_osc.append(osc[c, k])
+    pool_w, pool_osc = np.array(pool_w), np.array(pool_osc)
+    pool_term = (pool_w * (pool_osc / pool_w) ** p).tolist()
 
     evals = 0
     best_val = 0.0

@@ -14,10 +14,10 @@ import time
 
 import numpy as np
 
+from grid_oracles import jnp_bruteforce
 from jnlab.dyadic_cz import (check_good_lambda_dyadic, cz_decompose_dyadic,
                              dyadic_maximal, level_set, verify_jn_dyadic)
-from jnlab.functionals import (distribution, jnp_bruteforce, jnp_dyadic,
-                               notlp_terms, weak_lp)
+from jnlab.functionals import distribution, jnp_dyadic, notlp_terms, weak_lp
 from jnlab.generators import (f_log_distance, f_random, gen_grid2d, gen_line,
                               gen_log_singularity, gen_power_singularity,
                               gen_random_cloud, gen_random_martingale,

@@ -366,6 +366,14 @@ def test_internal_error_exit_3(monkeypatch, capsys):
     (("cz", "step", "--lam", "1", "--q0", "1:0,"), "--q0"),
     (("analyze", "--space", "line", "--m", "5", "--ball", "0:abc"), "--ball"),
     (("analyze", "--space", "line", "--m", "5", "--ball", "x:1"), "--ball"),
+    # well-formed specs with values out of range
+    (("analyze", "--space", "line", "--m", "5", "--ball", "0:-1"), "--ball 0:-1:"),
+    (("analyze", "--space", "line", "--m", "5", "--ball", "0:nan"), "--ball 0:nan:"),
+    (("analyze", "--space", "line", "--m", "5", "--ball", "0:inf"), "--ball 0:inf:"),
+    (("verify", "bmo", "--space", "line", "--m", "5", "--ball", "7:1"), "--ball 7:1:"),
+    (("analyze", "step", "--depth", "3", "--q0", "1:5"), "--q0 1:5:"),
+    (("cz", "step", "--depth", "3", "--lam", "1", "--q0", "9"), "--q0 9:"),
+    (("analyze", "step", "--depth", "3", "--q0", "-1"), "--q0 -1:"),
 ])
 def test_out_of_range_option_exit_2(argv, option, capsys):
     assert run(*argv) == 2

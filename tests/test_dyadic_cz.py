@@ -7,7 +7,7 @@ from jnlab.dyadic_cz import (check_good_lambda_dyadic, cz_decompose_dyadic,
                              dyadic_maximal, level_set, verify_jn_dyadic)
 from jnlab.dyadic_cz import _level_measure, _shifted_levels
 from jnlab.errors import PreconditionError
-from jnlab.functionals import jnp_bruteforce, jnp_dyadic
+from jnlab.functionals import jnp_dyadic
 from jnlab.generators import gen_random_martingale
 from jnlab.grid import (DyadicCube, GridFunction, RootCube, average, cube_from_zindex,
                         mean_oscillation)
@@ -252,7 +252,7 @@ def test_good_lambda_random():
         f = rand_f(dim, 3, seed + 50)
         q0 = f.root.top()
         b = 2.0 ** (-(dim + 1))
-        k = jnp_bruteforce(f, q0, 2.0, 3 if dim == 1 else 2).norm
+        k = oracle.jnp_bruteforce(f, q0, 2.0, 3 if dim == 1 else 2).norm
         if k == 0.0:
             continue
         rep = None

@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from jnlab.functionals import (bmo_dyadic, distribution, jnp_bruteforce,
-                               jnp_dyadic, notlp_terms, weak_lp)
-from jnlab.functionals import _partition_count
+from grid_oracles import _partition_count, jnp_bruteforce
+from jnlab.functionals import bmo_dyadic, distribution, jnp_dyadic, notlp_terms, weak_lp
 from jnlab.grid import DyadicCube, GridFunction, RootCube, average, mean_oscillation
 
 

@@ -5,7 +5,8 @@ import tempfile
 import numpy as np
 import pytest
 
-from jnlab.errors import InvariantViolation, MetricAxiomError
+import metric_oracles as oracle
+from jnlab.errors import InvariantViolation, MetricAxiomError, PreconditionError
 from jnlab.metric import (Ball, MetricMeasureSpace, bmo_norm_metric, build_space,
                           check_admissible, doubling_constant, global_maximal,
                           hl_maximal_restricted, jnp_metric_lower, space_from_csv,
@@ -134,7 +135,7 @@ def test_doubling_attained():
     s = space_from_points(np.arange(10, dtype=np.float64))
     best = 0.0
     for center in range(s.m):
-        for r in s.critical_radii(center):
+        for r in oracle.critical_radii(s, center):
             for rr in (r, r / 2.0):
                 den = s.measure(Ball(center, rr))
                 if den > 0:
@@ -183,7 +184,7 @@ def brute_restricted_maximal(space, f, b0):
             continue
         best = -np.inf
         for c in range(space.m):
-            for r in space.critical_radii(c):
+            for r in oracle.critical_radii(space, c):
                 mem = space.members(Ball(c, r))
                 if not mem[x] or np.any(mem & ~inside):
                     continue
@@ -234,7 +235,7 @@ def test_bmo_matches_bruteforce():
         f = np.random.default_rng(seed).uniform(-2, 2, s.m)
         best = 0.0
         for c in range(s.m):
-            for r in s.critical_radii(c):
+            for r in oracle.critical_radii(s, c):
                 mem = s.members(Ball(c, r))
                 ww = s.w[mem]
                 avg = float(np.sum(ww * f[mem]) / np.sum(ww))
@@ -258,7 +259,7 @@ def candidate_pool(space, b0):
     for c in range(space.m):
         if not inside[c]:
             continue
-        for r in space.critical_radii(c):
+        for r in oracle.critical_radii(space, c):
             ball = Ball(c, float(r))
             if np.any(space.members(ball) & ~big):
                 continue
@@ -317,6 +318,25 @@ def test_jnp_search_rejects_budget_below_one(budget):
     s = cloud(6, 1)
     with pytest.raises(ValueError, match="budget"):
         jnp_metric_lower(s, np.arange(6.0), spanning_ball(s), 2.0, budget=budget)
+
+
+def test_jnp_search_overflowing_term_past_budget_raises():
+    # only the ball {m-2, m-1} has W (S/W)^3 = 2 A^3 > max float; it is the
+    # second ball of the last center, so budget 1 stops ahead of it, and
+    # every other ball holding both points has W >= 3 and a finite term
+    m = 12
+    s = space_from_points(np.arange(m, dtype=np.float64))
+    b0 = spanning_ball(s)
+    a = 1e308 ** (1.0 / 3.0)
+    f = np.zeros(m)
+    f[m - 2], f[m - 1] = a, -a
+    radii = oracle.critical_radii(s, m - 1)
+    assert s.members(Ball(m - 1, float(radii[1]))).nonzero()[0].tolist() == [m - 2, m - 1]
+    with pytest.raises(PreconditionError, match="JN_p value is not finite"):
+        jnp_metric_lower(s, f, b0, 3.0, budget=1)
+    # at half the values every term is finite; the first pool ball wins
+    res = jnp_metric_lower(s, 0.5 * f, b0, 3.0, budget=1)
+    assert res.evaluations == 1 and res.value == 0.0
 
 
 def test_jnp_search_family_admissible():

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import metric_oracles as oracle
 from jnlab.constants import g_factor, theorem_constants
 from jnlab.errors import PreconditionError
 from jnlab.generators import f_log_distance, gen_grid2d, gen_line, gen_random_cloud
@@ -299,7 +300,7 @@ def test_bmo_halving_ingredients_nonvacuous():
     u = (f - s.average_mask(f, s.members(b0))) / bmo_norm_metric(s, f)
     c = doubling_constant(s)
     for center in range(0, s.m, 3):
-        for r in s.critical_radii(center)[::2]:
+        for r in oracle.critical_radii(s, center)[::2]:
             ball = Ball(center, float(r))
             assert s.measure(ball.dilate(5.0)) <= c ** 3 * s.measure(ball) * (1 + 1e-12)
             assert s.osc_mask(u, s.members(ball)) <= 1.0 + 1e-12

@@ -1,6 +1,7 @@
 """The vectorized prefix-table path and the ball-family overlap tests
 against the loop oracles, bitwise."""
 
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -14,7 +15,8 @@ from jnlab.errors import MetricAxiomError
 from jnlab.generators import (f_distance, f_log_distance, f_random, gen_grid2d, gen_line,
                               gen_random_cloud, gen_tree_graph)
 from jnlab.metric import (_TRIANGLE_TILE, Ball, MetricMeasureSpace, _first_overlap,
-                          _osc_bounds, _osc_nodes, _prefix_means, _validate_metric,
+                          _jn_pool, _osc_bounds, _osc_nodes, _prefix_means, _radius_at,
+                          _tie_group_ends, _validate_metric,
                           bmo_norm_metric, check_admissible, doubling_constant, global_maximal,
                           hl_maximal_restricted, jnp_metric_lower, space_from_points,
                           vitali_subcover)
@@ -86,8 +88,10 @@ def assert_path_matches(space, f):
     assert np.array_equal(_prefix_means(space, f, slice(None)), fc / wc)
     rows = np.arange(space.m)[::-2]  # an index array, as the witness tables pass
     assert np.array_equal(_prefix_means(space, f, rows), (fc / wc)[rows])
+    ends, rad = _tie_group_ends(space.sorted_d), _radius_at(space.sorted_d)
     for c in range(space.m):
-        assert np.array_equal(space.critical_radii(c), oracle.critical_radii(space, c))
+        assert np.array_equal(np.flatnonzero(ends[c]), oracle.group_ends(space, c))
+        assert np.array_equal(rad[c][ends[c]], oracle.critical_radii(space, c))
     assert np.array_equal(osc_at_every_entry(space, f), osc)
     assert bmo_norm_metric(space, f) == oracle.bmo_norm_metric(space, f)
     assert np.array_equal(global_maximal(space, f), oracle.global_maximal(space, f))
@@ -174,7 +178,7 @@ def test_osc_bounds_cover_every_computed_entry(name, space, f):
     assert np.array_equal(ends, ub > -np.inf)
     assert np.all(ub[ends] >= osc[ends] / wcum[ends])
     for c in range(space.m):
-        assert np.array_equal(np.flatnonzero(ends[c]), space.group_ends(c))
+        assert np.array_equal(np.flatnonzero(ends[c]), oracle.group_ends(space, c))
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -242,7 +246,7 @@ def pool_size(space, b0):
     singleton phase uses exactly this many evaluations."""
     big = space.members(b0.dilate(11.0))
     return sum(1 for c in np.flatnonzero(space.members(b0))
-               for r in space.critical_radii(c)
+               for r in oracle.critical_radii(space, c)
                if not np.any(space.members(Ball(int(c), float(r))) & ~big))
 
 
@@ -295,13 +299,65 @@ def test_search_pool_beyond_budget_matches_oracle_in_small_memory():
     assert peak < 1.5e6
 
 
+def pool_term_gaps(space, f, b0, p):
+    """The search pool against the per-center loop of masked terms: the
+    balls bitwise, and per ball the ratio of the term gap to its bound.
+
+    Both routes sum the n <= m points of a ball B, in different orders, so
+    each of the weight W, the mean a and the oscillation sum S carries an
+    error of at most n eps times the sum of its terms' magnitudes: W by
+    n eps W, a by n eps g with g = max_B |f|, and S by n eps S + W |da|
+    <= n eps W (M + g), with M = max_B |f - a| >= S / W.  The term
+    T = W (S / W)^p then moves by at most p (S / W)^(p-1) times the change
+    in S plus (p - 1) (S / W)^p times the change in W, each route by at most
+    2 p n eps W (M + n eps g)^(p-1) (M + g).  The bound is four times that,
+    8 p n eps mu(B) (M + n eps g)^(p-1) (M + g): it scales with
+    mu(B) max_B |f - f_B|^p, not with the term, since S can cancel to
+    nearly 0; the n eps g inside covers a ball of equal values whose
+    computed mean is off by a rounding."""
+    centers, radii, terms, _ = _jn_pool(space, f, b0, p)
+    want_c, want_r, want_t = oracle.search_pool(space, f, b0, p)
+    assert centers.tobytes() == want_c.tobytes() and radii.tobytes() == want_r.tobytes()
+    eps = np.finfo(float).eps
+    gaps = []
+    for c, r, t, u in zip(centers, radii, terms, want_t):
+        mem = space.d[c] < r
+        n = int(np.count_nonzero(mem))
+        g = float(np.max(np.abs(f[mem])))
+        dev = float(np.max(np.abs(f[mem] - space.average_mask(f, mem))))
+        bound = 8 * p * n * eps * space.measure_mask(mem) * (dev + n * eps * g) ** (p - 1) \
+            * (dev + g)
+        gaps.append(abs(t - u) / bound if t != u else 0.0)
+    return np.array(gaps)
+
+
+def reach_cases():
+    """Small B0s whose 11*B0 leaves points out, so that the pool drops the
+    realized balls that reach past it: 3 of 40 points on a line, and a
+    corner of a 10 x 10 grid."""
+    for seed, (space, b0) in enumerate(((gen_line(40), Ball(10, 1.5)),
+                                        (gen_grid2d(10), Ball(0, 1.5)))):
+        cent = np.flatnonzero(space.members(b0))
+        realized = sum(oracle.critical_radii(space, c).size for c in cent)
+        assert pool_size(space, b0) < realized
+        for f in value_sets(space, seed):
+            yield space, f, b0, ()
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+def test_search_pool_matches_per_center_loop(p):
+    for space, f, b0, _ in itertools.chain(search_cases(), reach_cases()):
+        gaps = pool_term_gaps(space, f, b0, p)
+        assert np.all(gaps <= 1.0), float(gaps.max())
+
+
 def random_families(space, rng, n_fam=20):
     """Ball lists over centers and realized radii of the space, some with
     overlapping members or fifths, a few empty or single."""
     for _ in range(n_fam):
         k = int(rng.integers(0, 9))
         centers = rng.integers(0, space.m, size=k)
-        yield [Ball(int(c), float(rng.choice(space.critical_radii(int(c)))))
+        yield [Ball(int(c), float(rng.choice(oracle.critical_radii(space, int(c)))))
                for c in centers]
 
 
