@@ -3,7 +3,8 @@
 Points are indices 0..m-1 with positive weights; balls are open,
 ``B(c, r) = {x : d(c, x) < r}``.  Every ball's member set is realized by
 one of finitely many critical radii per center (midpoints between
-consecutive distinct distances), which makes suprema over all real radii
+consecutive distinct distances, or the farther one where the midpoint
+rounds onto the nearer), which makes suprema over all real radii
 exactly computable.  Mean oscillations and averages are weighted.
 """
 
@@ -140,10 +141,17 @@ def _tie_group_ends(sd: np.ndarray) -> np.ndarray:
 def _radius_at(sd: np.ndarray) -> np.ndarray:
     """Radius of the realized ball ending at each position of a sorted-
     distance row (last axis): the midpoint to the next distance, or
-    1.5 * last + 1 past the farthest point.  Read at tie-group ends."""
+    1.5 * last + 1 past the farthest point.  Read at tie-group ends.
+
+    Where two distances are adjacent floats the midpoint can round onto
+    the nearer one, and the open ball of that radius would lose the tie
+    group ending there; the next distance itself is the radius then."""
     rad = np.empty_like(sd)
-    np.add(sd[..., :-1], sd[..., 1:], out=rad[..., :-1])
-    rad[..., :-1] *= 0.5
+    near, nxt = sd[..., :-1], sd[..., 1:]
+    mid = rad[..., :-1]
+    np.add(near, nxt, out=mid)
+    mid *= 0.5
+    np.copyto(mid, nxt, where=mid <= near)
     rad[..., -1] = 1.5 * sd[..., -1] + 1.0
     return rad
 
@@ -392,9 +400,7 @@ def _prefix_means(space: MetricMeasureSpace, v: np.ndarray, rows) -> np.ndarray:
     or an index array): the weighted mean of each prefix of their
     distance orders, with F the sum of w v and W that of w (`space.wcum`),
     both summed left to right."""
-    o = space.orders[rows]
-    fcum = v[o]
-    fcum *= space.w[o]
+    fcum = (v * space.w)[space.orders[rows]]
     np.cumsum(fcum, axis=1, out=fcum)
     return np.divide(fcum, space.wcum[rows], out=fcum)
 
@@ -643,15 +649,25 @@ def _jn_pool(space: MetricMeasureSpace, v: np.ndarray, b0: Ball, p: float):
     outside = ~space.members(b0.dilate(11.0))
     reach = np.full(space.m, np.inf)
     reach[cent] = np.min(space.d[cent], axis=1, where=outside, initial=np.inf)
+    # each (centers x positions) table is freed once spent, to bound peak memory
     sd = space.sorted_d[cent]
     rad = _radius_at(sd)
-    row, end = np.nonzero(_tie_group_ends(sd) & (rad <= reach[cent, None]))
+    keep = _tie_group_ends(sd)
+    del sd
+    keep &= rad <= reach[cent, None]
+    row, end = np.nonzero(keep)
+    del keep
     centers, radii = cent[row], rad[row, end]
+    del rad
     with np.errstate(over="ignore", invalid="ignore"):
         avg = _prefix_means(space, v, cent)[row, end]
+        del row
+        terms = kernels.osc_entries(space.orders, space.w, v, centers, end, avg)
+        del avg
         wsum = space.wcum[centers, end]
-        osc = kernels.osc_entries(space.orders, space.w, v, centers, end, avg)
-        terms = wsum * (osc / wsum) ** p
+        terms /= wsum
+        terms **= p
+        terms *= wsum
     _check_jn_value(float(terms.max(initial=0.0)), p)
     return centers, radii, terms, reach
 

@@ -79,12 +79,14 @@ def group_ends(space, c):
 
 
 def critical_radii(space, c):
-    """Midpoints between consecutive distinct distances from center c, then
-    one value past the largest."""
+    """Midpoints between consecutive distinct distances from center c (the
+    farther distance where the midpoint rounds onto the nearer), then one
+    value past the largest."""
     vals = np.unique(space.sorted_d[c])
     if vals.size == 1:  # single point space
         return np.array([1.0])
     mids = 0.5 * (vals[:-1] + vals[1:])
+    mids = np.where(mids > vals[:-1], mids, vals[1:])
     return np.append(mids, 1.5 * float(vals[-1]) + 1.0)
 
 
@@ -342,24 +344,31 @@ def check_admissible(space, b0, balls):
     )
 
 
-def search_pool(space, f, b0, p):
-    """(centers, radii, terms) of the JN_p search pool, one center at a
-    time, each term mu(B) osc_B(f)^p by masked reductions over the ball's
-    member set (numpy's pairwise sums, in point order)."""
-    v = space.check_values(f)
+def pool_balls(space, b0):
+    """(centers, radii) of the JN_p search pool, one center at a time: each
+    center in b0 with each of its critical radii whose ball stays inside
+    11*b0, in center-then-radius order."""
     mask0 = space.members(b0)
     big = space.members(b0.dilate(11.0))
-    centers, radii, terms = [], [], []
+    centers, radii = [], []
     for c in range(space.m):
         if not mask0[c]:
             continue
         for r in critical_radii(space, c):
-            mem = space.d[c] < r
-            if not np.any(mem & ~big):
+            if not np.any((space.d[c] < r) & ~big):
                 centers.append(c)
                 radii.append(r)
-                terms.append(_jn_term(space, v, mem, p))
-    return np.array(centers, dtype=np.int64), np.array(radii), np.array(terms)
+    return np.array(centers, dtype=np.int64), np.array(radii)
+
+
+def search_pool(space, f, b0, p):
+    """(centers, radii, terms) of the JN_p search pool, each term
+    mu(B) osc_B(f)^p by masked reductions over the ball's member set
+    (numpy's pairwise sums, in point order)."""
+    v = space.check_values(f)
+    centers, radii = pool_balls(space, b0)
+    terms = [_jn_term(space, v, space.d[c] < r, p) for c, r in zip(centers, radii)]
+    return centers, radii, np.array(terms)
 
 
 def jnp_metric_lower(space, f, b0, p, budget=4000):
@@ -372,7 +381,6 @@ def jnp_metric_lower(space, f, b0, p, budget=4000):
     p = float(p)
     if not p > 1:
         raise ValueError(f"p must be > 1, got {p}")
-    mask0 = space.members(b0)
     big = space.members(b0.dilate(11.0))
 
     def term(ball):
@@ -382,19 +390,11 @@ def jnp_metric_lower(space, f, b0, p, budget=4000):
         return _jn_term(space, v, mem, p)
 
     wcum, _, osc = ball_tables(space.orders, space.w, v)
-    pool, pool_w, pool_osc = [], [], []
-    for c in range(space.m):
-        if not mask0[c]:
-            continue
-        for r in critical_radii(space, c):
-            ball = Ball(c, float(r))
-            mem = space.members(ball)
-            if not np.any(mem & ~big):
-                k = int(np.count_nonzero(mem)) - 1  # the ball is a prefix of c's order
-                pool.append(ball)
-                pool_w.append(wcum[c, k])
-                pool_osc.append(osc[c, k])
-    pool_w, pool_osc = np.array(pool_w), np.array(pool_osc)
+    centers, radii = pool_balls(space, b0)
+    pool = [Ball(int(c), float(r)) for c, r in zip(centers, radii)]
+    # the ball is a prefix of c's order
+    k = np.array([np.count_nonzero(space.members(b)) - 1 for b in pool], dtype=np.int64)
+    pool_w, pool_osc = wcum[centers, k], osc[centers, k]
     pool_term = (pool_w * (pool_osc / pool_w) ** p).tolist()
 
     evals = 0

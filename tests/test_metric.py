@@ -253,18 +253,7 @@ def test_bmo_constant_is_zero():
 
 
 def candidate_pool(space, b0):
-    inside = space.members(b0)
-    big = space.members(b0.dilate(11.0))
-    pool = []
-    for c in range(space.m):
-        if not inside[c]:
-            continue
-        for r in oracle.critical_radii(space, c):
-            ball = Ball(c, float(r))
-            if np.any(space.members(ball) & ~big):
-                continue
-            pool.append(ball)
-    return pool
+    return [Ball(int(c), float(r)) for c, r in zip(*oracle.pool_balls(space, b0))]
 
 
 def exhaustive_jnp(space, f, b0, p):
@@ -337,6 +326,14 @@ def test_jnp_search_overflowing_term_past_budget_raises():
     # at half the values every term is finite; the first pool ball wins
     res = jnp_metric_lower(s, 0.5 * f, b0, 3.0, budget=1)
     assert res.evaluations == 1 and res.value == 0.0
+
+
+def test_jnp_search_overflowing_weighted_values_raise():
+    # w f overflows already in the prefix sums behind the pool's means
+    s = space_from_points(np.arange(4.0), weights=np.full(4, 4.0))
+    f = np.array([1e308, 0.0, 0.0, 0.0])
+    with pytest.raises(PreconditionError, match="JN_p value is not finite"):
+        jnp_metric_lower(s, f, spanning_ball(s), 2.0)
 
 
 def test_jnp_search_family_admissible():

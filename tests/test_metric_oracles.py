@@ -55,6 +55,15 @@ def base_balls(space):
     ]
 
 
+def adjacent_float_line():
+    """Six points on a line with 1 and 1 + eps among them.  From the point
+    at 0 the distances 1 and 1 + eps are adjacent floats, so their midpoint
+    rounds onto 1, and the open ball of radius 1 would leave out the
+    points at distance 1."""
+    x = np.array([-2.0, -1.0, 0.0, 1.0, 1.0 + 2.0**-52, 2.5])
+    return MetricMeasureSpace(np.abs(x[:, None] - x[None, :]), np.ones(x.size))
+
+
 def value_sets(space, seed):
     rng = np.random.default_rng(seed + 100)
     return [
@@ -137,6 +146,12 @@ def test_prefix_path_single_point():
     assert doubling_constant(space) == oracle.doubling_constant(space) == 1.0
     table = compute_witness(space, np.array([3.0]), Ball(0, 0.25))
     assert table.balls == [Ball(0, 1.0)] and table.values.tolist() == [3.0]
+
+
+def test_prefix_path_adjacent_floats():
+    space = adjacent_float_line()
+    for f in value_sets(space, 0):
+        assert_path_matches(space, f)
 
 
 def bmo_cases():
@@ -244,10 +259,7 @@ def sub_ball(space):
 def pool_size(space, b0):
     """Number of realized balls centered in b0 inside 11*b0: the search's
     singleton phase uses exactly this many evaluations."""
-    big = space.members(b0.dilate(11.0))
-    return sum(1 for c in np.flatnonzero(space.members(b0))
-               for r in oracle.critical_radii(space, c)
-               if not np.any(space.members(Ball(int(c), float(r))) & ~big))
+    return len(oracle.pool_balls(space, b0)[0])
 
 
 def search_cases():
@@ -271,7 +283,8 @@ def search_cases():
         budgets = (n + 3, n + 12 + n // 2) + (() if half and n > 200 else (4 * n,))
         for f in value_sets(space, seed):
             yield space, f, b0, budgets
-    for space, stride in ((gen_line(8), 1), (gen_tree_graph(9, 1), 25)):
+    for space, stride in ((gen_line(8), 1), (gen_tree_graph(9, 1), 25),
+                          (adjacent_float_line(), 1)):
         b0 = sub_ball(space)
         full = jnp_metric_lower(space, f_random(space, 4), b0, 2.0, budget=10**6)
         assert full.evaluations < 10**6  # the enumeration completes
@@ -333,10 +346,12 @@ def pool_term_gaps(space, f, b0, p):
 
 def reach_cases():
     """Small B0s whose 11*B0 leaves points out, so that the pool drops the
-    realized balls that reach past it: 3 of 40 points on a line, and a
-    corner of a 10 x 10 grid."""
+    realized balls that reach past it: 3 of 40 points on a line, a corner
+    of a 10 x 10 grid, and one point whose next distances are adjacent
+    floats."""
     for seed, (space, b0) in enumerate(((gen_line(40), Ball(10, 1.5)),
-                                        (gen_grid2d(10), Ball(0, 1.5)))):
+                                        (gen_grid2d(10), Ball(0, 1.5)),
+                                        (adjacent_float_line(), Ball(2, 1e-20)))):
         cent = np.flatnonzero(space.members(b0))
         realized = sum(oracle.critical_radii(space, c).size for c in cent)
         assert pool_size(space, b0) < realized
@@ -349,6 +364,26 @@ def test_search_pool_matches_per_center_loop(p):
     for space, f, b0, _ in itertools.chain(search_cases(), reach_cases()):
         gaps = pool_term_gaps(space, f, b0, p)
         assert np.all(gaps <= 1.0), float(gaps.max())
+
+
+def test_every_radius_realizes_its_prefix():
+    spaces = [make_space(kind, seed) for seed in range(3)
+              for kind in ("line", "grid2d", "tree-graph", "random-cloud", "weighted-grid")]
+    for space in spaces + [adjacent_float_line()]:
+        rad = _radius_at(space.sorted_d)
+        for c, k in zip(*np.nonzero(_tie_group_ends(space.sorted_d))):
+            assert np.count_nonzero(space.d[c] < rad[c, k]) == k + 1
+
+
+def test_search_pool_keeps_adjacent_float_balls_whole():
+    # B0 and 11*B0 hold only the point at 0; the ball holding its two
+    # neighbours at distance 1 has radius 1 + eps, past the reach 1
+    space = adjacent_float_line()
+    f, b0 = np.array([0.0, 3.0, 0.0, 3.0, 1.0, 2.0]), Ball(2, 1e-20)
+    centers, radii, terms, _ = _jn_pool(space, f, b0, 2.0)
+    assert centers.tolist() == [2] and radii.tolist() == [0.5] and terms.tolist() == [0.0]
+    got = jnp_metric_lower(space, f, b0, 2.0)
+    assert got.value == 0.0 and got.family.balls == ()
 
 
 def random_families(space, rng, n_fam=20):
