@@ -57,6 +57,12 @@ class Ball:
         return Ball(self.center, self.radius * factor)
 
 
+# the range of distances between distinct points: from the smallest
+# normal float up, every radius's fifth r * 0.2 is positive, and up to
+# max / 32, d_ik + d_kj, the radius 1.5 d + 1 past the farthest point and
+# 11 times such a radius are finite
+_D_MIN, _D_MAX = np.finfo(np.float64).tiny, np.finfo(np.float64).max / 32
+
 # the triangle check's block of (rows, columns); its sums fill a
 # rows x columns x m buffer, 600 KB at m = 600
 _TRIANGLE_TILE = (8, 16)
@@ -80,13 +86,18 @@ def _validate_metric(d: np.ndarray, w: np.ndarray) -> None:
     if np.any(np.diag(d) != 0.0):
         i = int(np.flatnonzero(np.diag(d) != 0.0)[0])
         raise MetricAxiomError("nonzero diagonal distance", witness=(i, float(d[i, i])))
-    apart = d > 0
+    apart = d >= _D_MIN
     np.fill_diagonal(apart, True)
     if not apart.all():
         i, j = np.argwhere(~apart)[0]
-        raise MetricAxiomError("distinct points at distance <= 0",
+        raise MetricAxiomError("distinct points at distance below 2^-1022",
                                witness=(int(i), int(j), float(d[i, j])))
-    scale = float(d.max()) if m > 1 else 1.0
+    top = float(d.max())
+    if top > _D_MAX:
+        i, j = np.unravel_index(np.argmax(d), d.shape)
+        raise MetricAxiomError("distance too large: sums of distances could overflow",
+                               witness=(int(i), int(j), top))
+    scale = top if m > 1 else 1.0
     tol = 1e-12 * max(1.0, scale)
     asym = np.subtract(d, d.T)
     np.abs(asym, out=asym)
@@ -672,6 +683,45 @@ def _jn_pool(space: MetricMeasureSpace, v: np.ndarray, b0: Ball, p: float):
     return centers, radii, terms, reach
 
 
+_GREEDY_BLOCK = 1024  # pool balls per step of the greedy visit
+
+
+def _greedy_family(space: MetricMeasureSpace, centers: np.ndarray, radii: np.ndarray,
+                   terms: np.ndarray) -> list[int]:
+    """Pool indices, ascending, of the density-greedy family: the pool
+    balls by decreasing term / mu(fifth), ties in pool order, each kept
+    when its term is positive and its fifth misses the kept fifths.
+
+    The fifth d(c, .) < r/5 is a prefix of c's distance order, of length
+    one `searchsorted` on `sorted_d[c]`, so it is free iff the first
+    position of a kept point in c's order is at least that length.
+    Keeping a ball lowers every center's first position through the
+    inverse of `orders`; the kept fifths are disjoint, so that costs
+    O(m^2) in all.  The visit runs a block of balls per numpy step."""
+    m, orders = space.m, space.orders
+    start = np.flatnonzero(np.diff(centers, prepend=-1))  # the pool is center-major
+    flen = np.concatenate([np.searchsorted(space.sorted_d[c], r * 0.2)
+                           for c, r in zip(centers[start], np.split(radii, start[1:]))])
+    with np.errstate(over="ignore"):  # an infinite density only puts a ball first
+        key = np.divide(terms, space.wcum[centers, flen - 1])
+    visit = np.argsort(np.negative(key, out=key), kind="stable")
+    del key
+    inv = np.empty_like(orders)
+    inv[np.arange(m)[:, None], orders] = np.arange(m)
+    first = np.full(m, m)  # per center, the first position of a kept point
+    kept, at = [], 0
+    while at < visit.size:
+        block = visit[at:at + _GREEDY_BLOCK]
+        free = (first[centers[block]] >= flen[block]) & (terms[block] > 0)
+        j = int(np.argmax(free))
+        if free[j]:
+            i = int(block[j])
+            kept.append(i)
+            np.minimum(first, inv[:, orders[centers[i], :flen[i]]].min(axis=1), out=first)
+        at += j + 1 if free[j] else block.size
+    return sorted(kept)
+
+
 def jnp_metric_lower(space: MetricMeasureSpace, f, b0: Ball, p: float,
                      budget: int = 4000) -> JnSearchResult:
     """Deterministic search for a heavy admissible family.
@@ -680,133 +730,70 @@ def jnp_metric_lower(space: MetricMeasureSpace, f, b0: Ball, p: float,
     per tie group of the center's sorted distances) that stays inside
     11*B0: the arrays `centers` and `radii`, in center-then-radius order,
     and the terms mu(B) osc_B(f)^p, built in one pass over the sorted
-    tables by `_jn_pool`.  At a spanning B0 it has m^2 balls, so beyond
-    those O(m^2) arrays nothing the size of pool x m is built.
+    tables by `_jn_pool`.  At a spanning B0 it has m^2 balls.
 
-    Candidate stream (fixed order, independent of budget, so the result is
-    non-decreasing in budget): all pool singletons, Vitali subcovers at
-    several radius scales (both the disjoint balls and their 5-dilates),
-    steepest-ascent add/swap moves over the pool, and finally a depth-first
-    enumeration of admissible pool subsets, which completes on small spaces
-    and turns the lower bound into the exact pool supremum there.  Every
-    candidate family / move probe counts against `budget`, which must be at
-    least 1.
-
-    The singletons spend one evaluation per pool ball, so the later stages
-    run only when the pool is smaller than the budget.  Only then is each
-    pool ball's fifth built, once, as a bitset over the m points (and, for
-    the enumeration's dedup, its member set): each table holds fewer than
-    budget x m bits.  The incumbent is a tuple of pool indices, or the
-    balls of a 5-dilate family, and becomes `Ball`s once, at the end.
+    An evaluation is the sum over one candidate family; `budget` >= 1 caps
+    them.  The seed is the pool's best ball (the first of equal terms),
+    then, at budget >= 2, the density-greedy family: one evaluation each.
+    Only when the pool is smaller than the budget does a depth-first
+    enumeration of the admissible subsets of the pool, deduplicated by
+    member set and fifth, spend the rest; it completes on small spaces,
+    and the value is then the pool's supremum.  Only then is each pool
+    ball's fifth and member set built, once, as a bitset over the m
+    points, so each table holds fewer than budget x m bits.  The value is
+    at least the best pool term and non-decreasing in budget.  The
+    incumbent is a tuple of pool indices, made `Ball`s once, at the end.
     """
     v = space.check_values(f)
     p = _check_p(p)
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
-    d = space.d
-    centers, radii, terms, reach = _jn_pool(space, v, b0, p)
-    terms = terms.tolist()
-    n = len(terms)
+    centers, radii, terms, _ = _jn_pool(space, v, b0, p)
 
-    best_val = 0.0
-    best_idx: tuple[int, ...] = ()
-    best_balls: tuple[Ball, ...] = ()
+    best_val, best_idx = 0.0, ()
 
-    def consider(val: float, idx, balls: tuple[Ball, ...] = ()) -> None:
-        nonlocal best_val, best_idx, best_balls
+    def consider(val: float, idx) -> None:
+        nonlocal best_val, best_idx
         if val > best_val:
-            best_val, best_idx, best_balls = val, tuple(idx), balls
+            best_val, best_idx = val, tuple(idx)
 
-    # 1. singletons (the first of equal terms wins)
-    evals = min(n, budget)
-    if evals:
-        i = int(np.argmax(terms[:evals]))
-        consider(terms[i], (i,))
+    i = int(np.argmax(terms))
+    consider(float(terms[i]), (i,))
+    evals = min(budget, 2)
+    if budget >= 2:
+        fam = _greedy_family(space, centers, radii, terms)
+        consider(float(sum(terms[fam].tolist())), fam)
 
-    if evals < budget and n:
+    # the enumeration; same-center balls always clash, so the admissible
+    # count stays tame on small spaces and the DFS finishes there
+    if terms.size < budget:
+        d, terms = space.d, terms.tolist()
         fbits = [_bits(d[c] < r * 0.2) for c, r in zip(centers, radii)]
+        first: dict[tuple[int, int], int] = {}
+        for i, (c, r) in enumerate(zip(centers, radii)):
+            first.setdefault((_bits(d[c] < r), fbits[i]), i)
+        dedup = list(first.values())  # ascending: first occurrences
+        chosen: list[int] = []
 
-        # 2. Vitali seeds at a few radius scales
-        for s in np.quantile(radii, [0.1, 0.25, 0.5, 0.75, 0.9, 1.0]):
-            if evals >= budget:
-                break
-            # the largest radius <= s of each center: pool order is center, then radius
-            below = np.flatnonzero(radii <= s)
-            cand = below[np.diff(centers[below], append=-1) != 0]
-            kept = vitali_subcover(space, [Ball(int(centers[i]), float(radii[i]))
-                                           for i in cand])
-            fam = sorted(cand[kept].tolist())
-            evals += 1
-            consider(float(sum(terms[i] for i in fam)), fam)
-            # disjoint balls have disjoint fifths, and so do their 5-dilates
-            if evals >= budget:
-                break
-            dil = [Ball(int(centers[i]), float(radii[i]) * 5.0) for i in fam
-                   if radii[i] * 5.0 <= reach[centers[i]]]
-            if dil:
+        # `used` is the union of the chosen fifths
+        def extend(start: int, used: int, val: float) -> None:
+            nonlocal evals
+            for t in range(start, len(dedup)):
+                if evals >= budget:
+                    return
+                i = dedup[t]
+                if fbits[i] & used:
+                    continue
+                chosen.append(i)
                 evals += 1
-                consider(_family_jn_sum(space, v, dil, p), (), tuple(dil))
+                consider(val + terms[i], chosen)
+                extend(t + 1, used | fbits[i], val + terms[i])
+                chosen.pop()
 
-        # 3. steepest ascent (runs when the incumbent is a pool family)
-        if best_idx and evals < budget:
-            cur = list(best_idx)
-            improved = True
-            while improved and evals < budget:
-                improved = False
-                best_gain, best_move = 0.0, None
-                for j in range(n):
-                    if evals >= budget:
-                        break
-                    if j in cur:
-                        continue
-                    evals += 1
-                    clash = [i for i in cur if fbits[j] & fbits[i]]
-                    if not clash:
-                        gain = terms[j]
-                        if gain > best_gain:
-                            best_gain, best_move = gain, (j, None)
-                    elif len(clash) == 1:
-                        gain = terms[j] - terms[clash[0]]
-                        if gain > best_gain:
-                            best_gain, best_move = gain, (j, clash[0])
-                if best_move is not None:
-                    j, old = best_move
-                    if old is not None:
-                        cur.remove(old)
-                    cur.append(j)
-                    cur.sort()
-                    improved = True
-            consider(float(sum(terms[i] for i in cur)), cur)
-
-        # 4. exhaustive subset enumeration over the deduplicated pool with the
-        # remaining budget; same-center balls always clash, so the admissible
-        # count stays tame on small spaces and the DFS finishes there
-        if evals < budget:
-            first: dict[tuple[int, int], int] = {}
-            for i, (c, r) in enumerate(zip(centers, radii)):
-                first.setdefault((_bits(d[c] < r), fbits[i]), i)
-            dedup = list(first.values())  # ascending: first occurrences
-            chosen: list[int] = []
-
-            # `used` is the union of the chosen fifths
-            def extend(start: int, used: int, val: float) -> None:
-                nonlocal evals
-                for t in range(start, len(dedup)):
-                    if evals >= budget:
-                        return
-                    i = dedup[t]
-                    if fbits[i] & used:
-                        continue
-                    chosen.append(i)
-                    evals += 1
-                    consider(val + terms[i], chosen)
-                    extend(t + 1, used | fbits[i], val + terms[i])
-                    chosen.pop()
-
-            extend(0, 0, 0.0)
+        extend(0, 0, 0.0)
 
     best_val = _check_jn_value(best_val, p)  # a sum of finite terms may overflow
-    balls = best_balls or tuple(Ball(int(centers[i]), float(radii[i])) for i in best_idx)
+    balls = tuple(Ball(int(centers[i]), float(radii[i])) for i in best_idx)
     family = check_admissible(space, b0, balls)
     if balls and not family.admissible:
         raise InvariantViolation("search produced an inadmissible family",

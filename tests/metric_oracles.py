@@ -6,8 +6,9 @@ O(m^3) per-center oscillation table, the distinct-distance critical radii,
 the per-center maximal loop, the per-center witness loop, the doubling
 constant's scan of radii between breakpoints, the pairwise
 member-mask loops behind the Vitali, admissibility, CZ-cover and nested-
-cover checks, the JN_p search that scanned its chosen balls one by one
-for a clash, the search pool's per-center loop of masked terms, the tree
+cover checks, the JN_p search with its greedy and clash tests on member
+masks (and, as the floor of its value, the four-stage search it
+replaced), the search pool's per-center loop of masked terms, the tree
 generator's per-pair lowest-common-ancestor loop, and the triangle
 check's full m x m pass per intermediate point.  Tests compare the
 package against them bitwise.  The pool's terms are compared within a
@@ -371,16 +372,121 @@ def search_pool(space, f, b0, p):
     return centers, radii, np.array(terms)
 
 
-def jnp_metric_lower(space, f, b0, p, budget=4000):
-    """The JN_p search with its clash tests made against each chosen ball
-    in turn, on the loop versions of vitali_subcover and check_admissible.
-    A pool ball's term is read from its center's prefix tables (the
-    package's formula, so the two searches compare bitwise); a 5-dilate's
-    is summed over its member mask."""
-    v = space.check_values(f)
+def pool_terms(space, v, b0, p):
+    """The search pool as `Ball`s and its terms, each read from its
+    center's prefix tables (the package's formula, so the searches compare
+    bitwise)."""
+    wcum, _, osc = ball_tables(space.orders, space.w, v)
+    centers, radii = pool_balls(space, b0)
+    pool = [Ball(int(c), float(r)) for c, r in zip(centers, radii)]
+    # the ball is a prefix of c's order
+    k = np.array([np.count_nonzero(space.members(b)) - 1 for b in pool], dtype=np.int64)
+    pool_w, pool_osc = wcum[centers, k], osc[centers, k]
+    return pool, (pool_w * (pool_osc / pool_w) ** p).tolist()
+
+
+def enumerate_pool(space, pool, pool_term, budget, evals, consider):
+    """The depth-first enumeration of admissible subsets of the pool,
+    deduplicated by member set and fifth, with the clash tests made on
+    member masks: at each depth, every later candidate's fifth against
+    the union of the chosen fifths at once.  Calls consider(value, pool
+    indices) once per family, until `evals` reaches the budget; returns
+    the final count."""
+    sig_first = {}
+    for i, b in enumerate(pool):
+        key = (space.members(b).tobytes()
+               + space.members(b.dilate(0.2)).tobytes())
+        sig_first.setdefault(key, i)
+    dedup = sorted(sig_first.values())
+    fifth = np.array([space.members(pool[i].dilate(0.2)) for i in dedup])
+
+    def extend(chosen, start, used, val):
+        nonlocal evals
+        for t in (start + np.flatnonzero(~np.any(fifth[start:] & used, axis=1))).tolist():
+            if evals >= budget:
+                return
+            i = dedup[t]
+            grown = chosen + (i,)
+            evals += 1
+            consider(val + pool_term[i], grown)
+            extend(grown, t + 1, used | fifth[t], val + pool_term[i])
+
+    extend((), 0, np.zeros(space.m, dtype=bool), 0.0)
+    return evals
+
+
+def search_result(space, b0, p, value, balls, evals):
+    """The JnSearchResult of a family, checked by the loop check_admissible."""
+    family = check_admissible(space, b0, balls)
+    if balls and not family.admissible:
+        raise InvariantViolation("search produced an inadmissible family",
+                                 flags=(family.centered, family.contained,
+                                        family.fifth_disjoint))
+    return JnSearchResult(
+        value=value,
+        norm=value ** (1.0 / p) if value > 0 else 0.0,
+        p=p,
+        family=family,
+        evaluations=evals,
+    )
+
+
+def _check_p(p):
     p = float(p)
     if not p > 1:
         raise ValueError(f"p must be > 1, got {p}")
+    return p
+
+
+def jnp_metric_lower(space, f, b0, p, budget=4000):
+    """The seeded JN_p search on member masks.  The best pool ball costs
+    one evaluation.  With budget >= 2 the density greedy costs one more:
+    it visits the pool by decreasing term / mu(fifth), ties in pool order,
+    and tests each fifth's mask against the union of the kept fifths.  A
+    fifth's measure is read from its center's cumulative weights, the
+    package's formula, so both visit in one order.  When the pool is
+    smaller than the budget, the enumeration spends the rest."""
+    v = space.check_values(f)
+    p = _check_p(p)
+    pool, pool_term = pool_terms(space, v, b0, p)
+    best = [0.0, ()]
+
+    def consider(val, idx):
+        if val > best[0]:
+            best[:] = val, tuple(idx)
+
+    for i in range(len(pool)):
+        consider(pool_term[i], (i,))
+    evals = 1
+    if budget >= 2:
+        evals += 1
+        wcum = np.cumsum(space.w[space.orders], axis=1)
+        fifths = [space.members(b.dilate(0.2)) for b in pool]
+        density = [pool_term[i] / wcum[b.center, np.count_nonzero(fifths[i]) - 1]
+                   for i, b in enumerate(pool)]
+        used = np.zeros(space.m, dtype=bool)
+        fam = []
+        for i in sorted(range(len(pool)), key=lambda i: -density[i]):
+            if pool_term[i] > 0 and not np.any(fifths[i] & used):
+                fam.append(i)
+                used |= fifths[i]
+        fam.sort()
+        consider(float(sum(pool_term[i] for i in fam)), fam)
+    if len(pool) < budget:
+        evals = enumerate_pool(space, pool, pool_term, budget, evals, consider)
+    value, idx = best
+    return search_result(space, b0, p, value, tuple(pool[i] for i in idx), evals)
+
+
+def jnp_metric_lower_staged(space, f, b0, p, budget=4000):
+    """The JN_p search before the greedy seed, on the loop versions of
+    vitali_subcover and check_admissible: all pool singletons, each costing
+    one evaluation; then, with budget left, Vitali subcovers at six radius
+    quantiles and their 5-dilates, steepest-ascent add/swap moves over the
+    pool, and the enumeration.  A 5-dilate's term is summed over its
+    member mask."""
+    v = space.check_values(f)
+    p = _check_p(p)
     big = space.members(b0.dilate(11.0))
 
     def term(ball):
@@ -389,13 +495,7 @@ def jnp_metric_lower(space, f, b0, p, budget=4000):
             return None
         return _jn_term(space, v, mem, p)
 
-    wcum, _, osc = ball_tables(space.orders, space.w, v)
-    centers, radii = pool_balls(space, b0)
-    pool = [Ball(int(c), float(r)) for c, r in zip(centers, radii)]
-    # the ball is a prefix of c's order
-    k = np.array([np.count_nonzero(space.members(b)) - 1 for b in pool], dtype=np.int64)
-    pool_w, pool_osc = wcum[centers, k], osc[centers, k]
-    pool_term = (pool_w * (pool_osc / pool_w) ** p).tolist()
+    pool, pool_term = pool_terms(space, v, b0, p)
 
     evals = 0
     best_val = 0.0
@@ -483,39 +583,6 @@ def jnp_metric_lower(space, f, b0, p, budget=4000):
                  tuple(pool[i] for i in cur), tuple(cur))
 
     if pool and evals < budget:
-        sig_first = {}
-        for i, b in enumerate(pool):
-            key = (space.members(b).tobytes()
-                   + space.members(b.dilate(0.2)).tobytes())
-            sig_first.setdefault(key, i)
-        dedup = sorted(sig_first.values())
-        fifth = {i: space.members(pool[i].dilate(0.2)) for i in dedup}
-
-        def extend(chosen, start, val):
-            nonlocal evals
-            for t in range(start, len(dedup)):
-                if evals >= budget:
-                    return
-                i = dedup[t]
-                if any(np.any(fifth[i] & fifth[j]) for j in chosen):
-                    continue
-                grown = chosen + (i,)
-                evals += 1
-                consider(val + pool_term[i],
-                         tuple(pool[j] for j in grown), grown)
-                extend(grown, t + 1, val + pool_term[i])
-
-        extend((), 0, 0.0)
-
-    family = check_admissible(space, b0, best_balls)
-    if best_balls and not family.admissible:
-        raise InvariantViolation("search produced an inadmissible family",
-                                 flags=(family.centered, family.contained,
-                                        family.fifth_disjoint))
-    return JnSearchResult(
-        value=best_val,
-        norm=best_val ** (1.0 / p) if best_val > 0 else 0.0,
-        p=p,
-        family=family,
-        evaluations=evals,
-    )
+        evals = enumerate_pool(space, pool, pool_term, budget, evals,
+                               lambda val, idx: consider(val, (pool[j] for j in idx), idx))
+    return search_result(space, b0, p, best_val, best_balls, evals)

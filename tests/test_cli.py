@@ -147,6 +147,15 @@ def test_analyze_space(tmp_path):
     assert data["m"] == 14
 
 
+def test_analyze_space_cloud_reports_a_family(tmp_path):
+    # the default B0 spans the space, so its pool holds 90,000 balls; the
+    # search used to spend its budget on the first singletons, one ball
+    out = tmp_path / "a.json"
+    assert run("analyze", "--space", "random-cloud", "--m", "300", "--seed", "1",
+               "--out", str(out)) == 0
+    assert json.loads(out.read_text())["jnp_lower"]["n_balls"] > 1
+
+
 def test_analyze_needs_a_source():
     assert run("analyze") == 2
 
@@ -479,6 +488,16 @@ def test_space_csv_weight_overflow_exit_2(tmp_path, capsys):
     for cmd in (("analyze",), ("verify", "bmo"), ("verify", "mainresult")):
         assert run(*cmd, "--space", str(space), "--values", str(vals)) == 2
         assert "total weight is not finite" in one_line_error(capsys)
+
+
+def test_space_csv_distance_overflow_exit_2(tmp_path, capsys):
+    # distances whose sums overflow used to pass with a RuntimeWarning
+    space, vals = tmp_path / "s.csv", tmp_path / "v.csv"
+    space.write_text("m,3\n0.0,8e307,1.6e308,1.0\n8e307,0.0,8e307,1.0\n"
+                     "1.6e308,8e307,0.0,1.0\n")
+    vals.write_text("m,3\n0,0.0\n1,1.0\n2,2.0\n")
+    assert run("analyze", "--space", str(space), "--values", str(vals)) == 2
+    assert "distance too large" in one_line_error(capsys)
 
 
 @pytest.mark.parametrize("line,option", [("format = xml", "--format"),

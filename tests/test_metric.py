@@ -1,14 +1,15 @@
 import itertools
 import os
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
 
 import metric_oracles as oracle
 from jnlab.errors import InvariantViolation, MetricAxiomError, PreconditionError
-from jnlab.metric import (Ball, MetricMeasureSpace, bmo_norm_metric, build_space,
-                          check_admissible, doubling_constant, global_maximal,
+from jnlab.metric import (Ball, MetricMeasureSpace, _jn_pool, _radius_at, bmo_norm_metric,
+                          build_space, check_admissible, doubling_constant, global_maximal,
                           hl_maximal_restricted, jnp_metric_lower, space_from_csv,
                           space_from_points, space_to_csv, values_from_csv,
                           values_to_csv, vitali_subcover)
@@ -58,6 +59,35 @@ def test_axioms_reject_total_weight_overflow():
     with pytest.raises(MetricAxiomError, match="total weight is not finite"):
         MetricMeasureSpace([[0.0, 1.0], [1.0, 0.0]], [1e308, 1e308])
     assert MetricMeasureSpace([[0.0, 1.0], [1.0, 0.0]], [8e307, 8e307]).total_measure == 1.6e308
+
+
+def test_axioms_reject_distances_whose_sums_overflow():
+    # on the line 0, 8e307, 1.6e308 the triangle check's sums and the
+    # radius past the farthest point used to overflow with only a warning
+    x = np.array([0.0, 8e307, 1.6e308])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(MetricAxiomError, match="distance too large") as exc:
+            MetricMeasureSpace(np.abs(x[:, None] - x[None, :]), np.ones(3))
+        assert exc.value.witness == (0, 2, 1.6e308)
+        # the largest distance accepted: radii and 11 B0 stay finite
+        top = np.finfo(float).max / 32
+        s = MetricMeasureSpace([[0.0, top], [top, 0.0]], [1.0, 1.0])
+        assert np.all(np.isfinite(_radius_at(s.sorted_d)))
+        assert Ball(0, 1.5 * top + 1.0).dilate(11.0).radius < np.inf
+
+
+def test_axioms_reject_subnormal_distances():
+    # the ball {0, 5e-324} about 0 has radius 1e-323, whose fifth radius
+    # 1e-323 * 0.2 rounds to 0: that fifth would miss even its center, and
+    # no Ball of radius 0 exists to check it
+    x = np.array([0.0, 5e-324, 1e-323])
+    with pytest.raises(MetricAxiomError, match="below 2\\^-1022") as exc:
+        MetricMeasureSpace(np.abs(x[:, None] - x[None, :]), np.ones(3))
+    assert exc.value.witness == (0, 1, 5e-324)
+    tiny = np.finfo(float).tiny  # the smallest distance accepted
+    s = MetricMeasureSpace([[0.0, tiny], [tiny, 0.0]], [1.0, 1.0])
+    assert np.all(_radius_at(s.sorted_d) * 0.2 > 0)
 
 
 def test_axioms_reject_empty_space(tmp_path):
@@ -311,8 +341,9 @@ def test_jnp_search_rejects_budget_below_one(budget):
 
 def test_jnp_search_overflowing_term_past_budget_raises():
     # only the ball {m-2, m-1} has W (S/W)^3 = 2 A^3 > max float; it is the
-    # second ball of the last center, so budget 1 stops ahead of it, and
-    # every other ball holding both points has W >= 3 and a finite term
+    # second ball of the last center, and the pool sums its term even at
+    # budget 1.  Every other ball holding both points has W >= 3 and a
+    # finite term
     m = 12
     s = space_from_points(np.arange(m, dtype=np.float64))
     b0 = spanning_ball(s)
@@ -323,9 +354,9 @@ def test_jnp_search_overflowing_term_past_budget_raises():
     assert s.members(Ball(m - 1, float(radii[1]))).nonzero()[0].tolist() == [m - 2, m - 1]
     with pytest.raises(PreconditionError, match="JN_p value is not finite"):
         jnp_metric_lower(s, f, b0, 3.0, budget=1)
-    # at half the values every term is finite; the first pool ball wins
+    # at half the values every term is finite; the best pool ball wins
     res = jnp_metric_lower(s, 0.5 * f, b0, 3.0, budget=1)
-    assert res.evaluations == 1 and res.value == 0.0
+    assert res.evaluations == 1 and res.value == _jn_pool(s, 0.5 * f, b0, 3.0)[2].max()
 
 
 def test_jnp_search_overflowing_weighted_values_raise():

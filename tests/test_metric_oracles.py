@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import metric_oracles as oracle
+from test_acceptance import _corpus
 from jnlab import kernels
 from jnlab.errors import MetricAxiomError
 from jnlab.generators import (f_distance, f_log_distance, f_random, gen_grid2d, gen_line,
@@ -257,19 +258,19 @@ def sub_ball(space):
 
 
 def pool_size(space, b0):
-    """Number of realized balls centered in b0 inside 11*b0: the search's
-    singleton phase uses exactly this many evaluations."""
+    """Number of realized balls centered in b0 inside 11*b0: the search
+    enumerates subsets only when its budget exceeds this."""
     return len(oracle.pool_balls(space, b0)[0])
 
 
 def search_cases():
-    """(space, values, b0, budgets), with n the pool size.  The search
-    spends n evaluations on singletons and at most 12 on Vitali seeds; the
-    ascent runs when a pool family leads after them, as it does when 11*B0
-    leaves points out (the 4-point B0), and the subset enumeration follows.
-    So n + 3 stops among the Vitali seeds, n + 12 + n // 2 in the first
-    ascent round or else in the enumeration, and 4 n in the enumeration.
-    On the small spaces every budget up to the completing count is run."""
+    """(space, values, b0, budgets), with n the pool size.  The best pool
+    ball costs the first evaluation and the greedy family the second, and
+    the subset enumeration runs only when n is below the budget.  So
+    budget 1 stops after the best ball, 2 after the greedy, n is the
+    largest budget with no enumeration, n + 1 stops after n - 1
+    enumerated families, and 4 n deeper in the enumeration.  On the small
+    spaces every budget up to one past the completing count is run."""
     grid = gen_grid2d(8)
     c = int(np.argmin(grid.d.max(axis=1)))
     yield grid, f_log_distance(grid, int(np.argmax(grid.d[c]))), sub_ball(grid), (2000,)
@@ -280,7 +281,7 @@ def search_cases():
         c = int(np.argmin(space.d.max(axis=1)))
         b0 = sub_ball(space) if half else Ball(c, float(np.sort(space.d[c])[3]) + 1e-9)
         n = pool_size(space, b0)
-        budgets = (n + 3, n + 12 + n // 2) + (() if half and n > 200 else (4 * n,))
+        budgets = (1, 2, n, n + 1) + (() if half and n > 200 else (4 * n,))
         for f in value_sets(space, seed):
             yield space, f, b0, budgets
     for space, stride in ((gen_line(8), 1), (gen_tree_graph(9, 1), 25),
@@ -293,8 +294,8 @@ def search_cases():
 
 
 def test_search_pool_beyond_budget_matches_oracle_in_small_memory():
-    # a spanning B0 puts all m^2 = 6400 balls in the pool, so the budget
-    # ends among the singletons; nothing pool x m may be built then
+    # a spanning B0 puts all m^2 = 6400 balls in the pool, so the search
+    # ends after its seed; nothing pool x m may be built then
     space = gen_random_cloud(80, 5)
     c = int(np.argmin(space.d.max(axis=1)))
     b0 = Ball(c, 1.5 * float(space.d[c].max()) + 1.0)
@@ -307,7 +308,7 @@ def test_search_pool_beyond_budget_matches_oracle_in_small_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert got.value == want.value and got.evaluations == want.evaluations == 2000
+    assert got.value == want.value and got.evaluations == want.evaluations == 2
     assert got.family == want.family
     assert peak < 1.5e6
 
@@ -384,6 +385,34 @@ def test_search_pool_keeps_adjacent_float_balls_whole():
     assert centers.tolist() == [2] and radii.tolist() == [0.5] and terms.tolist() == [0.0]
     got = jnp_metric_lower(space, f, b0, 2.0)
     assert got.value == 0.0 and got.family.balls == ()
+
+
+def test_search_is_at_least_its_best_ball_and_grows_with_budget():
+    # the first `budget` singletons used to miss the best ball: cloud-300
+    # returned 52.914 at budget 4000 against a best term of 53.198
+    cloud = gen_random_cloud(300, 1)
+    spanning = Ball(0, 1.5 * float(cloud.d[0].max()) + 1.0)
+    cases = [(cloud, f_log_distance(cloud, 0), spanning, (1, 2, 4000))]
+    for space, f, b0, budgets in itertools.chain(cases, search_cases()):
+        top = _jn_pool(space, f, b0, 2.0)[2].max()
+        values = []
+        for budget in budgets:
+            got = jnp_metric_lower(space, f, b0, 2.0, budget=budget)
+            assert got.value >= top and got.evaluations <= budget
+            assert got.family.admissible
+            values.append(got.value)
+        assert values == sorted(values)
+
+
+def test_search_is_at_least_the_staged_search():
+    # the seeded search against the four-stage one it replaced, at equal
+    # budget: the acceptance corpus and every search case
+    cases = [(sp, f, b0, (400, 4000)) for sp, f, b0 in _corpus()]
+    for space, f, b0, budgets in itertools.chain(cases, search_cases()):
+        for budget in budgets:
+            got = jnp_metric_lower(space, f, b0, 2.0, budget=budget)
+            old = oracle.jnp_metric_lower_staged(space, f, b0, 2.0, budget=budget)
+            assert got.value >= old.value * (1.0 - 1e-12)
 
 
 def random_families(space, rng, n_fam=20):
