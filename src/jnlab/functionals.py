@@ -45,16 +45,19 @@ class PartitionResult:
 
 def _subtree_terms(f: GridFunction, q0: DyadicCube, p: float) -> tuple[np.ndarray, ...]:
     """Pyramid of |Q| (osc_Q f)^p over the subtree of q0, one array per
-    relative depth."""
+    relative depth.  A finest cell's oscillation is +0.0, so its term is
+    mu * 0^p = +0.0 for p > 1: that level is zeros, with no power, as a
+    zero-stride view like the pyramid's own finest level."""
     pyr = f.osc_pyramid()
     terms = []
-    for rel in range(f.max_depth - q0.depth + 1):
+    for rel in range(f.max_depth - q0.depth):
         k = q0.depth + rel
         cnt = 1 << (f.dim * (f.max_depth - k))
         mu = f.root.measure / float(1 << (f.dim * k))
         osc_sums = f.pyramid_slice(pyr, q0, rel)
         with np.errstate(over="ignore"):  # an inf term reaches the DP root
             terms.append(mu * np.power(osc_sums * (1.0 / float(cnt)), p))
+    terms.append(np.broadcast_to(0.0, 1 << (f.dim * (f.max_depth - q0.depth))))
     return tuple(terms)
 
 
@@ -72,8 +75,11 @@ def jnp_dyadic(f: GridFunction, q0: DyadicCube, p: float) -> PartitionResult:
 
 def _best_partition(f: GridFunction, q0: DyadicCube, p: float) -> PartitionResult:
     terms = _subtree_terms(f, q0, p)
+    # the finest terms are zeros, and children summing to +0.0 never beat a
+    # term >= +0.0: the DP starts one level up, with the same values and
+    # splits, so the witness walk never reaches the finest level
     with np.errstate(over="ignore"):  # an overflowed sum reaches the root too
-        values, split = kernels.dp_sweep(terms, f.dim)
+        values, split = kernels.dp_sweep(terms[:max(1, len(terms) - 1)], f.dim)
     value = _check_jn_value(float(values[0][0]), p)
 
     witness = []
@@ -92,8 +98,8 @@ def _best_partition(f: GridFunction, q0: DyadicCube, p: float) -> PartitionResul
 def bmo_dyadic(f: GridFunction, q0: DyadicCube) -> float:
     """Largest mean oscillation over all dyadic subcubes of ``q0`` (incl. q0)."""
     pyr = f.osc_pyramid()
-    best = 0.0
-    for rel in range(f.max_depth - q0.depth + 1):
+    best = 0.0  # a finest cell's oscillation, so that level is not read
+    for rel in range(f.max_depth - q0.depth):
         cnt = 1 << (f.dim * (f.max_depth - q0.depth - rel))
         level = f.pyramid_slice(pyr, q0, rel) * (1.0 / float(cnt))
         cand = float(level.max())

@@ -38,6 +38,8 @@ __all__ = [
 # before any per-cell array is allocated.
 MAX_CELL_BITS = 24
 
+_OSC_TILE_BITS = 15  # cells per tile of the oscillation pyramid: 2**15 doubles, 256 KB
+
 
 @dataclass(frozen=True)
 class RootCube:
@@ -302,16 +304,36 @@ class GridFunction(_Memoized):
             np.abs(self.zvalues), self.max_depth, self.dim))
 
     def osc_pyramid(self) -> tuple[np.ndarray, ...]:
-        """Per-cube sums of |value - cube average| at every depth."""
+        """Per-cube sums of |value - cube average| at every depth.
+
+        Built tile by tile, so that the cells of a tile stay in cache
+        while every level is summed over them: a cube inside a tile is
+        summed there, and a larger cube gets one partial sum per tile,
+        pair-summed after the walk.  A tile is an aligned subtree of the
+        pair tree, so each sum is bitwise that of one untiled `osc_sums`.
+        """
         def build():
             sums = self.sum_pyramid()
-            levels = []
-            for k in range(self.max_depth):
-                width = self.dim * (self.max_depth - k)
-                levels.append(kernels.osc_sums(
-                    self.zvalues, sums[k] * (1.0 / float(1 << width)), width))
-            # a finest cell is its own average: |v - v| is +0.0 for finite v
-            levels.append(np.zeros(self.n_cells))
+            tbits = min(_OSC_TILE_BITS, self.dim * self.max_depth)
+            n_tiles = self.n_cells >> tbits
+            widths = [self.dim * (self.max_depth - k) for k in range(self.max_depth)]
+            avgs = [sums[k] * (1.0 / float(1 << w)) for k, w in enumerate(widths)]
+            levels = [np.empty(a.size) for a in avgs]
+            partials = {k: np.empty(n_tiles) for k, w in enumerate(widths) if w > tbits}
+            for t in range(n_tiles):
+                tile = self.zvalues[t << tbits:(t + 1) << tbits]
+                for k, w in enumerate(widths):
+                    if w > tbits:  # one partial sum of the cube holding the tile
+                        i = t >> (w - tbits)
+                        partials[k][t] = kernels.osc_sums(tile, avgs[k][i:i + 1], tbits)[0]
+                    else:
+                        run = slice(t << (tbits - w), (t + 1) << (tbits - w))
+                        levels[k][run] = kernels.osc_sums(tile, avgs[k][run], w)
+            for k, part in partials.items():
+                levels[k] = kernels.build_pyramid(part, widths[k] - tbits, 1)[0]
+            # a finest cell is its own average: |v - v| is +0.0 for finite v,
+            # kept as a read-only zero-stride view, so no cell-sized array
+            levels.append(np.broadcast_to(0.0, self.n_cells))
             return tuple(levels)
         return self._memo("pyr_osc", build)
 

@@ -11,9 +11,10 @@ output is one correctly rounded addition of the same two operands, so the
 sums are bitwise those of the reduction, with one exception: numpy's
 reduction adds onto +0.0, so two negative zeros sum to +0.0 there and to
 -0.0 in a plain add.  Adding 0 afterwards turns -0.0 into +0.0 and
-leaves every other value as it is.  A 4-wide block (``nbits = 2``) is
-still two rounds of pair sums, since one 4-term reduction rounds
-differently.
+leaves every other value as it is.  ``osc_sums`` needs no such pass:
+each addend is |x| >= +0.0, and no sum of those is -0.0.  A 4-wide
+block (``nbits = 2``) is still two rounds of pair sums, since one
+4-term reduction rounds differently.
 
 Pyramid layout: a function on ``A**L`` leaves (``A = 2**nbits`` children
 per node) is stored as a sequence of ``L + 1`` arrays, one per level.
@@ -88,7 +89,10 @@ def osc_sums(block: np.ndarray, avgs, width: int) -> np.ndarray:
     avgs = np.asarray(avgs, dtype=np.float64)
     dev = np.reshape(block, (avgs.size, 1 << width)) - avgs[:, None]
     np.abs(dev, out=dev)
-    return _pair_sums(dev.reshape(-1), width)
+    out = dev.reshape(-1)
+    for _ in range(width):  # addends >= +0.0: no -0.0 sum to clear
+        out = out[0::2] + out[1::2]
+    return out
 
 
 def maximal_sweep(pyramid, nbits: int) -> tuple[np.ndarray, np.ndarray]:

@@ -649,23 +649,22 @@ def _bits(mask: np.ndarray) -> int:
 
 
 def _jn_pool(space: MetricMeasureSpace, v: np.ndarray, b0: Ball, p: float):
-    """(centers, radii, terms, reach) of the search pool, in center-then-
-    radius order: every (center c in B0, tie-group end k) entry of the
-    sorted tables whose radius is at most reach[c], the distance from c to
-    the nearest point outside 11*B0.  A term is W (S / W)^p with
+    """(centers, radii, terms) of the search pool, in center-then-radius
+    order: every (center c in B0, tie-group end k) entry of the sorted
+    tables whose radius is at most c's reach, the distance from c to the
+    nearest point outside 11*B0.  A term is W (S / W)^p with
     W = wcum[c, k] and S = sum w |v - a| about the prefix mean a, all
     summed left to right; PreconditionError, with no numpy warning, when
     one is not finite."""
     cent = np.flatnonzero(space.members(b0))
     outside = ~space.members(b0.dilate(11.0))
-    reach = np.full(space.m, np.inf)
-    reach[cent] = np.min(space.d[cent], axis=1, where=outside, initial=np.inf)
+    reach = np.min(space.d[cent], axis=1, where=outside, initial=np.inf)
     # each (centers x positions) table is freed once spent, to bound peak memory
     sd = space.sorted_d[cent]
     rad = _radius_at(sd)
     keep = _tie_group_ends(sd)
     del sd
-    keep &= rad <= reach[cent, None]
+    keep &= rad <= reach[:, None]
     row, end = np.nonzero(keep)
     del keep
     centers, radii = cent[row], rad[row, end]
@@ -680,7 +679,7 @@ def _jn_pool(space: MetricMeasureSpace, v: np.ndarray, b0: Ball, p: float):
         terms **= p
         terms *= wsum
     _check_jn_value(float(terms.max(initial=0.0)), p)
-    return centers, radii, terms, reach
+    return centers, radii, terms
 
 
 _GREEDY_BLOCK = 1024  # pool balls per step of the greedy visit
@@ -748,7 +747,7 @@ def jnp_metric_lower(space: MetricMeasureSpace, f, b0: Ball, p: float,
     p = _check_p(p)
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
-    centers, radii, terms, _ = _jn_pool(space, v, b0, p)
+    centers, radii, terms = _jn_pool(space, v, b0, p)
 
     best_val, best_idx = 0.0, ()
 

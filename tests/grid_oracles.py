@@ -7,7 +7,8 @@ permutation, and the CZ construction that decoded one cube at a time and
 built the residual through a full-grid Morton mask.  They work on Python
 ints, so they hold at any depth.  Tests compare the package against them
 bitwise.  ``jnp_bruteforce`` enumerates every dyadic partition, the
-oracle of the JN_p dynamic program on tiny grids.
+oracle of the JN_p dynamic program on tiny grids, and ``jnp_full_dp``
+runs that program over every level, the finest included.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import itertools
 
 import numpy as np
 
+from jnlab import kernels
 from jnlab.errors import _check_jn_value, _check_p
 from jnlab.functionals import PartitionResult, _subtree_terms
 from jnlab.grid import CellSet, DyadicCube, GridFunction, _subtree_cubes
@@ -134,3 +136,31 @@ def jnp_bruteforce(f: GridFunction, q0: DyadicCube, p: float,
     best_val = _check_jn_value(best_val, p)
     witness = tuple(c for rel, z in best_keys for c in _subtree_cubes(q0, rel, [z]))
     return PartitionResult(best_val, best_val ** (1.0 / p), p, witness)
+
+
+def jnp_full_dp(f: GridFunction, q0: DyadicCube, p: float) -> tuple[float, tuple[DyadicCube, ...]]:
+    """(value, witness) of the JN_p dynamic program over the whole term
+    pyramid: |Q| (osc_Q f)^p through `np.power` at every level, the
+    finest included, and `kernels.dp_sweep` from the finest level up.  The
+    witness walks the split flags depth first, children in z order; the
+    value is inf when a term or sum overflowed."""
+    pyr = f.osc_pyramid()
+    terms = []
+    with np.errstate(over="ignore"):
+        for rel in range(f.max_depth - q0.depth + 1):
+            k = q0.depth + rel
+            cnt = 1 << (f.dim * (f.max_depth - k))
+            mu = f.root.measure / float(1 << (f.dim * k))
+            terms.append(mu * np.power(f.pyramid_slice(pyr, q0, rel) * (1.0 / float(cnt)), p))
+        values, split = kernels.dp_sweep(terms, f.dim)
+    witness = []
+
+    def walk(cube: DyadicCube, rel: int, z: int) -> None:
+        if split[rel][z]:
+            for j, child in enumerate(cube.children()):
+                walk(child, rel + 1, (z << f.dim) + j)
+        else:
+            witness.append(cube)
+
+    walk(q0, 0, 0)
+    return float(values[0][0]), tuple(witness)

@@ -1,9 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from grid_oracles import _partition_count, jnp_bruteforce
+from grid_oracles import _partition_count, jnp_bruteforce, jnp_full_dp
+from jnlab.errors import PreconditionError
 from jnlab.functionals import bmo_dyadic, distribution, jnp_dyadic, notlp_terms, weak_lp
-from jnlab.grid import DyadicCube, GridFunction, RootCube, average, mean_oscillation
+from jnlab.generators import gen_random_uniform
+from jnlab.grid import (DyadicCube, GridFunction, RootCube, average, cube_from_zindex,
+                        mean_oscillation)
+from test_kernels import osc_sums_cases
 
 
 def unit(dim):
@@ -129,6 +135,101 @@ def test_jnp_monotone_in_depth():
     q0 = f.root.top()
     vals = [jnp_bruteforce(f, q0, 2.0, d).value for d in (0, 1, 2)]
     assert vals[0] <= vals[1] <= vals[2] <= jnp_dyadic(f, q0, 2.0).value
+
+
+def test_jnp_dp_from_one_level_up_matches_full_term_pyramid_bitwise():
+    # the DP skips the all-zero finest level; its value and witness are
+    # those of the DP over every level, on Q0s of every local depth
+    for f, k in osc_sums_cases():
+        q0 = cube_from_zindex(f.root, k, (1 << (f.dim * k)) - 1)
+        for p in (1.5, 2.0, 3.0):
+            value, witness = jnp_full_dp(f, q0, p)
+            if not np.isfinite(value):
+                with pytest.raises(PreconditionError, match="not finite"):
+                    jnp_dyadic(f, q0, p)
+                continue
+            got = jnp_dyadic(f, q0, p)
+            assert np.float64(got.value).tobytes() == np.float64(value).tobytes()
+            assert got.witness == witness
+            if k == f.max_depth:  # a finest cell
+                assert got.value == 0.0 and got.witness == (q0,)
+
+
+# ------------------------------------------- JN_p against osc and BMO
+#
+# With S_p = (JN_p(f, Q0) / |Q0|)^(1/p):
+#   lower:    |Q| osc_Q(f)^p <= JN_p(f, Q0) for every dyadic Q in Q0,
+#             since {Q} is a family;
+#   upper:    S_p <= ||f||_BMO(Q0), since a family's cubes are disjoint;
+#   monotone: S_p is non-decreasing in p, a sup of L^p means over
+#             sub-probability weights |Q_i| / |Q0|.
+# Equality holds on some inputs, so each side is compared at a relative
+# tolerance of 1e-12.
+
+RTOL = 1e-12
+PS = (1.5, 2.0, 3.0, 6.0)
+
+
+def ratio(lhs, rhs):
+    """lhs / rhs, with 0 / 0 = 0 and lhs / 0 = inf for lhs > 0."""
+    return lhs / rhs if rhs else (np.inf if lhs else 0.0)
+
+
+def jn_bound_ratios(f, q0):
+    """The largest lower, upper and monotone ratio lhs / rhs over PS;
+    each is at most 1 + RTOL where the inequality holds."""
+    pyr = f.osc_pyramid()
+    bmo = bmo_dyadic(f, q0)
+    lower = upper = monotone = prev = 0.0
+    for p in PS:
+        jn = jnp_dyadic(f, q0, p).value
+        top = 0.0
+        for rel in range(f.max_depth - q0.depth + 1):
+            k = q0.depth + rel
+            cnt = float(1 << (f.dim * (f.max_depth - k)))
+            mu = f.root.measure / float(1 << (f.dim * k))
+            top = max(top, float((mu * (f.pyramid_slice(pyr, q0, rel) / cnt) ** p).max()))
+        s_p = (jn / q0.measure) ** (1.0 / p)
+        lower = max(lower, ratio(top, jn))
+        upper = max(upper, ratio(s_p, bmo))
+        monotone = max(monotone, ratio(prev, s_p))
+        prev = s_p
+    return lower, upper, monotone
+
+
+def test_jn_bounds_on_criterion_3_grids():
+    # the grids of acceptance criterion 3; the lower side is tight where
+    # a single cube is the best family, so that check can fail
+    ratios = []
+    for dim, depth, n in ((1, 3, 150), (2, 2, 45), (2, 3, 5)):
+        for seed in range(n):
+            f = gen_random_uniform(dim, depth, 30000 + 1000 * dim + seed)
+            ratios.append(jn_bound_ratios(f, f.root.top()))
+    ratios = np.array(ratios)
+    assert np.all(ratios <= 1.0 + RTOL), ratios.max(axis=0)
+    assert ratios[:, 0].max() >= 1.0 - RTOL
+
+
+@st.composite
+def small_grid_cubes(draw):
+    """A 1-D grid of depth <= 6 or a 2-D one of depth <= 3, with values
+    that are 0 or of magnitude in [1e-6, 1e6] (so no term underflows),
+    and one of its cubes."""
+    dim = draw(st.sampled_from((1, 2)))
+    depth = draw(st.integers(0, 6 if dim == 1 else 3))
+    n = 1 << (dim * depth)
+    value = st.one_of(st.integers(-4, 4).map(float),
+                      st.floats(1e-6, 1e6).flatmap(lambda x: st.sampled_from((x, -x))))
+    f = GridFunction(unit(dim), depth, draw(st.lists(value, min_size=n, max_size=n)))
+    k = draw(st.integers(0, depth))
+    return f, cube_from_zindex(f.root, k, draw(st.integers(0, (1 << (dim * k)) - 1)))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(small_grid_cubes())
+def test_jn_bounds_on_small_grids(case):
+    f, q0 = case
+    assert all(r <= 1.0 + RTOL for r in jn_bound_ratios(f, q0))
 
 
 def test_jnp_bruteforce_cap():

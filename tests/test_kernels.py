@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from jnlab import kernels
+from jnlab import grid, kernels
 from jnlab.grid import DyadicCube, GridFunction, RootCube
 
 
@@ -229,3 +229,35 @@ def test_osc_pyramid_leaf_level_is_zero_bitwise():
             leaf = f.osc_pyramid()[k]
             assert same_bits(leaf, kernels.osc_sums(f.zvalues, f.zvalues, 0))
             assert same_bits(leaf, np.zeros(f.n_cells))
+
+
+def assert_tiled_osc_pyramid_bitwise(shapes, min_tiles):
+    """The tiled osc_pyramid against one untiled osc_sums per level, on
+    grids of at least `min_tiles` tiles: hard floats, signed zeros,
+    uniform and constant values."""
+    for dim, depth in shapes:
+        n = 1 << (dim * depth)
+        assert n >= min_tiles << grid._OSC_TILE_BITS
+        root = RootCube(dim, (0.0,) * dim, 1.0)
+        for vals in (hard_floats(n, 20 + dim), np.tile(signed_zeros(), n // 8),
+                     np.random.default_rng(dim).uniform(-1.0, 1.0, n), np.full(n, 0.1)):
+            f = GridFunction(root, depth, vals)
+            pyr = f.osc_pyramid()
+            assert len(pyr) == depth + 1
+            for k in range(depth + 1):
+                width = dim * (depth - k)
+                avgs = f.sum_pyramid()[k] * (1.0 / float(1 << width))
+                assert same_bits(pyr[k], kernels.osc_sums(f.zvalues, avgs, width)), (dim, k)
+
+
+def test_osc_pyramid_tiles_match_untiled_osc_sums_bitwise():
+    # levels inside a tile and levels larger than one (one partial sum
+    # per tile) on grids of several tiles
+    assert_tiled_osc_pyramid_bitwise(((1, 17), (2, 9)), 4)
+
+
+@pytest.mark.parametrize("tile_bits", [3, 6])
+def test_osc_pyramid_small_tiles_match_untiled_osc_sums_bitwise(monkeypatch, tile_bits):
+    # many tiles, so that most levels are pair sums of many partials
+    monkeypatch.setattr(grid, "_OSC_TILE_BITS", tile_bits)
+    assert_tiled_osc_pyramid_bitwise(((1, 10), (2, 5)), 16)

@@ -329,7 +329,7 @@ def pool_term_gaps(space, f, b0, p):
     mu(B) max_B |f - f_B|^p, not with the term, since S can cancel to
     nearly 0; the n eps g inside covers a ball of equal values whose
     computed mean is off by a rounding."""
-    centers, radii, terms, _ = _jn_pool(space, f, b0, p)
+    centers, radii, terms = _jn_pool(space, f, b0, p)
     want_c, want_r, want_t = oracle.search_pool(space, f, b0, p)
     assert centers.tobytes() == want_c.tobytes() and radii.tobytes() == want_r.tobytes()
     eps = np.finfo(float).eps
@@ -381,7 +381,7 @@ def test_search_pool_keeps_adjacent_float_balls_whole():
     # neighbours at distance 1 has radius 1 + eps, past the reach 1
     space = adjacent_float_line()
     f, b0 = np.array([0.0, 3.0, 0.0, 3.0, 1.0, 2.0]), Ball(2, 1e-20)
-    centers, radii, terms, _ = _jn_pool(space, f, b0, 2.0)
+    centers, radii, terms = _jn_pool(space, f, b0, 2.0)
     assert centers.tolist() == [2] and radii.tolist() == [0.5] and terms.tolist() == [0.0]
     got = jnp_metric_lower(space, f, b0, 2.0)
     assert got.value == 0.0 and got.family.balls == ()
