@@ -6,7 +6,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import _check_p
+from .errors import PreconditionError, _check_p
 
 __all__ = ["Constants", "g_factor", "theorem_constants"]
 
@@ -34,6 +34,14 @@ class Constants:
     eta: float | None = None               # K / (b |Q0|^(1/p))
 
 
+def _pow(x: float, y: float) -> float:
+    """x ** y, or inf where that overflows the float range."""
+    try:
+        return x ** y
+    except OverflowError:
+        return math.inf
+
+
 def theorem_constants(c_mu: float, p: float, n: int | None = None,
                       K: float | None = None, mu_b0: float | None = None,
                       measure_q0: float | None = None) -> Constants:
@@ -42,12 +50,13 @@ def theorem_constants(c_mu: float, p: float, n: int | None = None,
         raise ValueError(f"doubling constant must be >= 1, got {c_mu}")
     p = _check_p(p)
     q = p / (p - 1.0)
-    C1 = 3.0 * c_mu**8
-    a = 2.0 * c_mu**8
+    C1, a = 3.0 * _pow(c_mu, 8), 2.0 * _pow(c_mu, 8)
+    if not math.isfinite(C1):
+        raise PreconditionError("doubling constant too large: 3 c^8 overflows", c_mu=c_mu)
     b = small = dyadic = lam0 = eta = None
-    if n is not None:
-        b, small = 2.0 ** -(n + 1), 2.0 ** ((n + 1) * p)
-        dyadic = 2.0 ** (p + (n + 1) * (p**2 + (p / q) ** 3))
+    if n is not None:  # inf where p is too large for the float range
+        b, small = 2.0 ** -(n + 1), _pow(2.0, (n + 1) * p)
+        dyadic = _pow(2.0, p + (n + 1) * (_pow(p, 2) + _pow(p / q, 3)))
     if K is not None and mu_b0 is not None:
         lam0 = C1 * K / mu_b0 ** (1.0 / p)
     if K is not None and measure_q0 is not None and b is not None:

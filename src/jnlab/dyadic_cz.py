@@ -16,8 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .constants import theorem_constants
-from .errors import InvariantViolation, PreconditionError, _check_n_lambda
+from .constants import _pow, theorem_constants
+from .errors import (InvariantViolation, PreconditionError, _check_n_lambda, _check_rhs,
+                     _jn_underflow)
 from .grid import CellSet, DyadicCube, GridFunction, _lex_to_z_perm, _subtree_cubes, average
 from .report import CheckReport, degenerate_report
 
@@ -235,6 +236,9 @@ def verify_jn_dyadic(f: GridFunction, q0: DyadicCube, p: float,
     n_lambda = _check_n_lambda(n_lambda)
     K = jnp_dyadic(f, q0, p).norm
     if K == 0.0:
+        block = f.zslice(q0)
+        if float(block.min()) != float(block.max()):
+            raise _jn_underflow(float(p))
         return [degenerate_report("jn-weak-lp-dyadic", "constant function, K = 0")]
     n = f.dim
     cons = theorem_constants(2.0**n, p, n=n, K=K, measure_q0=q0.measure)
@@ -252,7 +256,7 @@ def verify_jn_dyadic(f: GridFunction, q0: DyadicCube, p: float,
         small = lam <= eta
         const = cons.dyadic_small_constant if small else cons.dyadic_constant
         lhs = _level_measure(f, levels, lam)
-        rhs = const * (K / lam) ** p
+        rhs = _check_rhs(const * _pow(K / lam, p), p)
         reports.append(CheckReport(
             claim="jn-weak-lp-dyadic",
             lhs=lhs,

@@ -1,6 +1,6 @@
 """Shared exception types, the one check of the exponent p, the one check
-of a verifier's number of levels, and the one check that a JN_p value did
-not overflow.
+of a verifier's number of levels, and the checks that a JN_p value and a
+verifier's right side did not overflow.
 
 All carry enough payload to reconstruct the failing comparison.
 """
@@ -75,3 +75,18 @@ def _check_jn_value(value: float, p: float) -> float:
         raise PreconditionError("JN_p value is not finite: values too large for p",
                                 value=value, p=p)
     return value
+
+
+def _jn_underflow(p: float) -> PreconditionError:
+    """The error for a JN_p value that underflowed to 0 although the
+    function is not constant, so that every bound built on it reads 0."""
+    return PreconditionError("JN_p value underflows to 0: p too large for these values", p=p)
+
+
+def _check_rhs(rhs: float, p: float) -> float:
+    """A verifier's right side; PreconditionError naming p unless it is
+    finite, since a bound of inf or NaN checks nothing."""
+    if not math.isfinite(rhs):
+        raise PreconditionError("bound is not finite: p too large for the float range",
+                                rhs=rhs, p=p)
+    return rhs

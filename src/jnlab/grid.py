@@ -325,10 +325,10 @@ class GridFunction(_Memoized):
                 for k, w in enumerate(widths):
                     if w > tbits:  # one partial sum of the cube holding the tile
                         i = t >> (w - tbits)
-                        partials[k][t] = kernels.osc_sums(tile, avgs[k][i:i + 1], tbits)[0]
+                        partials[k][t] = kernels._osc_sums(tile, avgs[k][i:i + 1], tbits)[0]
                     else:
                         run = slice(t << (tbits - w), (t + 1) << (tbits - w))
-                        levels[k][run] = kernels.osc_sums(tile, avgs[k][run], w)
+                        levels[k][run] = kernels._osc_sums(tile, avgs[k][run], w)
             for k, part in partials.items():
                 levels[k] = kernels.build_pyramid(part, widths[k] - tbits, 1)[0]
             # a finest cell is its own average: |v - v| is +0.0 for finite v,

@@ -86,6 +86,13 @@ def build_pyramid(leaves: np.ndarray, depth: int, nbits: int) -> tuple[np.ndarra
 
 def osc_sums(block: np.ndarray, avgs, width: int) -> np.ndarray:
     """Tree sums of |v - avgs[j]| over the j-th run of 2**width cells of `block`."""
+    return _osc_sums(block, avgs, width)
+
+
+def _osc_sums(block: np.ndarray, avgs, width: int) -> np.ndarray:
+    """`osc_sums` for the tiled oscillation pyramid, which calls it once per
+    tile and level: kept private, so that a tracer wrapping every public
+    kernel sees that build as one call, not hundreds."""
     avgs = np.asarray(avgs, dtype=np.float64)
     dev = np.reshape(block, (avgs.size, 1 << width)) - avgs[:, None]
     np.abs(dev, out=dev)

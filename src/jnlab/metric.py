@@ -294,6 +294,18 @@ def doubling_constant(space: MetricMeasureSpace) -> float:
     return space._memo("doubling", build)
 
 
+def _member_rows(space: MetricMeasureSpace, balls) -> np.ndarray:
+    """The member sets of a ball family as the rows of one boolean array,
+    each bitwise `members`; ValueError, as `members` raises, for a center
+    out of range."""
+    centers = np.array([b.center for b in balls], dtype=np.int64)
+    bad = np.flatnonzero((centers < 0) | (centers >= space.m))
+    if bad.size:
+        raise ValueError(f"center {centers[bad[0]]} out of range (m={space.m})")
+    radii = np.array([b.radius for b in balls], dtype=np.float64)
+    return space.d[centers] < radii[:, None]
+
+
 def _first_overlap(masks) -> tuple[int, int] | None:
     """First pair i < j, in lexicographic order, of member-set rows that
     share a point; None when the rows are pairwise disjoint."""
@@ -302,6 +314,13 @@ def _first_overlap(masks) -> tuple[int, int] | None:
     rows = np.array(masks, dtype=np.float64)
     hits = np.argwhere(np.triu(rows @ rows.T, k=1) > 0)
     return (int(hits[0, 0]), int(hits[0, 1])) if hits.size else None
+
+
+def _escapes(rows: np.ndarray, masks: np.ndarray) -> np.ndarray:
+    """Whether member-set row i has a point outside mask j: a rows x masks
+    array, or one flag per row for a single mask.  A 0/1 matmul counts
+    those points, as `_first_overlap` counts shared ones."""
+    return rows.astype(np.float64) @ np.logical_not(masks).T.astype(np.float64) > 0
 
 
 def vitali_subcover(space: MetricMeasureSpace, balls) -> list[int]:
@@ -313,23 +332,21 @@ def vitali_subcover(space: MetricMeasureSpace, balls) -> list[int]:
     input ball's member set lies in the union of the kept 5-dilates.
     """
     balls = list(balls)
+    rows = _member_rows(space, balls)
     order = sorted(range(len(balls)), key=lambda i: (-balls[i].radius, i))
     kept: list[int] = []
     union = np.zeros(space.m, dtype=bool)
     for i in order:
-        mem = space.members(balls[i])
-        if not np.any(mem & union):
+        if not np.any(rows[i] & union):
             kept.append(i)
-            union |= mem
+            union |= rows[i]
 
-    cover5 = np.zeros(space.m, dtype=bool)
-    for i in kept:
-        cover5 |= space.members(balls[i].dilate(5.0))
-    for i, b in enumerate(balls):
-        if np.any(space.members(b) & ~cover5):
-            raise InvariantViolation("input ball escapes the kept 5-dilates",
-                                     ball=b, index=i)
-    pair = _first_overlap([space.members(balls[i]) for i in kept])
+    cover5 = _member_rows(space, [balls[i].dilate(5.0) for i in kept]).any(axis=0)
+    escape = np.flatnonzero(_escapes(rows, cover5))
+    if escape.size:
+        i = int(escape[0])
+        raise InvariantViolation("input ball escapes the kept 5-dilates", ball=balls[i], index=i)
+    pair = _first_overlap(rows[kept])
     if pair is not None:
         first, second = (balls[kept[k]] for k in pair)
         raise InvariantViolation("kept balls intersect", first=first, second=second)
@@ -583,26 +600,19 @@ def check_admissible(space: MetricMeasureSpace, b0: Ball, balls) -> BallFamily:
     mask0 = space.members(b0)
     big = space.members(b0.dilate(11.0))
     witness: dict = {}
-
-    centered = True
-    for b in balls:
-        if not mask0[b.center]:
-            centered = False
-            witness.setdefault("off_center", b)
-            break
-    contained = True
-    for b in balls:
-        if np.any(space.members(b) & ~big):
-            contained = False
-            witness.setdefault("escapes_11B0", b)
-            break
-    pair = _first_overlap([space.members(b.dilate(0.2)) for b in balls])
+    off = [b for b in balls if not mask0[b.center]]
+    if off:
+        witness["off_center"] = off[0]
+    escape = np.flatnonzero(_escapes(_member_rows(space, balls), big))
+    if escape.size:
+        witness["escapes_11B0"] = balls[escape[0]]
+    pair = _first_overlap(_member_rows(space, [b.dilate(0.2) for b in balls]))
     if pair is not None:
         witness["fifth_overlap"] = (balls[pair[0]], balls[pair[1]])
     return BallFamily(
         balls=balls,
-        centered=centered,
-        contained=contained,
+        centered=not off,
+        contained=not escape.size,
         fifth_disjoint=pair is None,
         truncated=bool(np.all(big)),
         witness=witness,
@@ -637,8 +647,8 @@ def _jn_term(space: MetricMeasureSpace, v: np.ndarray, mask: np.ndarray,
 def _family_jn_sum(space: MetricMeasureSpace, v: np.ndarray, balls, p: float) -> float:
     """sum mu(B) osc_B(v)^p over a family, left to right."""
     total = 0.0
-    for b in balls:
-        total += _jn_term(space, v, space.members(b), p)
+    for mask in _member_rows(space, balls):
+        total += _jn_term(space, v, mask, p)
     return total
 
 

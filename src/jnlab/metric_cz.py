@@ -1,21 +1,25 @@
 """Calderon-Zygmund ball covers on doubling spaces and the two
 John-Nirenberg style verifiers built from them.
 
-Cover construction at level lam (for a nonnegative function f with
-lam >= mean of f over 11*B0 relative to mu(B0)):
+`nested_cz` builds the covers at nondecreasing levels lam_1 <= lam_2 <= ...
+in one pass (for a nonnegative function f with lam_1 >= mean of f over
+11*B0 relative to mu(B0)); `cz_balls` is its one-level case:
 
 * every point x of B0 gets a witness ball: the realized ball containing x
   with member set inside B0 maximizing the f-average (ties: smaller
   radius, then smaller center index); the witness assignment depends only
-  on f and B0, not on lam, so nested levels share it;
-* for the points where that maximum exceeds lam, dilate the witness ball
-  by powers of 5 until the average drops to lam or below; the ball one
-  step before stopping is a candidate;
-* a greedy 5r-covering pass keeps a disjoint subfamily.
+  on f and B0, not on lam, so all levels share it;
+* each distinct witness ball of the points where that maximum exceeds
+  lam_1 is walked once: its 5^k dilates, k = 1, 2, ..., until the average
+  drops to lam_1 or below.  A point's stopping exponent n_x(lam) at any
+  level is the first k of that walk with average <= lam, and its witness
+  ball dilated by 5^(n_x - 1) is a candidate;
+* per level, a greedy 5r-covering pass keeps a disjoint subfamily.
 
 The kept balls B_i satisfy: f <= lam on B0 off the union of the 5B_i;
 lam < avg(B_i) <= c^3 lam; c^-3 lam < avg(5B_i) <= lam, where c is the
-space's doubling constant.  All three are re-checked on every build.
+space's doubling constant.  All three are re-checked on every build, from
+member sets built once per level.
 """
 
 from __future__ import annotations
@@ -25,11 +29,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import g_factor, theorem_constants
-from .errors import InvariantViolation, PreconditionError, _check_n_lambda
-from .metric import (Ball, MetricMeasureSpace, _family_jn_sum, _first_overlap,
-                     _jn_term, _witness_arrays, bmo_norm_metric, doubling_constant,
-                     vitali_subcover)
+from .constants import _pow, g_factor, theorem_constants
+from .errors import (InvariantViolation, PreconditionError, _check_n_lambda, _check_rhs,
+                     _jn_underflow)
+from .metric import (Ball, MetricMeasureSpace, _escapes, _family_jn_sum, _first_overlap,
+                     _jn_term, _member_rows, _witness_arrays, bmo_norm_metric,
+                     doubling_constant, vitali_subcover)
 from .report import CheckReport, degenerate_report
 
 __all__ = [
@@ -45,6 +50,8 @@ __all__ = [
 ]
 
 _SLACK = 1e-9
+_MAIN_LADDER = 5  # doublings of lambda0 in verify_mainresult's ladder
+_BMO_LADDER = 4   # levels a, 2a, ... of verify_bmo_jn's halving checks
 
 
 # ------------------------------------------------------------- witness table
@@ -95,120 +102,10 @@ class CzBallCover:
         return float(sum(self.measures))
 
 
-def _stop_exponent(space: MetricMeasureSpace, f: np.ndarray, base: Ball,
-                   lam: float) -> int:
-    """Smallest k >= 1 with avg(f, 5^k * base) <= lam."""
-    for k in range(1, 200):
-        mem = space.members(base.dilate(5.0**k))
-        if space.average_mask(f, mem) <= lam:
-            return k
-    raise InvariantViolation("stopping dilation did not terminate",
-                             ball=base, lam=lam)
-
-
 def cz_balls(space: MetricMeasureSpace, f, b0: Ball, lam: float,
              witness: WitnessTable | None = None) -> CzBallCover:
-    """Level-lam stopping-ball cover for a nonnegative function."""
-    v = space.check_values(f)
-    if np.any(v < 0):
-        i = int(np.flatnonzero(v < 0)[0])
-        raise PreconditionError("cz_balls needs f >= 0", index=i, value=float(v[i]))
-    lam = float(lam)
-    mask0 = space.members(b0)
-    if not np.any(mask0):
-        raise PreconditionError("B0 has no members", ball=b0)
-    big = space.members(b0.dilate(11.0))
-    mu0 = space.measure_mask(mask0)
-    threshold = space.integral_mask(v, big) / mu0
-    if lam < threshold * (1.0 - 1e-12):
-        raise PreconditionError("cz level below the 11*B0 mean threshold",
-                                lam=lam, threshold=threshold)
-    if witness is None:
-        witness = compute_witness(space, v, b0)
-    elif witness.b0 != b0:
-        raise ValueError("witness table was built for a different base ball")
-
-    level = mask0 & (witness.values > lam)
-    cand: list[Ball] = []
-    cand_exp: list[int] = []
-    point_exp: dict = {}
-    seen: set[tuple[int, float]] = set()
-    for x in np.flatnonzero(level):
-        base = witness.balls[x]
-        n_x = _stop_exponent(space, v, base, lam)
-        point_exp[int(x)] = n_x
-        ball = base.dilate(5.0 ** (n_x - 1))
-        key = (ball.center, ball.radius)
-        if key not in seen:
-            seen.add(key)
-            cand.append(ball)
-            cand_exp.append(n_x)
-
-    kept = vitali_subcover(space, cand) if cand else []
-    balls = tuple(cand[i] for i in kept)
-    exponents = tuple(cand_exp[i] for i in kept)
-
-    avgs, avgs5, measures = [], [], []
-    union5 = np.zeros(space.m, dtype=bool)
-    for b in balls:
-        mem = space.members(b)
-        mem5 = space.members(b.dilate(5.0))
-        avgs.append(space.average_mask(v, mem))
-        avgs5.append(space.average_mask(v, mem5))
-        measures.append(space.measure_mask(mem))
-        union5 |= mem5
-
-    cover = CzBallCover(
-        lam=lam,
-        b0=b0,
-        balls=balls,
-        averages=np.asarray(avgs),
-        averages5=np.asarray(avgs5),
-        measures=tuple(measures),
-        exponents=exponents,
-        point_exponents=point_exp,
-        level_mask=level,
-        residual_mask=mask0 & ~union5,
-        union5_mask=union5,
-        truncated=bool(np.all(big)),
-    )
-    _verify_cz_balls(space, v, cover)
-    return cover
-
-
-def _verify_cz_balls(space: MetricMeasureSpace, v: np.ndarray,
-                     cover: CzBallCover) -> None:
-    lam = cover.lam
-    c3 = doubling_constant(space) ** 3
-    tol = _SLACK * max(1.0, lam)
-    big = space.members(cover.b0.dilate(11.0))
-    for b, avg, avg5 in zip(cover.balls, cover.averages, cover.averages5):
-        if not avg > lam - tol:
-            raise InvariantViolation("kept ball average not above level",
-                                     ball=b, average=float(avg), lam=lam)
-        if not avg <= c3 * lam + tol:
-            raise InvariantViolation("kept ball average exceeds c^3 * level",
-                                     ball=b, average=float(avg), lam=lam, c3=c3)
-        if not avg5 <= lam + tol:
-            raise InvariantViolation("5-dilate average above level",
-                                     ball=b, average5=float(avg5), lam=lam)
-        if c3 > 0 and not avg5 > lam / c3 - tol:
-            raise InvariantViolation("5-dilate average below level / c^3",
-                                     ball=b, average5=float(avg5), lam=lam, c3=c3)
-        if np.any(space.members(b.dilate(5.0)) & ~big):
-            raise InvariantViolation("5-dilate escapes 11*B0", ball=b)
-    # disjointness comes from the covering pass; re-check member sets
-    pair = _first_overlap([space.members(b) for b in cover.balls])
-    if pair is not None:
-        first, second = (cover.balls[k] for k in pair)
-        raise InvariantViolation("kept balls overlap", first=first, second=second)
-    if np.any(cover.level_mask & ~cover.union5_mask):
-        raise InvariantViolation("level set escapes the 5-dilate union")
-    if cover.residual_mask.any():
-        worst = float(np.max(v[cover.residual_mask]))
-        if worst > lam + tol:
-            raise InvariantViolation("residual point above level",
-                                     value=worst, lam=lam)
+    """Level-lam stopping-ball cover of a nonnegative f: `nested_cz` at one level."""
+    return nested_cz(space, f, b0, (lam,), witness).covers[0]
 
 
 @dataclass
@@ -222,24 +119,81 @@ class NestedCovers:
     containment: tuple[tuple[int, ...], ...]
 
 
+def _stop_walks(space: MetricMeasureSpace, v: np.ndarray, bases, lam: float) -> dict:
+    """For each distinct witness ball: the averages over its 5^k dilates,
+    k = 1, 2, ..., through the first that is <= lam."""
+    walks: dict = {b: [] for b in bases}
+    active = list(walks)
+    for k in range(1, 200):
+        if not active:
+            break
+        for b, row in zip(active, _member_rows(space, [b.dilate(5.0**k) for b in active])):
+            walks[b].append(space.average_mask(v, row))
+        active = [b for b in active if not walks[b][-1] <= lam]
+    if active:
+        raise InvariantViolation("stopping dilation did not terminate", ball=active[0], lam=lam)
+    return {b: np.array(avgs) for b, avgs in walks.items()}
+
+
 def nested_cz(space: MetricMeasureSpace, f, b0: Ball, levels,
               witness: WitnessTable | None = None) -> NestedCovers:
+    """Stopping-ball covers at every level, in one pass (module docstring)."""
     v = space.check_values(f)
     if np.any(v < 0):
         i = int(np.flatnonzero(v < 0)[0])
-        raise PreconditionError("nested_cz needs f >= 0", index=i, value=float(v[i]))
+        raise PreconditionError("cz covers need f >= 0", index=i, value=float(v[i]))
     levels = tuple(float(x) for x in levels)
     if not levels:
         raise ValueError("need at least one level")
-    if any(b < a for a, b in zip(levels, levels[1:])):
+    if not all(a <= b for a, b in zip(levels, levels[1:])):  # NaN is unordered
         raise PreconditionError("levels must be nondecreasing", levels=levels)
+    mask0 = space.members(b0)
+    big = space.members(b0.dilate(11.0))
+    threshold = space.integral_mask(v, big) / space.measure_mask(mask0)
+    if levels[0] < threshold * (1.0 - 1e-12):
+        raise PreconditionError("cz level below the 11*B0 mean threshold",
+                                lam=levels[0], threshold=threshold)
     if witness is None:
         witness = compute_witness(space, v, b0)
-    covers = tuple(cz_balls(space, v, b0, lam, witness=witness) for lam in levels)
+    elif witness.b0 != b0:
+        raise ValueError("witness table was built for a different base ball")
+    # every level set lies in the lowest one, and stops at or before it
+    lowest = np.flatnonzero(mask0 & (witness.values > levels[0]))
+    walks = _stop_walks(space, v, dict.fromkeys(witness.balls[x] for x in lowest), levels[0])
+
+    built = []  # (cover, its balls' member sets, their 5-dilates')
+    for lam in levels:
+        level = mask0 & (witness.values > lam)
+        point_exp: dict = {}
+        cand: dict = {}  # candidate ball -> exponent, first occurrence kept
+        for x in np.flatnonzero(level).tolist():
+            base = witness.balls[x]
+            n_x = point_exp[x] = int(np.argmax(walks[base] <= lam)) + 1
+            cand.setdefault(base.dilate(5.0 ** (n_x - 1)), n_x)
+        balls = list(cand)
+        balls = tuple(balls[i] for i in vitali_subcover(space, balls))
+        mem, mem5 = _member_rows(space, balls), _member_rows(space, [b.dilate(5.0) for b in balls])
+        union5 = mem5.any(axis=0)
+        cover = CzBallCover(
+            lam=lam,
+            b0=b0,
+            balls=balls,
+            averages=np.asarray([space.average_mask(v, r) for r in mem]),
+            averages5=np.asarray([space.average_mask(v, r) for r in mem5]),
+            measures=tuple(space.measure_mask(r) for r in mem),
+            exponents=tuple(cand[b] for b in balls),
+            point_exponents=point_exp,
+            level_mask=level,
+            residual_mask=mask0 & ~union5,
+            union5_mask=union5,
+            truncated=bool(np.all(big)),
+        )
+        _verify_cz_balls(space, v, cover, mem, mem5, big)
+        built.append((cover, mem, mem5))
 
     maps = [()]
-    for k in range(1, len(covers)):
-        lo, hi = covers[k - 1], covers[k]
+    for k in range(1, len(built)):
+        (lo, _, lo5), (hi, mem, _) = built[k - 1], built[k]
         # same witness: a point selected at the higher level is selected at
         # the lower one, and dilates further there
         if np.any(hi.level_mask & ~lo.level_mask):
@@ -250,19 +204,43 @@ def nested_cz(space: MetricMeasureSpace, f, b0: Ball, levels,
                 raise InvariantViolation(
                     "stopping exponent decreased at the lower level",
                     point=x, low=lo.point_exponents[x], high=n_hi)
-        outside5 = ~np.array([space.members(b.dilate(5.0)) for b in lo.balls],
-                             dtype=bool).reshape(len(lo.balls), space.m)
-        row = []
-        for b in hi.balls:
-            # coarser balls whose 5-dilate holds b's member set; take the first
-            holds = np.flatnonzero(~np.any(space.members(b) & outside5, axis=1))
-            if holds.size == 0:
-                raise InvariantViolation(
-                    "ball not contained in any coarser 5-dilate",
-                    ball=b, level=levels[k])
-            row.append(int(holds[0]))
-        maps.append(tuple(row))
-    return NestedCovers(levels=levels, covers=covers, containment=tuple(maps))
+        # the first coarser ball whose 5-dilate holds each ball's member set
+        held = ~_escapes(mem, lo5)
+        orphan = np.flatnonzero(~held.any(axis=1))
+        if orphan.size:
+            raise InvariantViolation("ball not contained in any coarser 5-dilate",
+                                     ball=hi.balls[orphan[0]], level=levels[k])
+        maps.append(tuple(np.argmax(held, axis=1).tolist()) if hi.balls else ())
+    return NestedCovers(levels=levels, covers=tuple(c for c, _, _ in built),
+                        containment=tuple(maps))
+
+
+def _verify_cz_balls(space: MetricMeasureSpace, v: np.ndarray, cover: CzBallCover,
+                     mem: np.ndarray, mem5: np.ndarray, big: np.ndarray) -> None:
+    """Re-check a cover from the member sets of its balls (`mem`) and of
+    their 5-dilates (`mem5`); `big` is 11*B0's."""
+    lam, avg, avg5 = cover.lam, cover.averages, cover.averages5
+    c3 = doubling_constant(space) ** 3  # >= 1
+    tol = _SLACK * max(1.0, lam)
+    for bad, what in ((~(avg > lam - tol), "kept ball average not above level"),
+                      (~(avg <= c3 * lam + tol), "kept ball average exceeds c^3 * level"),
+                      (~(avg5 <= lam + tol), "5-dilate average above level"),
+                      (~(avg5 > lam / c3 - tol), "5-dilate average below level / c^3"),
+                      (_escapes(mem5, big), "5-dilate escapes 11*B0")):
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise InvariantViolation(what, ball=cover.balls[i], average=float(avg[i]),
+                                     average5=float(avg5[i]), lam=lam, c3=c3)
+    # disjointness comes from the covering pass; re-check member sets
+    pair = _first_overlap(mem)
+    if pair is not None:
+        first, second = (cover.balls[k] for k in pair)
+        raise InvariantViolation("kept balls overlap", first=first, second=second)
+    if np.any(cover.level_mask & ~cover.union5_mask):
+        raise InvariantViolation("level set escapes the 5-dilate union")
+    worst = float(np.max(v[cover.residual_mask], initial=0.0))  # v >= 0
+    if worst > lam + tol:
+        raise InvariantViolation("residual point above level", value=worst, lam=lam)
 
 
 # ------------------------------------------------------------------ checks
@@ -290,6 +268,8 @@ def check_toiterate(space: MetricMeasureSpace, f, b0: Ball, lam: float,
     sum_lo = float(sum(lo.measures))
     sum_hi = float(sum(hi.measures))
     s_val = _family_jn_sum(space, v, [b.dilate(5.0) for b in lo.balls], p)
+    if s_val == 0.0 and lo.balls:
+        raise _jn_underflow(p)
     rhs = cons.c3q * (s_val ** (1.0 / p) / lam) * sum_lo ** (1.0 / cons.q)
     return CheckReport(
         claim="cz-level-doubling",
@@ -308,7 +288,7 @@ def check_toiterate(space: MetricMeasureSpace, f, b0: Ball, lam: float,
 
 
 def verify_mainresult(space: MetricMeasureSpace, f, b0: Ball, p: float,
-                      n_lambda: int = 60, n_ladder: int = 5) -> list[CheckReport]:
+                      n_lambda: int = 60) -> list[CheckReport]:
     """Weak JN_p bound sweep on B0 for the distribution of |f - avg_{B0} f|:
 
         mu({x in B0 : |f - f_B0| > lam})  <=  rhs(lam),
@@ -317,7 +297,8 @@ def verify_mainresult(space: MetricMeasureSpace, f, b0: Ball, p: float,
     (C1 = 3 c^8) and from mu(B0) = (C1 K / lambda0)^p below it.  K is
     certified from admissible families only: single balls {B0}, {11B0} and
     every ladder level's disjoint family 5-dilates, so rhs is a true bound
-    whenever the JN_p functional is finite.
+    whenever the JN_p functional is finite.  The ladder has _MAIN_LADDER + 1
+    levels lambda0 * 2^i.
     """
     n_lambda = _check_n_lambda(n_lambda)
     v = space.check_values(f)
@@ -330,44 +311,43 @@ def verify_mainresult(space: MetricMeasureSpace, f, b0: Ball, p: float,
     g = np.abs(v - space.average_mask(v, mask0))
 
     k0 = max(_jn_term(space, v, mask0, p), _jn_term(space, v, big, p)) ** (1.0 / p)
-    if k0 == 0.0 and float(np.max(g[mask0], initial=0.0)) == 0.0:
-        return [degenerate_report("jn-weak-metric", "constant on 11*B0, K = 0")]
+    if k0 == 0.0:
+        if float(np.min(v[big])) == float(np.max(v[big])):
+            return [degenerate_report("jn-weak-metric", "constant on 11*B0, K = 0")]
+        raise _jn_underflow(p)
 
     witness = compute_witness(space, g, b0)
     integral_g = space.integral_mask(g, big)
 
     def ladder(k_norm: float):
         lam0 = theorem_constants(c, p, K=k_norm, mu_b0=mu0).lambda0
-        levels = tuple(lam0 * 2.0**i for i in range(n_ladder + 1))
+        levels = tuple(lam0 * 2.0**i for i in range(_MAIN_LADDER + 1))
         nest = nested_cz(space, g, b0, levels, witness=witness)
-        s_vals = [
-            _family_jn_sum(space, v, [b.dilate(5.0) for b in cov.balls], p)
-            for cov in nest.covers
-        ]
-        return lam0, nest, s_vals
+        return lam0, nest, [_family_jn_sum(space, v, [b.dilate(5.0) for b in cov.balls], p)
+                            for cov in nest.covers]
 
-    _, nest_a, s_a = ladder(k0)
-    k_cert = max([k0] + [s ** (1.0 / p) for s in s_a])
-    lam0, nest, s_b = ladder(k_cert)
+    seed = ladder(k0)
+    k_cert = max([k0] + [s ** (1.0 / p) for s in seed[2]])
+    lam0, nest, s_b = seed if k_cert == k0 else ladder(k_cert)
     k_used = max([k_cert] + [s ** (1.0 / p) for s in s_b])
 
     sums = [float(sum(cov.measures)) for cov in nest.covers]
     m0_bound = integral_g / lam0
 
-    lams = np.geomspace(lam0 / 40.0, lam0 * 2.0 ** (n_ladder + 1), n_lambda)
+    lams = np.geomspace(lam0 / 40.0, lam0 * 2.0 ** (_MAIN_LADDER + 1), n_lambda)
     reports = []
     for lam in lams:
         lam = float(lam)
         lhs = space.measure_mask(mask0 & (g > lam))
         if lam <= lam0:
-            rhs = (cons.C1 * k_cert / lam) ** p
+            rhs = _pow(cons.C1 * k_cert / lam, p)
             extra = {"branch": "small"}
             const = cons.C1
         else:
             n_steps = 0
             while lam > 2.0 ** (n_steps + 1) * lam0:
                 n_steps += 1
-            if n_steps > n_ladder:
+            if n_steps > _MAIN_LADDER:
                 raise InvariantViolation("sweep point beyond the built ladder",
                                          lam=lam, lambda0=lam0)
             prod = 1.0
@@ -389,21 +369,21 @@ def verify_mainresult(space: MetricMeasureSpace, f, b0: Ball, p: float,
              "truncated": nest.covers[0].truncated}
         w.update(extra)
         reports.append(CheckReport(
-            claim="jn-weak-metric", lhs=lhs, rhs=rhs, constant=const,
+            claim="jn-weak-metric", lhs=lhs, rhs=_check_rhs(rhs, p), constant=const,
             lam=lam, witness=w,
         ))
     return reports
 
 
 def verify_bmo_jn(space: MetricMeasureSpace, f, b0: Ball,
-                  n_lambda: int = 60, n_ladder: int = 4) -> list[CheckReport]:
+                  n_lambda: int = 60) -> list[CheckReport]:
     """Exponential decay sweep for u = (f - avg_{B0} f) / ||f||_*:
 
         mu({x in B0 : |u| > lam})  <=  c1 mu(B0) exp(-c2 lam),
 
     c1 = 4 c^7 and c2 = log2 / (2 c^8), plus the cover-size halving checks
     sum_j mu(B_j(lam + a)) <= 1/2 sum_k mu(B_k(lam)) on the arithmetic
-    ladder lam = a, 2a, ..., a = 2 c^8.
+    ladder lam = a, 2a, ..., _BMO_LADDER a, a = 2 c^8.
     """
     n_lambda = _check_n_lambda(n_lambda)
     v = space.check_values(f)
@@ -423,7 +403,7 @@ def verify_bmo_jn(space: MetricMeasureSpace, f, b0: Ball,
                                  threshold=threshold, a=cons.a)
 
     witness = compute_witness(space, gu, b0)
-    levels = tuple(cons.a * (k + 1) for k in range(n_ladder))
+    levels = tuple(cons.a * (k + 1) for k in range(_BMO_LADDER))
     nest = nested_cz(space, gu, b0, levels, witness=witness)
     reports = []
     for k in range(1, len(levels)):

@@ -6,9 +6,11 @@ O(m^3) per-center oscillation table, the distinct-distance critical radii,
 the per-center maximal loop, the per-center witness loop, the doubling
 constant's scan of radii between breakpoints, the pairwise
 member-mask loops behind the Vitali, admissibility, CZ-cover and nested-
-cover checks, the JN_p search with its greedy and clash tests on member
-masks (and, as the floor of its value, the four-stage search it
-replaced), the search pool's per-center loop of masked terms, the tree
+cover checks, the CZ cover built one level at a time with one stopping
+walk per level point, the JN_p search with its greedy and clash tests on
+member masks (and, as the floor of its value, the four-stage search it
+replaced), the search pool's per-center loop of masked terms and the
+density bound U over it, the tree
 generator's per-pair lowest-common-ancestor loop, and the triangle
 check's full m x m pass per intermediate point.  Tests compare the
 package against them bitwise.  The pool's terms are compared within a
@@ -23,6 +25,7 @@ import numpy as np
 
 from jnlab.errors import InvariantViolation, MetricAxiomError
 from jnlab.metric import Ball, BallFamily, JnSearchResult, _jn_term
+from jnlab.metric_cz import CzBallCover
 
 
 def ball_tables(orders, w, f):
@@ -277,6 +280,46 @@ def containment(space, lo_balls, hi_balls):
     return tuple(row)
 
 
+def cz_cover(space, g, b0, lam):
+    """The level-lam stopping-ball cover, one level at a time: the loop
+    witness table, each level point's own walk of masked averages over
+    the 5^k dilates of its witness ball, first occurrences of the stopped
+    balls, the loop Vitali pass, and per-ball masked statistics."""
+    mask0 = space.members(b0)
+    big = space.members(b0.dilate(11.0))
+    witness_balls, witness_values = compute_witness(space, g, b0)
+    level = mask0 & (witness_values > lam)
+    cand, cand_exp, point_exp, seen = [], [], {}, set()
+    for x in np.flatnonzero(level):
+        base = witness_balls[x]
+        n_x = next(k for k in range(1, 200)
+                   if space.average_mask(g, space.members(base.dilate(5.0**k))) <= lam)
+        point_exp[int(x)] = n_x
+        ball = base.dilate(5.0 ** (n_x - 1))
+        if (ball.center, ball.radius) not in seen:
+            seen.add((ball.center, ball.radius))
+            cand.append(ball)
+            cand_exp.append(n_x)
+    kept = vitali_subcover(space, cand)
+    balls = tuple(cand[i] for i in kept)
+    mem5 = [space.members(b.dilate(5.0)) for b in balls]
+    union5 = np.zeros(space.m, dtype=bool)
+    for mask in mem5:
+        union5 |= mask
+    return CzBallCover(
+        lam=lam, b0=b0, balls=balls,
+        averages=np.asarray([space.average_mask(g, space.members(b)) for b in balls]),
+        averages5=np.asarray([space.average_mask(g, mask) for mask in mem5]),
+        measures=tuple(space.measure(b) for b in balls),
+        exponents=tuple(cand_exp[i] for i in kept),
+        point_exponents=point_exp,
+        level_mask=level,
+        residual_mask=mask0 & ~union5,
+        union5_mask=union5,
+        truncated=bool(np.all(big)),
+    )
+
+
 def vitali_subcover(space, balls):
     balls = list(balls)
     order = sorted(range(len(balls)), key=lambda i: (-balls[i].radius, i))
@@ -413,6 +456,19 @@ def enumerate_pool(space, pool, pool_term, budget, evals, consider):
 
     extend((), 0, np.zeros(space.m, dtype=bool), 0.0)
     return evals
+
+
+def density_bound(space, f, b0, p):
+    """U = sum_x w_x max{term_b / mu(fifth_b) : x in fifth_b} over the JN_p
+    search pool (0 at points in no fifth), one pool ball at a time with
+    masked terms: an upper bound for every family of pool balls whose
+    fifths are disjoint."""
+    centers, radii, terms = search_pool(space, f, b0, p)
+    best = np.zeros(space.m)
+    for c, r, t in zip(centers, radii, terms):
+        fifth = space.d[c] < r * 0.2
+        best[fifth] = np.maximum(best[fifth], t / space.measure_mask(fifth))
+    return float(np.sum(space.w * best))
 
 
 def search_result(space, b0, p, value, balls, evals):

@@ -461,6 +461,39 @@ def test_jnp_overflow_exit_2(tmp_path, capsys):
     assert "JN_p value is not finite" in one_line_error(capsys)
 
 
+@pytest.mark.parametrize("argv", [
+    # the large-branch constant 2^(p + 2(p^2 + (p/q)^3)) overflows from p = 9
+    ("verify", "jn-dyadic", "random-uniform", "--depth", "6", "--p", "10"),
+    # (C1 K / lam)^p overflows at the sweep's lowest levels
+    ("verify", "mainresult", "--space", "line", "--m", "5", "--p", "200"),
+    # the JN_p value underflows to 0 though the values are not constant
+    ("verify", "jn-dyadic", "random-uniform", "--depth", "6", "--p", "1100"),
+    ("verify", "mainresult", "--space", "line", "--m", "5", "--p", "2000"),
+])
+def test_extreme_p_exit_2_naming_p(argv, capsys):
+    assert run(*argv) == 2
+    err = one_line_error(capsys)
+    assert "jnlab: error:" in err and f"p={float(argv[-1])!r}" in err
+
+
+def test_doubling_constant_overflow_exit_2(tmp_path, capsys):
+    # weights 1 and 1e40 two apart make c_mu = 1e40 + 1, and c^8 overflows
+    space, vals = tmp_path / "s.csv", tmp_path / "v.csv"
+    space_to_csv(space_from_points([0.0, 1.0], weights=[1.0, 1e40]), space)
+    values_to_csv(np.array([0.0, 1.0]), vals)
+    for claim in ("mainresult", "bmo"):
+        assert run("verify", claim, "--space", str(space), "--values", str(vals)) == 2
+        assert "doubling constant too large" in one_line_error(capsys)
+
+
+def test_good_lambda_ignores_the_constant_it_does_not_use(tmp_path):
+    # the weak-type constant overflows at p = 10, but good-lambda never reads it
+    out = tmp_path / "r.json"
+    assert run("verify", "good-lambda", "random-uniform", "--depth", "6", "--p", "10",
+               "--lam", "10", "--out", str(out)) == 0
+    assert json.loads(out.read_text())[0]["pass"]
+
+
 def test_bmo_norm_overflow_exit_2(tmp_path, capsys):
     # verify bmo used to exit 0 and write "bmo_norm": Infinity (not JSON)
     space, vals, out = tmp_path / "s.csv", tmp_path / "v.csv", tmp_path / "r.json"

@@ -7,8 +7,8 @@ from jnlab.dyadic_cz import (check_good_lambda_dyadic, cz_decompose_dyadic,
                              dyadic_maximal, level_set, verify_jn_dyadic)
 from jnlab.dyadic_cz import _level_measure, _shifted_levels
 from jnlab.errors import PreconditionError
-from jnlab.functionals import jnp_dyadic
-from jnlab.generators import gen_random_martingale
+from jnlab.functionals import bmo_dyadic, jnp_dyadic
+from jnlab.generators import gen_constant, gen_random_martingale, gen_random_uniform
 from jnlab.grid import (DyadicCube, GridFunction, RootCube, average, cube_from_zindex,
                         mean_oscillation)
 from jnlab.report import all_pass, reports_to_json
@@ -473,3 +473,16 @@ def test_good_lambda_rejects_bad_k():
     for K in (0.0, 1.5):
         rep = check_good_lambda_dyadic(f, q0, 2.0, 0.25, lam, K=K)
         assert rep.witness["K"] == K
+
+
+def test_underflowing_jnp_raises_and_only_constants_are_degenerate():
+    # at p = 1100 the JN_p value of these values underflows to 0; the
+    # verifiers used to read that as a constant function
+    f = gen_random_uniform(1, 6, 0)
+    q0 = f.root.top()
+    assert bmo_dyadic(f, q0) > 0.4 and jnp_dyadic(f, q0, 1100.0).value == 0.0
+    with pytest.raises(PreconditionError, match="underflows.*p=1100.0"):
+        verify_jn_dyadic(f, q0, 1100.0)
+    const = gen_constant(1, 6, 3.0)
+    reports = verify_jn_dyadic(const, const.root.top(), 1100.0)
+    assert len(reports) == 1 and reports[0].degenerate

@@ -39,6 +39,15 @@ def test_theorem_constants_hand_values():
     assert c.dyadic_constant == 2.0 ** 12
 
 
+def test_theorem_constants_overflow_to_inf():
+    # 2^(p + 2(p^2 + (p/q)^3)) passes the float range from p = 9 in 1-D, and
+    # p^2 itself from p = 1.4e154; neither raises
+    c = theorem_constants(2.0, 10.0, n=1)
+    assert c.dyadic_constant == math.inf and c.dyadic_small_constant == 2.0 ** 20
+    c = theorem_constants(2.0, 1e200, n=1)
+    assert c.dyadic_constant == c.dyadic_small_constant == math.inf
+
+
 def test_theorem_constants_q_conjugate():
     for p in (1.5, 2.0, 3.0, 7.0):
         c = theorem_constants(2.0, p)
@@ -247,7 +256,7 @@ def test_verify_mainresult_passes_and_reports_constants():
     s = gen_line(24)
     f = f_log_distance(s, 0)
     b0 = spanning_ball(s)
-    reports = verify_mainresult(s, f, b0, 2.0, n_lambda=18, n_ladder=3)
+    reports = verify_mainresult(s, f, b0, 2.0, n_lambda=18)
     assert len(reports) == 18
     assert all_pass(reports)
     c = doubling_constant(s)
@@ -269,6 +278,18 @@ def test_verify_mainresult_degenerate_on_constant():
     assert reports[0].degenerate and reports[0].passed
 
 
+def test_extreme_p_raises_unless_constant_on_11_b0():
+    # (C1 K / lam)^p overflows at p = 200, and K underflows to 0 at p = 2000
+    s = gen_line(5)
+    b0 = spanning_ball(s)
+    f = f_log_distance(s, 0)
+    for p, what in ((200.0, "bound is not finite"), (2000.0, "underflows")):
+        with pytest.raises(PreconditionError, match=f"{what}.*p={p!r}"):
+            verify_mainresult(s, f, b0, p)
+    reports = verify_mainresult(s, np.full(5, 4.0), b0, 2000.0)
+    assert len(reports) == 1 and reports[0].degenerate
+
+
 def test_metric_verifiers_reject_empty_sweep():
     s = gen_line(12)
     b0 = spanning_ball(s)
@@ -284,7 +305,7 @@ def test_verify_bmo_passes_with_both_claims():
     s = gen_grid2d(5)
     f = f_log_distance(s, 7)
     b0 = spanning_ball(s, 7)
-    reports = verify_bmo_jn(s, f, b0, n_lambda=20, n_ladder=3)
+    reports = verify_bmo_jn(s, f, b0, n_lambda=20)
     assert all_pass(reports)
     claims = {r.claim for r in reports}
     assert claims == {"bmo-halving", "bmo-exponential"}

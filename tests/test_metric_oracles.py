@@ -225,16 +225,17 @@ def test_bmo_norm_of_a_constant_is_zero():
 
 
 @st.composite
-def small_spaces(draw):
+def small_spaces(draw, values=st.floats(-4.0, 4.0), scales=(1.0, 1e-200, 1e200),
+                 offsets=(0.0, 1e8, -1e15)):
     m = draw(st.integers(1, 9))
     # distinct integer points on a line, so many distances tie
     pts = np.array(draw(st.lists(st.integers(0, 12), min_size=m, max_size=m, unique=True)),
                    dtype=float)
     w = np.array(draw(st.lists(st.sampled_from([0.5, 1.0, 2.0, 3.0]), min_size=m,
                                max_size=m)))
-    scale = draw(st.sampled_from([1.0, 1e-200, 1e200]))
-    offset = draw(st.sampled_from([0.0, 1e8, -1e15]))
-    f = np.array(draw(st.lists(st.floats(-4.0, 4.0), min_size=m, max_size=m)))
+    scale = draw(st.sampled_from(scales))
+    offset = draw(st.sampled_from(offsets))
+    f = np.array(draw(st.lists(values, min_size=m, max_size=m)), dtype=float)
     return space_from_points(pts, weights=w), offset + scale * f
 
 
@@ -436,17 +437,27 @@ def test_ball_family_overlap_tests_match_loop_oracles():
             assert got.family == want.family
 
     rng = np.random.default_rng(0)
+    flags = set()  # the admissibility flags seen failing
     for kind in ("line", "grid2d", "tree-graph", "random-cloud", "weighted-grid"):
         for seed in range(4):
             space = make_space(kind, seed)
             b0 = sub_ball(space)
-            for balls in random_families(space, rng):
+            # an empty family, a ball centred off B0, and about a B0 whose
+            # 11-dilate misses the farthest point, a ball that escapes it
+            far = float(space.d[b0.center].max())
+            off = int(np.flatnonzero(~space.members(b0))[0])
+            special = [(b0, []), (b0, [Ball(b0.center, b0.radius), Ball(off, b0.radius)]),
+                       (Ball(b0.center, far / 12.0),
+                        [Ball(b0.center, far / 24.0), Ball(b0.center, 1.5 * far + 1.0)])]
+            for base, balls in [(b0, fam) for fam in random_families(space, rng)] + special:
                 for factor in (1.0, 0.2, 5.0):
                     masks = [space.members(b.dilate(factor)) for b in balls]
                     assert _first_overlap(masks) == oracle.first_overlap(masks)
-                assert check_admissible(space, b0, balls) == \
-                    oracle.check_admissible(space, b0, balls)
+                family = check_admissible(space, base, balls)
+                assert family == oracle.check_admissible(space, base, balls)
                 assert vitali_subcover(space, balls) == oracle.vitali_subcover(space, balls)
+                flags.update(k for k in ("centered", "contained", "fifth_disjoint")
+                             if not getattr(family, k))
 
     # spikes far apart on a spanning B0 give several balls per level, some
     # inside more than one coarser 5-dilate, so the first container counts
@@ -465,6 +476,88 @@ def test_ball_family_overlap_tests_match_loop_oracles():
                 assert nest.containment[k] == oracle.containment(space, lo.balls, hi.balls)
                 parents += nest.containment[k]
     assert max(parents) > 0
+    assert flags == {"centered", "contained", "fifth_disjoint"}
+
+
+# ------------------------------------------------------- CZ covers
+
+
+def cover_cases():
+    """(space, g, b0, threshold): g = |f - f_B0|, and the threshold, the
+    lowest level a cover takes, is the integral of g over 11*B0 divided by
+    mu(B0).  The acceptance corpus, then random clouds, lines and trees
+    about a spanning and a half B0."""
+    cases = list(_corpus())
+    for seed in range(4):
+        for space in (gen_random_cloud(24 + 6 * seed, seed + 11), gen_line(20 + 5 * seed),
+                      gen_tree_graph(20 + 6 * seed, seed)):
+            cases += [(space, f, b0) for b0 in base_balls(space)[:2]
+                      for f in value_sets(space, seed)]
+    for space, f, b0 in cases:
+        g = np.abs(f - space.average_mask(f, space.members(b0)))
+        big = space.members(b0.dilate(11.0))
+        yield space, g, b0, space.integral_mask(g, big) / space.measure(b0)
+
+
+def assert_same_cover(got, want):
+    """Two CzBallCovers equal field by field, arrays bitwise."""
+    for name in ("averages", "averages5", "level_mask", "residual_mask", "union5_mask"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+    for name in ("lam", "b0", "balls", "measures", "exponents", "point_exponents", "truncated"):
+        assert getattr(got, name) == getattr(want, name), name
+
+
+def test_nested_covers_match_per_level_oracle():
+    # 1 to 4 levels, one repeated; each level's cover against the oracle's
+    # cover built alone, and the containment map against the pair loop
+    factors = (1.05, 1.6, 2.4, 4.0)
+    n_balls = 0
+    for space, g, b0, thr in cover_cases():
+        want = {x: oracle.cz_cover(space, g, b0, thr * x) for x in factors}
+        for levels in ((1.05,), (1.05, 2.4), (1.05, 1.6, 2.4), (1.05, 1.05, 2.4, 4.0)):
+            nest = nested_cz(space, g, b0, tuple(thr * x for x in levels))
+            for got, x in zip(nest.covers, levels):
+                assert_same_cover(got, want[x])
+            pairs = zip(levels, levels[1:])
+            assert nest.containment == ((),) + tuple(
+                oracle.containment(space, want[lo].balls, want[hi].balls) for lo, hi in pairs)
+        n_balls += sum(len(cover.balls) for cover in want.values())
+    assert n_balls > 500
+
+
+# ------------------------------------------------ JN_p value against U
+
+
+def density_bound_ratio(space, f, b0, p, budget=4000):
+    """Assert the search's value <= U <= c^3 mu(11 B0) ||f||_BMO^p at
+    relative tolerance 1e-12; returns value / U (0 where U is 0)."""
+    value = jnp_metric_lower(space, f, b0, p, budget=budget).value
+    upper = oracle.density_bound(space, f, b0, p)
+    closed = (doubling_constant(space) ** 3 * space.measure(b0.dilate(11.0))
+              * bmo_norm_metric(space, f) ** p)
+    assert value <= upper * (1.0 + 1e-12)
+    assert upper <= closed * (1.0 + 1e-12)
+    return value / upper if upper else 0.0
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+def test_search_value_below_density_bound(p):
+    cases = [(sp, f, b0, (400,)) for sp, f, b0 in _corpus()]
+    ratios = [density_bound_ratio(space, f, b0, p, budget=max(budgets))
+              for space, f, b0, budgets in itertools.chain(cases, search_cases())]
+    assert max(ratios) > 0.9  # nearly attained, so the first bound could fail
+
+
+# multiples of 1/8 sum exactly, so a computed oscillation is never all
+# rounding, and the package's and the masked terms agree to 1e-14
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(small_spaces(st.integers(-32, 32).map(lambda k: k / 8.0), (1.0,), (0.0,)), st.data())
+def test_search_value_below_density_bound_on_small_spaces(case, data):
+    space, f = case
+    c = data.draw(st.integers(0, space.m - 1))
+    b0 = Ball(c, data.draw(st.sampled_from(oracle.critical_radii(space, c).tolist())))
+    density_bound_ratio(space, f, b0, data.draw(st.sampled_from([1.5, 2.0, 3.0])))
 
 
 # ------------------------------------------------------- triangle check
