@@ -19,7 +19,7 @@ from . import kernels
 from .constants import _pow, theorem_constants
 from .errors import (InvariantViolation, PreconditionError, _check_n_lambda, _check_rhs,
                      _jn_underflow)
-from .grid import CellSet, DyadicCube, GridFunction, _lex_to_z_perm, _subtree_cubes, average
+from .grid import CellSet, DyadicCube, GridFunction, _subtree_cubes, _z_to_cells, average
 from .report import CheckReport, degenerate_report
 
 __all__ = [
@@ -39,7 +39,8 @@ class MaximalField:
 
     ``values``/``provenance`` are per finest cell of q0 in local
     lexicographic order; provenance is the depth of the shallowest
-    ancestor cube attaining the maximum.
+    ancestor cube attaining the maximum.  The arrays are read-only: in 1-D
+    ``values`` and the private Morton-order ``_zvalues`` are one buffer.
     """
 
     q0: DyadicCube
@@ -56,11 +57,16 @@ class MaximalField:
 def dyadic_maximal(f: GridFunction, q0: DyadicCube) -> MaximalField:
     """Per-cell max of ancestor |f|-averages within q0, with provenance."""
     pyr = f.abs_pyramid()
-    zrun, zprov = kernels.maximal_sweep(
-        [f.pyramid_slice(pyr, q0, rel) for rel in range(f.max_depth - q0.depth + 1)], f.dim)
-    perm = _lex_to_z_perm(f.dim, f.max_depth - q0.depth)
-    return MaximalField(q0=q0, max_depth=f.max_depth, values=zrun[perm],
-                        provenance=zprov[perm] + q0.depth, _zvalues=zrun)
+    local_depth = f.max_depth - q0.depth
+    zrun, prov = kernels.maximal_sweep(
+        [f.pyramid_slice(pyr, q0, rel) for rel in range(local_depth + 1)], f.dim)
+    values = _z_to_cells(zrun, f.dim, local_depth)
+    prov = _z_to_cells(prov, f.dim, local_depth)
+    prov += q0.depth
+    for a in (zrun, values, prov):
+        a.setflags(write=False)
+    return MaximalField(q0=q0, max_depth=f.max_depth, values=values,
+                        provenance=prov, _zvalues=zrun)
 
 
 def level_set(field: MaximalField, lam: float) -> CellSet:
@@ -108,7 +114,9 @@ def cz_decompose_dyadic(f: GridFunction, q0: DyadicCube, lam: float) -> CzCover:
     active = np.ones(1, dtype=bool)
     for rel in range(1, local_depth + 1):
         cnt = 1 << (f.dim * (local_depth - rel))
-        avgs = f.pyramid_slice(pyr, q0, rel) * (1.0 / float(cnt))
+        avgs = f.pyramid_slice(pyr, q0, rel)
+        if cnt > 1:  # a finest cell is its own average: no copy of |f|
+            avgs = avgs * (1.0 / float(cnt))
         active = np.repeat(active, arity)
         sel = active & (avgs > lam)
         z = np.flatnonzero(sel)
@@ -131,7 +139,9 @@ def _verify_cz(f: GridFunction, cover: CzCover, depths: np.ndarray) -> None:
         if bad.any():
             i = int(np.argmax(bad))
             raise InvariantViolation(what, cube=cover.cubes[i], average=float(avgs[i]), lam=lam)
-    worst = float(np.abs(f.values[cover.residual.mask]).max(initial=0.0))
+    res = cover.residual.mask
+    worst = max(float(np.max(f.values, where=res, initial=0.0)),
+                -float(np.min(f.values, where=res, initial=0.0)))
     if worst > lam:
         raise InvariantViolation("residual cell above level", value=worst, lam=lam)
     measures = f.root.measure / np.ldexp(1.0, f.dim * depths)
@@ -147,16 +157,20 @@ def _shifted_levels(f: GridFunction, q0: DyadicCube) -> tuple[np.ndarray, np.nda
     dyadic verifiers count them: the distinct values in increasing order,
     and for each the number of cells at or above it, then a final 0.
     Built once per (f, q0), read-only.  Each value is an ancestor cube's
-    average, so they are few: 1.6% of the cells of a depth-20 martingale."""
+    average, so they are few: 1.6% of the cells of a depth-20 martingale.
+    The sweep needs no provenance, so it runs in place in the private
+    pyramid of |h|, scaled to averages."""
     def build():
+        local_depth = f.max_depth - q0.depth
         dev = f.zslice(q0) - average(f, q0)
         np.abs(dev, out=dev)
-        run, _ = kernels.maximal_sweep(
-            kernels.build_pyramid(dev, f.max_depth - q0.depth, f.dim), f.dim)
-        del dev
+        levels = list(kernels.build_pyramid(dev, local_depth, f.dim))
+        for k, level in enumerate(levels[:-1]):  # the finest cells are their own averages
+            level *= 1.0 / float(1 << (f.dim * (local_depth - k)))
+        run = kernels._running_max(levels, f.dim)
+        del levels
         run.sort()
-        values, above = kernels._sorted_runs(run)
-        return values, np.append(above, 0)
+        return kernels._sorted_runs(run)
     return f._memo(("shifted_levels", q0), build)
 
 
@@ -167,6 +181,20 @@ def _level_measure(f: GridFunction, levels, lam: float) -> float:
     values, above = levels
     count = int(above[np.searchsorted(values, lam, side="right")])
     return f.root.measure * (count / float(f.n_cells))
+
+
+def _jn_norm(f: GridFunction, q0: DyadicCube, p: float) -> float:
+    """The dyadic JN_p norm K of f on q0; PreconditionError when it
+    underflowed to 0 although f is not constant on q0, since every bound
+    built on K would then read 0."""
+    from .functionals import jnp_dyadic
+
+    K = jnp_dyadic(f, q0, p).norm
+    if K == 0.0:
+        block = f.zslice(q0)
+        if float(block.min()) != float(block.max()):
+            raise _jn_underflow(float(p))
+    return K
 
 
 def check_good_lambda_dyadic(
@@ -183,10 +211,9 @@ def check_good_lambda_dyadic(
 
     a = 1/(1 - 2^n b), q = p/(p-1), K = dyadic JN_p norm by default.
     Requires 0 < b < 2^-n (None: 2^-(n+1)), lam > 0, lam >= osc_{Q0}(f) / b
-    and a given K finite and >= 0.
+    and a given K finite and >= 0.  Raises PreconditionError when the K it
+    computes underflows to 0 on values that are not constant on Q0.
     """
-    from .functionals import jnp_dyadic
-
     arity = 1 << f.dim
     cons = theorem_constants(2.0**f.dim, p, n=f.dim)
     p, b = cons.p, (cons.b if b is None else b)
@@ -201,9 +228,9 @@ def check_good_lambda_dyadic(
     if lam < threshold * (1.0 - 1e-12):
         raise PreconditionError("lambda below the good-lambda threshold",
                                 lam=lam, threshold=threshold)
-    levels = _shifted_levels(f, q0)
     if K is None:
-        K = jnp_dyadic(f, q0, p).norm
+        K = _jn_norm(f, q0, p)
+    levels = _shifted_levels(f, q0)
     a = 1.0 / (1.0 - arity * b)
     lhs = _level_measure(f, levels, lam)
     eb = _level_measure(f, levels, b * lam)
@@ -231,14 +258,9 @@ def verify_jn_dyadic(f: GridFunction, q0: DyadicCube, p: float,
     The constants come from ``theorem_constants`` with c_mu = 2^n, the exact
     doubling constant of Lebesgue measure for dyadic cubes.
     """
-    from .functionals import jnp_dyadic
-
     n_lambda = _check_n_lambda(n_lambda)
-    K = jnp_dyadic(f, q0, p).norm
+    K = _jn_norm(f, q0, p)
     if K == 0.0:
-        block = f.zslice(q0)
-        if float(block.min()) != float(block.max()):
-            raise _jn_underflow(float(p))
         return [degenerate_report("jn-weak-lp-dyadic", "constant function, K = 0")]
     n = f.dim
     cons = theorem_constants(2.0**n, p, n=n, K=K, measure_q0=q0.measure)

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grid import GridFunction, RootCube, _lex_to_z_perm
+from .grid import GridFunction, RootCube
 from .metric import MetricMeasureSpace, build_space, space_from_points
 
 __all__ = [
@@ -76,12 +76,38 @@ def gen_random_martingale(dim: int, depth: int, seed: int) -> GridFunction:
     arity = 1 << dim
     zvals = np.zeros(1)
     for k in range(depth):
-        eps = rng.standard_normal(zvals.size * arity)
-        eps = eps - np.repeat(eps.reshape(-1, arity).mean(axis=1), arity)
-        zvals = np.repeat(zvals, arity) + eps * 2.0 ** (-0.5 * k)
-    # increments above are laid out cube-contiguously; convert to cell order
-    vals = zvals[_lex_to_z_perm(dim, depth)]
-    return GridFunction(_unit_root(dim), depth, vals)
+        zvals = _refine(zvals, rng.standard_normal(zvals.size * arity), arity,
+                        2.0 ** (-0.5 * k))
+    # the field is built cube-contiguously, in Morton order
+    return GridFunction._from_zvalues(_unit_root(dim), depth, zvals)
+
+
+def _refine(parents: np.ndarray, eps: np.ndarray, arity: int, scale: float) -> np.ndarray:
+    """One martingale step: child j of parent i, at i * arity + j, is
+    parents[i] + (eps[i * arity + j] - mean of parent i's eps) * scale,
+    written slot by slot."""
+    mean = _block_means(eps, arity)
+    children = np.empty_like(eps)
+    for j in range(arity):
+        child = children[j::arity]
+        np.subtract(eps[j::arity], mean, out=child)
+        child *= scale
+        child += parents
+    return children
+
+
+def _block_means(x: np.ndarray, arity: int) -> np.ndarray:
+    """``x.reshape(-1, arity).mean(axis=1)``, bitwise.  numpy's reduction
+    adds fewer than 8 terms left to right, so for arity 2 and 4 the
+    strided slots are summed in slot order, which avoids a reduction over
+    tiny rows; 8 or more terms it sums pairwise, so those take the mean."""
+    if arity >= 8:
+        return x.reshape(-1, arity).mean(axis=1)
+    total = x[0::arity] + x[1::arity]
+    for j in range(2, arity):
+        total += x[j::arity]
+    total /= arity
+    return total
 
 
 # -------------------------------------------------------------------- spaces

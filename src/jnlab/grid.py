@@ -3,14 +3,17 @@
 A root cube in R^n is split ``max_depth`` times into ``2**n`` children per
 step; a :class:`GridFunction` holds one value per finest cell.  The public
 cell order is lexicographic in the index tuple (first coordinate most
-significant).  Internally the values are also kept in bit-interleaved
-(Morton) order, where the cells of any dyadic cube form one contiguous
-block; all cube sums are computed by repeated adjacent-pair addition over
-such blocks, so a per-cube query and a full-grid sweep produce bitwise
+significant).  Cube sums read the values in bit-interleaved (Morton)
+order, where the cells of any dyadic cube form one contiguous block; all
+cube sums are computed by repeated adjacent-pair addition over such
+blocks, so a per-cube query and a full-grid sweep produce bitwise
 identical numbers.  Averages divide those sums by powers of two (exact).
 The Morton codec in this module is the only code that knows the bit
 layout: bit k of a cube's index on axis j is bit k*dim + dim-1-j of its
-z-index.
+z-index.  In 1-D that is bit k of the index itself, so Morton order is
+cell order and a grid keeps one array of values; in 2-D and up it also
+keeps a Morton-order copy.  Other modules move arrays between the two
+orders only through :func:`_z_to_cells` and :func:`_cells_to_z`.
 """
 
 from __future__ import annotations
@@ -177,6 +180,25 @@ def _lex_to_z_perm(dim: int, depth: int) -> np.ndarray:
     return z
 
 
+def _z_to_cells(zvals: np.ndarray, dim: int, depth: int) -> np.ndarray:
+    """Morton order -> cell order over all finest cells of a depth-`depth`
+    grid.  Bit k of a 1-D index is bit k of its z-index, so in 1-D the two
+    orders agree and `zvals` itself is returned."""
+    if dim == 1:
+        return zvals
+    return zvals[_lex_to_z_perm(dim, depth)]
+
+
+def _cells_to_z(vals: np.ndarray, dim: int, depth: int) -> np.ndarray:
+    """Cell order -> Morton order, the inverse of :func:`_z_to_cells`;
+    `vals` itself in 1-D."""
+    if dim == 1:
+        return vals
+    zvals = np.empty_like(vals)
+    zvals[_lex_to_z_perm(dim, depth)] = vals
+    return zvals
+
+
 def _block(cube: DyadicCube, rel: int) -> slice:
     """The run of interleaved positions of the descendants of `cube`
     `rel` levels down."""
@@ -225,9 +247,14 @@ class GridFunction(_Memoized):
     """
 
     def __init__(self, root: RootCube, max_depth: int, values):
+        self._adopt(root, max_depth, np.array(values, dtype=np.float64, order="C"))
+
+    def _adopt(self, root: RootCube, max_depth: int, vals: np.ndarray) -> None:
+        """Validate `vals`, a float64 array that nothing else will write,
+        and keep it, read-only, as the values."""
         if max_depth < 0:
             raise ValueError(f"max_depth must be >= 0, got {max_depth}")
-        vals = np.asarray(values, dtype=np.float64).reshape(-1)
+        vals = vals.reshape(-1)
         want = 1 << (root.dim * max_depth)
         if vals.size != want:
             raise ValueError(f"expected {want} cell values, got {vals.size}")
@@ -240,8 +267,8 @@ class GridFunction(_Memoized):
             raise ValueError(f"values too large for {want} cells: need |value| <= {bound!r}")
         self.root = root
         self.max_depth = int(max_depth)
-        self.values = vals.copy()
-        self.values.setflags(write=False)
+        vals.setflags(write=False)
+        self.values = vals
         self._cache: dict = {}
 
     @property
@@ -258,16 +285,22 @@ class GridFunction(_Memoized):
     # ---------------------------------------------------------- internals
 
     @property
-    def zperm(self) -> np.ndarray:
-        return self._memo("zperm", lambda: _lex_to_z_perm(self.dim, self.max_depth))
-
-    @property
     def zvalues(self) -> np.ndarray:
-        def build():
-            zv = np.empty_like(self.values)
-            zv[self.zperm] = self.values
-            return zv
-        return self._memo("zvalues", build)
+        """The values in Morton order: :attr:`values` itself in 1-D."""
+        return self._memo("zvalues", lambda: _cells_to_z(self.values, self.dim, self.max_depth))
+
+    @classmethod
+    def _from_zvalues(cls, root: RootCube, max_depth: int, zvalues: np.ndarray) -> "GridFunction":
+        """The grid whose Morton-order values are `zvalues`, a float64 array
+        that the grid keeps, read-only, and nothing else will write; it is
+        validated as any values.  In 1-D it becomes :attr:`values`, and in
+        2-D and up :attr:`zvalues`, so it is neither copied nor scattered
+        back."""
+        f = cls.__new__(cls)
+        f._adopt(root, max_depth, _z_to_cells(zvalues, root.dim, max_depth))
+        if root.dim > 1:
+            f._memo("zvalues", lambda: zvalues)
+        return f
 
     def _check_cube(self, cube: DyadicCube) -> None:
         if cube.root != self.root:
@@ -317,18 +350,21 @@ class GridFunction(_Memoized):
             tbits = min(_OSC_TILE_BITS, self.dim * self.max_depth)
             n_tiles = self.n_cells >> tbits
             widths = [self.dim * (self.max_depth - k) for k in range(self.max_depth)]
-            avgs = [sums[k] * (1.0 / float(1 << w)) for k, w in enumerate(widths)]
-            levels = [np.empty(a.size) for a in avgs]
+            levels = [np.empty(sums[k].size) for k in range(self.max_depth)]
             partials = {k: np.empty(n_tiles) for k, w in enumerate(widths) if w > tbits}
             for t in range(n_tiles):
                 tile = self.zvalues[t << tbits:(t + 1) << tbits]
                 for k, w in enumerate(widths):
+                    # the averages of the cubes the tile meets, scaled here
+                    # so that no level of averages is built up front
                     if w > tbits:  # one partial sum of the cube holding the tile
                         i = t >> (w - tbits)
-                        partials[k][t] = kernels._osc_sums(tile, avgs[k][i:i + 1], tbits)[0]
+                        avg = sums[k][i:i + 1] * (1.0 / float(1 << w))
+                        partials[k][t] = kernels._osc_sums(tile, avg, tbits)[0]
                     else:
                         run = slice(t << (tbits - w), (t + 1) << (tbits - w))
-                        levels[k][run] = kernels._osc_sums(tile, avgs[k][run], w)
+                        avg = sums[k][run] * (1.0 / float(1 << w))
+                        levels[k][run] = kernels._osc_sums(tile, avg, w)
             for k, part in partials.items():
                 levels[k] = kernels.build_pyramid(part, widths[k] - tbits, 1)[0]
             # a finest cell is its own average: |v - v| is +0.0 for finite v,
@@ -341,12 +377,7 @@ class GridFunction(_Memoized):
 
     def cell_midpoints(self) -> np.ndarray:
         """(n_cells, dim) midpoints of the finest cells, lexicographic order."""
-        edge = 1 << self.max_depth
-        h = self.root.side / float(edge)
-        axes = [np.asarray(self.root.origin[j]) + (np.arange(edge) + 0.5) * h
-                for j in range(self.dim)]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        return np.stack([m.reshape(-1) for m in mesh], axis=1)
+        return _cell_midpoints(self.root, self.max_depth)
 
     @classmethod
     def from_callable(cls, root: RootCube, max_depth: int, fn) -> "GridFunction":
@@ -354,8 +385,9 @@ class GridFunction(_Memoized):
 
         ``fn`` receives an (n_cells, dim) array and returns n_cells values.
         """
-        probe = cls(root, max_depth, np.zeros(1 << (root.dim * max_depth)))
-        pts = probe.cell_midpoints()
+        if max_depth < 0:
+            raise ValueError(f"max_depth must be >= 0, got {max_depth}")
+        pts = _cell_midpoints(root, max_depth)
         return cls(root, max_depth, np.asarray(fn(pts), dtype=np.float64))
 
     # ---------------------------------------------------------- IO
@@ -384,6 +416,17 @@ class GridFunction(_Memoized):
             side = float(head[2 + dim])
             vals = [float(line) for line in fh if line.strip()]
         return cls(RootCube(dim, origin, side), depth, vals)
+
+
+def _cell_midpoints(root: RootCube, depth: int) -> np.ndarray:
+    """(n_cells, dim) midpoints of the depth-`depth` cells of `root`,
+    lexicographic order."""
+    edge = 1 << depth
+    h = root.side / float(edge)
+    axes = [np.asarray(root.origin[j]) + (np.arange(edge) + 0.5) * h
+            for j in range(root.dim)]
+    mesh = np.meshgrid(*axes, indexing="ij")
+    return np.stack([m.reshape(-1) for m in mesh], axis=1)
 
 
 def average(f: GridFunction, cube: DyadicCube) -> float:
@@ -419,7 +462,7 @@ class CellSet:
         rel = (zmask.size.bit_length() - 1) // q0.dim
         full = np.zeros(1 << (q0.dim * (q0.depth + rel)), dtype=bool)
         full[_block(q0, rel)] = zmask
-        return cls(q0.root, q0.depth + rel, full[_lex_to_z_perm(q0.dim, q0.depth + rel)])
+        return cls(q0.root, q0.depth + rel, _z_to_cells(full, q0.dim, q0.depth + rel))
 
     @property
     def count(self) -> int:

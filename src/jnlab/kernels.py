@@ -16,6 +16,12 @@ each addend is |x| >= +0.0, and no sum of those is -0.0.  A 4-wide
 block (``nbits = 2``) is still two rounds of pair sums, since one
 4-term reduction rounds differently.
 
+The maximal sweep runs down a pyramid of averages: each level becomes the
+max of its own averages and its parent's running max.  ``maximal_sweep``
+also keeps, per leaf, the depth that attains it; ``_running_max`` keeps
+the values alone, in place in a pyramid of averages its caller owns, with
+one ``np.maximum`` per level and no per-leaf copy of the parent level.
+
 Pyramid layout: a function on ``A**L`` leaves (``A = 2**nbits`` children
 per node) is stored as a sequence of ``L + 1`` arrays, one per level.
 Level ``k`` holds the ``A**k`` depth-k values in depth-first
@@ -64,14 +70,14 @@ def _pair_sums(x: np.ndarray, times: int) -> np.ndarray:
 
 def _sorted_runs(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The distinct values of a sorted, non-empty 1-D array, and for each
-    the number of entries at or above it (int64); each distinct value
-    starts a run of the sort."""
-    new_run = np.empty(a.size, dtype=bool)
-    new_run[0] = True
-    np.not_equal(a[1:], a[:-1], out=new_run[1:])
+    the number of entries at or above it, then a final 0 (int64); each
+    distinct value starts a run of the sort."""
+    new_run = np.empty(a.size + 1, dtype=bool)
+    new_run[0] = new_run[-1] = True  # the end starts an empty last run
+    np.not_equal(a[1:], a[:-1], out=new_run[1:-1])
     starts = np.flatnonzero(new_run)
     del new_run
-    values = a[starts]
+    values = a[starts[:-1]]
     return values, np.subtract(a.size, starts, out=starts)
 
 
@@ -104,19 +110,37 @@ def _osc_sums(block: np.ndarray, avgs, width: int) -> np.ndarray:
 
 def maximal_sweep(pyramid, nbits: int) -> tuple[np.ndarray, np.ndarray]:
     """Per-leaf max of ancestor averages of a sum pyramid, with the depth
-    of the shallowest ancestor attaining it (strict improvement updates)."""
+    of the shallowest ancestor attaining it (strict improvement updates).
+
+    This is the sweep of :func:`_running_max` with provenance: the strict
+    comparison that the depths need also settles a tie of -0.0 with +0.0
+    (the parent's value stays), so any finite pyramid is swept exactly.
+    """
     arity = 1 << nbits
     depth = len(pyramid) - 1
     run = np.full(1, pyramid[0][0] / float(arity**depth))
     prov = np.zeros(1, dtype=np.int64)
     for k in range(1, depth + 1):
-        run = np.repeat(run, arity)
-        prov = np.repeat(prov, arity)
         avg = pyramid[k] * (1.0 / float(arity ** (depth - k)))
-        better = avg > run
-        np.copyto(run, avg, where=better)
-        np.copyto(prov, k, where=better)
+        child = avg.reshape(-1, arity)
+        better = child > run[:, None]
+        np.copyto(child, run[:, None], where=~better)
+        prov = np.where(better, k, prov[:, None]).reshape(-1)
+        run = avg
     return run, prov
+
+
+def _running_max(levels, nbits: int) -> np.ndarray:
+    """The values of `maximal_sweep` alone, in place: `levels` is a list of
+    writable average levels, top first, and level k becomes the max of its
+    own averages and its parent's running max; returns the finest level.
+    np.maximum may return either operand of a tie, so no level may hold
+    -0.0 (sums of |x| never do); then every entry is bitwise
+    `maximal_sweep`'s."""
+    for parent, level in zip(levels, levels[1:]):
+        child = level.reshape(-1, 1 << nbits)
+        np.maximum(child, parent[:, None], out=child)
+    return levels[-1]
 
 
 def dp_sweep(terms, nbits: int) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:

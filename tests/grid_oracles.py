@@ -3,8 +3,9 @@
 These are the direct computations that the Morton codec in
 ``jnlab.grid`` and the array-based CZ selection replaced: the per-bit
 loops of ``DyadicCube.zindex``, ``cube_from_zindex`` and the lex-to-Morton
-permutation, and the CZ construction that decoded one cube at a time and
-built the residual through a full-grid Morton mask.  They work on Python
+permutation, the CZ construction that decoded one cube at a time and
+built the residual through a full-grid Morton mask, and the martingale
+generator that averaged sibling blocks by reshaping.  They work on Python
 ints, so they hold at any depth.  Tests compare the package against them
 bitwise.  ``jnp_bruteforce`` enumerates every dyadic partition, the
 oracle of the JN_p dynamic program on tiny grids, and ``jnp_full_dp``
@@ -57,6 +58,20 @@ def lex_to_z_perm(dim: int, depth: int) -> np.ndarray:
             bit = (coord >> level) & 1
             z |= bit << (level * dim + (dim - 1 - j))
     return z
+
+
+def random_martingale_values(dim: int, depth: int, seed: int) -> np.ndarray:
+    """The former ``gen_random_martingale`` field in cell order: reshape
+    means, ``np.repeat`` of the means and of the parents, and a gather
+    through the per-bit permutation."""
+    rng = np.random.default_rng(seed)
+    arity = 1 << dim
+    zvals = np.zeros(1)
+    for k in range(depth):
+        eps = rng.standard_normal(zvals.size * arity)
+        eps = eps - np.repeat(eps.reshape(-1, arity).mean(axis=1), arity)
+        zvals = np.repeat(zvals, arity) + eps * 2.0 ** (-0.5 * k)
+    return zvals[lex_to_z_perm(dim, depth)]
 
 
 def cz_cover(f, q0: DyadicCube, lam: float):

@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 from jnlab.cli import _emit_reports, _resolve, build_parser, load_config, main
+from jnlab.generators import gen_power_singularity
+from jnlab.grid import mean_oscillation
 from jnlab.metric import space_from_points, space_to_csv, values_to_csv
 from jnlab.report import CheckReport
 
@@ -484,6 +486,19 @@ def test_doubling_constant_overflow_exit_2(tmp_path, capsys):
     for claim in ("mainresult", "bmo"):
         assert run("verify", claim, "--space", str(space), "--values", str(vals)) == 2
         assert "doubling constant too large" in one_line_error(capsys)
+
+
+def test_good_lambda_jn_underflow_exit_2(tmp_path, capsys):
+    # the power singularity times 1e-300 is not constant, but its JN_2 norm
+    # underflows to 0, and a right side built on K = 0 reads 0 at every level
+    f = gen_power_singularity(2.0, 10)
+    f = f.with_values(f.values * 1e-300)
+    grid = tmp_path / "g.csv"
+    f.to_csv(grid)
+    threshold = mean_oscillation(f, f.root.top()) / 0.25  # osc_Q0 / b, b = 2^-(n+1)
+    for c in (1.0, 2.0, 4.0):
+        assert run("verify", "good-lambda", str(grid), "--lam", repr(c * threshold)) == 2
+        assert "JN_p value underflows to 0" in one_line_error(capsys)
 
 
 def test_good_lambda_ignores_the_constant_it_does_not_use(tmp_path):

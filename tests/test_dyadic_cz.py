@@ -1,8 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import grid_oracles as oracle
-from jnlab import dyadic_cz
+from jnlab import dyadic_cz, grid
 from jnlab.dyadic_cz import (check_good_lambda_dyadic, cz_decompose_dyadic,
                              dyadic_maximal, level_set, verify_jn_dyadic)
 from jnlab.dyadic_cz import _level_measure, _shifted_levels
@@ -46,6 +48,37 @@ def brute_maximal(f, q0):
         vals[lex] = best
         prov[lex] = bdepth
     return vals, prov
+
+
+def test_one_dimensional_shared_buffers_are_read_only():
+    # Morton order is cell order in 1-D: one buffer serves both, so no
+    # holder of either may write it
+    f = gen_random_martingale(1, 8, 3)
+    assert f.zvalues is f.values
+    g = GridFunction(f.root, 8, f.values)
+    assert g.zvalues is g.values and not np.shares_memory(g.values, f.values)
+    field = dyadic_maximal(f, f.root.top())
+    assert field.values is field._zvalues
+    for a in (f.values, g.values, field.values, field.provenance):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 1.0
+
+
+@pytest.mark.parametrize("dim,depth", [(1, 16), (2, 8)])
+def test_verify_jn_dyadic_heap_per_cell(dim, depth):
+    # a fresh grid: its pyramids, its Morton copy and the permutation (2-D)
+    # are all built inside the call, so the traced peak is its whole heap;
+    # one copy of the cells plus the pyramids it reads is about 35 B per cell
+    values = gen_random_martingale(dim, depth, 1).values
+    f = GridFunction(unit(dim), depth, values)
+    grid._lex_to_z_perm.cache_clear()
+    tracemalloc.start()
+    try:
+        verify_jn_dyadic(f, f.root.top(), 2.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / f.n_cells <= 45.0
 
 
 def test_maximal_matches_bruteforce_exact():
@@ -197,7 +230,11 @@ def test_good_lambda_threshold_equals_mean_oscillation():
             with pytest.raises(PreconditionError, match="threshold") as err:
                 check_good_lambda_dyadic(f, q0, 2.0, b, threshold * (1.0 - 1e-9))
             assert err.value.details["threshold"] == threshold
-            check_good_lambda_dyadic(f, q0, 2.0, b, threshold)
+            if f is tiny:  # its JN_2 norm underflows to 0 (K^2 is far below 1e-308)
+                with pytest.raises(PreconditionError, match="underflows"):
+                    check_good_lambda_dyadic(f, q0, 2.0, b, threshold)
+            else:
+                check_good_lambda_dyadic(f, q0, 2.0, b, threshold)
 
 
 def test_cz_properties_random():

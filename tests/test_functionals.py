@@ -4,9 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from grid_oracles import _partition_count, jnp_bruteforce, jnp_full_dp
+from jnlab import functionals, kernels
 from jnlab.errors import PreconditionError
 from jnlab.functionals import bmo_dyadic, distribution, jnp_dyadic, notlp_terms, weak_lp
-from jnlab.generators import gen_random_uniform
+from jnlab.generators import gen_constant, gen_power_singularity, gen_random_uniform, gen_step
 from jnlab.grid import (DyadicCube, GridFunction, RootCube, average, cube_from_zindex,
                         mean_oscillation)
 from test_kernels import osc_sums_cases
@@ -336,6 +337,43 @@ def test_weak_lp_matches_unique_oracle():
                     # the in-place body against a new array per step, bitwise
                     want = weak_lp_sort_copies(f, q0, p, centered=centered)
                     assert type(got) is type(want)
+                    assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
+def weak_lp_sorted_runs(f, q0, p, centered=True):
+    """The weak_lp body before it streamed: the max over the distinct
+    values only, from `kernels._sorted_runs`."""
+    block = f.zslice(q0)
+    a = block - average(f, q0) if centered else block.copy()
+    np.abs(a, out=a)
+    a.sort()
+    a = a[np.searchsorted(a, 0.0, side="right"):]
+    if a.size == 0:
+        return 0.0
+    vals, n_ge = kernels._sorted_runs(a)
+    meas = n_ge[:-1] / float(f.n_cells)
+    meas *= f.root.measure
+    meas **= 1.0 / p
+    return float(np.multiply(vals, meas, out=meas).max())
+
+
+@pytest.mark.parametrize("block", [3, 64, functionals._WEAK_BLOCK])
+def test_weak_lp_streamed_max_matches_sorted_runs_bitwise(monkeypatch, block):
+    # grids with long runs of tied values, so most sorted positions score
+    # below their run's first one; small blocks split the runs
+    monkeypatch.setattr(functionals, "_WEAK_BLOCK", block)
+    rng = np.random.default_rng(20)
+    grids = [gen_step(1, 10), gen_step(2, 5), gen_constant(1, 8, 2.5),
+             GridFunction(unit(1), 10, rng.integers(-3, 4, 1 << 10).astype(float)),
+             GridFunction(unit(2), 5, rng.integers(0, 3, 1 << 10).astype(float)),
+             gen_power_singularity(2.0, 12), rand_f(1, 10, 21)]
+    for f in grids:
+        for q0 in (f.root.top(), DyadicCube(f.root, 1, (1,) * f.dim)):
+            for p in (1.5, 2.0, 3.0):
+                for centered in (True, False):
+                    got = weak_lp(f, q0, p, centered=centered)
+                    want = weak_lp_sorted_runs(f, q0, p, centered=centered)
+                    assert type(got) is float
                     assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
 

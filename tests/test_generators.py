@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import grid_oracles as oracle
 from jnlab.generators import (f_distance, f_log_distance, f_random, gen_constant,
                               gen_grid2d, gen_line, gen_log_singularity,
                               gen_power_singularity, gen_random_cloud,
@@ -59,6 +60,22 @@ def test_martingale_cube_averages_reproduce_coarse_run():
 def test_martingale_root_average_zero():
     f = gen_random_martingale(2, 4, 3)
     assert abs(average(f, f.root.top())) < 1e-12
+
+
+@pytest.mark.parametrize("dim,depths", [(1, (0, 1, 2, 7, 20)), (2, (1, 3, 10)), (3, (1, 2, 5))])
+def test_martingale_matches_former_generator_bitwise(dim, depths):
+    # strided slot sums, children written slot by slot and the Morton
+    # field handed to the grid against reshape means, np.repeat and a gather
+    for depth in depths:
+        for seed in (1, 2718):
+            f = gen_random_martingale(dim, depth, seed)
+            want = oracle.random_martingale_values(dim, depth, seed)
+            assert f.values.tobytes() == want.tobytes(), (depth, seed)
+            # the grid's Morton copy is the scatter of its values
+            zv = np.empty_like(want)
+            zv[oracle.lex_to_z_perm(dim, depth)] = want
+            assert f.zvalues.tobytes() == zv.tobytes()
+            assert not f.values.flags.writeable and not f.zvalues.flags.writeable
 
 
 def test_line_space():

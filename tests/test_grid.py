@@ -169,6 +169,27 @@ def test_average_of_linear_samples_is_exact():
     assert average(f, f.root.top()) == 0.5
 
 
+def test_from_callable_builds_no_probe_grid(monkeypatch):
+    # the midpoints depend on (root, depth) alone: one grid is built, the
+    # sampled one
+    built = []
+    adopt = GridFunction._adopt
+
+    def counting(self, root, depth, vals):
+        built.append(vals.size)
+        adopt(self, root, depth, vals)
+
+    monkeypatch.setattr(GridFunction, "_adopt", counting)
+    root = RootCube(2, (1.0, -2.0), 4.0)
+    f = GridFunction.from_callable(root, 3, lambda pts: pts[:, 0] - 3.0 * pts[:, 1])
+    assert built == [64]
+    pts = f.cell_midpoints()
+    assert pts[0].tolist() == [1.25, -1.75] and pts[1].tolist() == [1.25, -1.25]
+    assert np.array_equal(f.values, pts[:, 0] - 3.0 * pts[:, 1])
+    with pytest.raises(ValueError, match="max_depth"):
+        GridFunction.from_callable(unit(1), -1, lambda pts: pts[:, 0])
+
+
 def test_average_matches_tree_total():
     f = rand_f(2, 3, 7)
     for depth in (0, 1, 2, 3):

@@ -223,6 +223,27 @@ def test_maximal_sweep_matches_mask_oracle_bitwise():
             assert len(set(prov.tolist())) > 1 or pyr[0][0] == 0.0
 
 
+def test_running_max_matches_maximal_sweep_bitwise():
+    # the value-only sweep, in place in a private pyramid of averages,
+    # against maximal_sweep's run on pyramids of |.| (no -0.0): hard
+    # floats, signed zeros, cancellations, and the |f - avg| pyramid
+    # that the dyadic verifiers sweep
+    cases = [(f, pyr) for f, k in osc_sums_cases() if k == 0
+             for pyr in (f.abs_pyramid(), f.osc_pyramid())]
+    for f in (GridFunction(RootCube(dim, (0.0,) * dim, 1.0), depth,
+                           hard_floats(1 << (dim * depth), 30 + dim))
+              for dim, depth in ((1, 9), (2, 4), (3, 3))):
+        dev = np.abs(f.zvalues - f.sum_pyramid()[0][0] / f.n_cells)
+        cases.append((f, kernels.build_pyramid(dev, f.max_depth, f.dim)))
+    for f, pyr in cases:
+        depth = len(pyr) - 1
+        levels = [level * (1.0 / float(1 << (f.dim * (depth - k))))
+                  for k, level in enumerate(pyr)]
+        got = kernels._running_max(levels, f.dim)
+        assert got is levels[-1]
+        assert same_bits(got, kernels.maximal_sweep(pyr, f.dim)[0]), f.dim
+
+
 def test_osc_pyramid_leaf_level_is_zero_bitwise():
     for f, k in osc_sums_cases():
         if k == f.max_depth:
