@@ -126,9 +126,9 @@ def weak_lp(f: GridFunction, q0: DyadicCube, p: float, centered: bool = True) ->
     between consecutive ones, so the sup is attained at a distinct value.
     With |g| sorted, position i of n is scored as t = a[i] with the n - i
     cells from i on: that is mu(|g| >= t) at the first position of a run
-    of equal values and no more at a later one, so the max over every
-    position, taken block by block, is bitwise the max over the distinct
-    values.
+    of equal values and no more at a later one.  Block by block, the run
+    starts and each block's first position are scored, so the max is
+    bitwise the max over the distinct values.
     """
     p = _check_p(p)
     block = f.zslice(q0)
@@ -139,12 +139,16 @@ def weak_lp(f: GridFunction, q0: DyadicCube, p: float, centered: bool = True) ->
     a = a[np.searchsorted(a, 0.0, side="right"):]  # the values > 0
     best = 0.0
     for lo in range(0, a.size, _WEAK_BLOCK):
-        hi = min(lo + _WEAK_BLOCK, a.size)
-        meas = np.arange(a.size - lo, a.size - hi, -1, dtype=np.float64)
+        run = a[lo:lo + _WEAK_BLOCK]
+        scored = np.empty(run.size, dtype=bool)
+        scored[0] = True
+        np.not_equal(run[1:], run[:-1], out=scored[1:])
+        at = np.flatnonzero(scored)
+        meas = np.subtract(a.size - lo, at, dtype=np.float64)
         meas /= float(f.n_cells)
         meas *= f.root.measure
         meas **= 1.0 / p
-        meas *= a[lo:hi]
+        meas *= run[at]
         best = max(best, float(meas.max()))
     return best
 

@@ -83,31 +83,14 @@ def gen_random_martingale(dim: int, depth: int, seed: int) -> GridFunction:
 
 
 def _refine(parents: np.ndarray, eps: np.ndarray, arity: int, scale: float) -> np.ndarray:
-    """One martingale step: child j of parent i, at i * arity + j, is
-    parents[i] + (eps[i * arity + j] - mean of parent i's eps) * scale,
-    written slot by slot."""
-    mean = _block_means(eps, arity)
-    children = np.empty_like(eps)
-    for j in range(arity):
-        child = children[j::arity]
-        np.subtract(eps[j::arity], mean, out=child)
-        child *= scale
-        child += parents
-    return children
-
-
-def _block_means(x: np.ndarray, arity: int) -> np.ndarray:
-    """``x.reshape(-1, arity).mean(axis=1)``, bitwise.  numpy's reduction
-    adds fewer than 8 terms left to right, so for arity 2 and 4 the
-    strided slots are summed in slot order, which avoids a reduction over
-    tiny rows; 8 or more terms it sums pairwise, so those take the mean."""
-    if arity >= 8:
-        return x.reshape(-1, arity).mean(axis=1)
-    total = x[0::arity] + x[1::arity]
-    for j in range(2, arity):
-        total += x[j::arity]
-    total /= arity
-    return total
+    """One martingale step, in place in `eps`: child j of parent i, at
+    i * arity + j, is parents[i] + (eps[i * arity + j] - mean of parent
+    i's eps) * scale."""
+    block = eps.reshape(-1, arity)
+    block -= block.mean(axis=1)[:, None]
+    block *= scale
+    block += parents[:, None]
+    return eps
 
 
 # -------------------------------------------------------------------- spaces

@@ -17,10 +17,12 @@ block (``nbits = 2``) is still two rounds of pair sums, since one
 4-term reduction rounds differently.
 
 The maximal sweep runs down a pyramid of averages: each level becomes the
-max of its own averages and its parent's running max.  ``maximal_sweep``
-also keeps, per leaf, the depth that attains it; ``_running_max`` keeps
-the values alone, in place in a pyramid of averages its caller owns, with
-one ``np.maximum`` per level and no per-leaf copy of the parent level.
+max of its own averages and its parent's running max, where an average
+replaces the parent's only if it is strictly larger (so a tie of -0.0
+with +0.0 keeps the parent's).  ``_sweep_level`` is that step, in place
+and with no per-leaf copy of the parent level.  ``_running_max`` runs it
+alone, in a pyramid of averages its caller owns; ``maximal_sweep`` also
+keeps, per leaf, the depth that attains the max.
 
 Pyramid layout: a function on ``A**L`` leaves (``A = 2**nbits`` children
 per node) is stored as a sequence of ``L + 1`` arrays, one per level.
@@ -108,38 +110,44 @@ def _osc_sums(block: np.ndarray, avgs, width: int) -> np.ndarray:
     return out
 
 
+def _sweep_level(parent: np.ndarray, level: np.ndarray, nbits: int) -> np.ndarray:
+    """One step of the maximal sweep, in place: each average in `level`
+    that is not strictly larger than its parent's running max becomes that
+    max.  Returns where the parent's was kept, per entry of `level`.  It
+    takes one strided slot of siblings at a time, so each operation is one
+    loop over `parent`, not a loop over each parent's few children."""
+    arity = 1 << nbits
+    kept = np.empty(level.size, dtype=bool)
+    for j in range(arity):
+        child, keep = level[j::arity], kept[j::arity]
+        np.less_equal(child, parent, out=keep)  # values are finite
+        np.copyto(child, parent, where=keep)
+    return kept
+
+
 def maximal_sweep(pyramid, nbits: int) -> tuple[np.ndarray, np.ndarray]:
     """Per-leaf max of ancestor averages of a sum pyramid, with the depth
-    of the shallowest ancestor attaining it (strict improvement updates).
-
-    This is the sweep of :func:`_running_max` with provenance: the strict
-    comparison that the depths need also settles a tie of -0.0 with +0.0
-    (the parent's value stays), so any finite pyramid is swept exactly.
-    """
+    of the shallowest ancestor attaining it (strict improvement updates)."""
     arity = 1 << nbits
     depth = len(pyramid) - 1
     run = np.full(1, pyramid[0][0] / float(arity**depth))
     prov = np.zeros(1, dtype=np.int64)
     for k in range(1, depth + 1):
         avg = pyramid[k] * (1.0 / float(arity ** (depth - k)))
-        child = avg.reshape(-1, arity)
-        better = child > run[:, None]
-        np.copyto(child, run[:, None], where=~better)
-        prov = np.where(better, k, prov[:, None]).reshape(-1)
-        run = avg
+        kept = _sweep_level(run, avg, nbits)
+        deeper = np.full(avg.size, k, dtype=np.int64)
+        for j in range(arity):
+            np.copyto(deeper[j::arity], prov, where=kept[j::arity])
+        run, prov = avg, deeper
     return run, prov
 
 
 def _running_max(levels, nbits: int) -> np.ndarray:
     """The values of `maximal_sweep` alone, in place: `levels` is a list of
-    writable average levels, top first, and level k becomes the max of its
-    own averages and its parent's running max; returns the finest level.
-    np.maximum may return either operand of a tie, so no level may hold
-    -0.0 (sums of |x| never do); then every entry is bitwise
-    `maximal_sweep`'s."""
+    writable average levels, top first, and each takes one
+    :func:`_sweep_level` step from its parent; returns the finest level."""
     for parent, level in zip(levels, levels[1:]):
-        child = level.reshape(-1, 1 << nbits)
-        np.maximum(child, parent[:, None], out=child)
+        _sweep_level(parent, level, nbits)
     return levels[-1]
 
 

@@ -5,7 +5,7 @@ These are the direct computations that the Morton codec in
 loops of ``DyadicCube.zindex``, ``cube_from_zindex`` and the lex-to-Morton
 permutation, the CZ construction that decoded one cube at a time and
 built the residual through a full-grid Morton mask, and the martingale
-generator that averaged sibling blocks by reshaping.  They work on Python
+generator that repeated its parents and block means.  They work on Python
 ints, so they hold at any depth.  Tests compare the package against them
 bitwise.  ``jnp_bruteforce`` enumerates every dyadic partition, the
 oracle of the JN_p dynamic program on tiny grids, and ``jnp_full_dp``

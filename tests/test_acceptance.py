@@ -22,8 +22,7 @@ from jnlab.generators import (f_log_distance, f_random, gen_grid2d, gen_line,
                               gen_log_singularity, gen_power_singularity,
                               gen_random_cloud, gen_random_martingale,
                               gen_random_uniform, gen_step, gen_tree_graph)
-from jnlab.grid import (DyadicCube, GridFunction, RootCube, _lex_to_z_perm, average,
-                        mean_oscillation)
+from jnlab.grid import DyadicCube, GridFunction, RootCube, average, mean_oscillation
 from jnlab.metric import (Ball, doubling_constant, global_maximal,
                           hl_maximal_restricted, jnp_metric_lower,
                           vitali_subcover)
@@ -89,9 +88,8 @@ def _cz_threshold(sp, g, b0) -> float:
 def _maximal_oracle(f: GridFunction) -> np.ndarray:
     """Best containing-cube |f|-average per cell, by direct enumeration of
     every ancestor level (same pairwise summation tree, so exact)."""
-    perm = _lex_to_z_perm(f.dim, f.max_depth)
     gz = np.empty(f.n_cells)
-    gz[perm] = np.abs(f.values)
+    gz[f.zperm] = np.abs(f.values)
     best = gz.copy()
     s = gz
     for up in range(1, f.max_depth + 1):
@@ -99,15 +97,14 @@ def _maximal_oracle(f: GridFunction) -> np.ndarray:
             s = s.reshape(-1, 2).sum(axis=1)
         cnt = 1 << (f.dim * up)
         best = np.maximum(best, np.repeat(s * (1.0 / float(cnt)), cnt))
-    return best[perm]
+    return best[f.zperm]
 
 
 def _maximal_loop(f: GridFunction) -> np.ndarray:
     """Literal per-cell loop over all containing cubes (small grids only)."""
-    perm = _lex_to_z_perm(f.dim, f.max_depth)
     out = np.empty(f.n_cells)
     for lex in range(f.n_cells):
-        z = int(perm[lex])
+        z = int(f.zperm[lex])
         cand = []
         for depth in range(f.max_depth + 1):
             width = f.dim * (f.max_depth - depth)

@@ -64,8 +64,8 @@ def test_martingale_root_average_zero():
 
 @pytest.mark.parametrize("dim,depths", [(1, (0, 1, 2, 7, 20)), (2, (1, 3, 10)), (3, (1, 2, 5))])
 def test_martingale_matches_former_generator_bitwise(dim, depths):
-    # strided slot sums, children written slot by slot and the Morton
-    # field handed to the grid against reshape means, np.repeat and a gather
+    # steps in place in the draws and the Morton field handed to the
+    # grid, against np.repeat of the parents and means and a gather
     for depth in depths:
         for seed in (1, 2718):
             f = gen_random_martingale(dim, depth, seed)

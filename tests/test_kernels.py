@@ -225,11 +225,11 @@ def test_maximal_sweep_matches_mask_oracle_bitwise():
 
 def test_running_max_matches_maximal_sweep_bitwise():
     # the value-only sweep, in place in a private pyramid of averages,
-    # against maximal_sweep's run on pyramids of |.| (no -0.0): hard
-    # floats, signed zeros, cancellations, and the |f - avg| pyramid
-    # that the dyadic verifiers sweep
+    # against maximal_sweep's run: hard floats, signed zeros (ties of
+    # -0.0 with +0.0 in the signed sums), cancellations, and the
+    # |f - avg| pyramid that the dyadic verifiers sweep
     cases = [(f, pyr) for f, k in osc_sums_cases() if k == 0
-             for pyr in (f.abs_pyramid(), f.osc_pyramid())]
+             for pyr in (f.sum_pyramid(), f.abs_pyramid(), f.osc_pyramid())]
     for f in (GridFunction(RootCube(dim, (0.0,) * dim, 1.0), depth,
                            hard_floats(1 << (dim * depth), 30 + dim))
               for dim, depth in ((1, 9), (2, 4), (3, 3))):
