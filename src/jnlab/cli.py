@@ -38,7 +38,7 @@ from . import generators as gen
 from .dyadic_cz import cz_decompose_dyadic, dyadic_maximal, verify_jn_dyadic, check_good_lambda_dyadic
 from .errors import InvariantViolation, MetricAxiomError, PreconditionError
 from .functionals import bmo_dyadic, distribution, jnp_dyadic, notlp_terms, weak_lp
-from .grid import MAX_CELL_BITS, DyadicCube, GridFunction, average, mean_oscillation
+from .grid import MAX_CELL_BITS, DyadicCube, GridFunction, _deviation, average, mean_oscillation
 from .metric import (Ball, bmo_norm_metric, doubling_constant, hl_maximal_restricted,
                      jnp_metric_lower, space_from_csv, space_to_csv,
                      values_from_csv, values_to_csv)
@@ -121,7 +121,7 @@ OPTIONS = {opt.name: opt for opt in (
     Option("lam", float, commands=("cz", "verify"), finite=True),
     Option("b", float, commands=("verify",), finite=True),
     Option("n_lambda", int, 60, ("verify",), low=1),
-    Option("seed", int, 0),
+    Option("seed", int, 0, low=0),
     Option("out"),
     Option("format", default="json", choices=("json", "csv")),
     Option("config"),
@@ -355,8 +355,7 @@ def _analyze_grid(cfg: dict) -> int:
     }
     _write(_json(result), cfg.get("out"))
     if cfg.get("curve_out"):
-        g = np.abs(f.values - average(f, q0))
-        top = float(g.max())
+        top = float(_deviation(f, q0).max())
         lams = np.geomspace(max(top, 1e-12) / 1e4, max(top, 1e-12), 60)
         rows = ["lambda,measure"]
         rows += [f"{repr(float(l))},{repr(distribution(f, q0, float(l)))}"

@@ -17,9 +17,10 @@ import numpy as np
 
 from . import kernels
 from .constants import _pow, theorem_constants
-from .errors import (InvariantViolation, PreconditionError, _check_n_lambda, _check_rhs,
-                     _jn_underflow)
-from .grid import CellSet, DyadicCube, GridFunction, _subtree_cubes, _z_to_cells, average
+from .errors import InvariantViolation, PreconditionError, _check_n_lambda, _check_rhs
+from .functionals import jnp_dyadic
+from .grid import (CellSet, DyadicCube, GridFunction, _cube_mean, _deviation, _subtree_cubes,
+                   _z_to_cells, mean_oscillation)
 from .report import CheckReport, degenerate_report
 
 __all__ = [
@@ -102,7 +103,7 @@ def cz_decompose_dyadic(f: GridFunction, q0: DyadicCube, lam: float) -> CzCover:
     local_depth = f.max_depth - q0.depth
     arity = 1 << f.dim
 
-    avg0 = float(f.pyramid_slice(pyr, q0, 0)[0]) / float(arity**local_depth)
+    avg0 = _cube_mean(f, pyr, q0)
     if not avg0 <= lam:
         raise PreconditionError(
             "cz level must dominate the root |f| average", average=avg0, lam=lam
@@ -162,9 +163,7 @@ def _shifted_levels(f: GridFunction, q0: DyadicCube) -> tuple[np.ndarray, np.nda
     pyramid of |h|, scaled to averages."""
     def build():
         local_depth = f.max_depth - q0.depth
-        dev = f.zslice(q0) - average(f, q0)
-        np.abs(dev, out=dev)
-        levels = list(kernels.build_pyramid(dev, local_depth, f.dim))
+        levels = list(kernels.build_pyramid(_deviation(f, q0), local_depth, f.dim))
         for k, level in enumerate(levels[:-1]):  # the finest cells are their own averages
             level *= 1.0 / float(1 << (f.dim * (local_depth - k)))
         run = kernels._running_max(levels, f.dim)
@@ -181,20 +180,6 @@ def _level_measure(f: GridFunction, levels, lam: float) -> float:
     values, above = levels
     count = int(above[np.searchsorted(values, lam, side="right")])
     return f.root.measure * (count / float(f.n_cells))
-
-
-def _jn_norm(f: GridFunction, q0: DyadicCube, p: float) -> float:
-    """The dyadic JN_p norm K of f on q0; PreconditionError when it
-    underflowed to 0 although f is not constant on q0, since every bound
-    built on K would then read 0."""
-    from .functionals import jnp_dyadic
-
-    K = jnp_dyadic(f, q0, p).norm
-    if K == 0.0:
-        block = f.zslice(q0)
-        if float(block.min()) != float(block.max()):
-            raise _jn_underflow(float(p))
-    return K
 
 
 def check_good_lambda_dyadic(
@@ -223,13 +208,12 @@ def check_good_lambda_dyadic(
         raise PreconditionError("lambda must be positive", lam=lam)
     if K is not None and not (K >= 0 and math.isfinite(K)):
         raise PreconditionError("K must be finite and >= 0", K=K)
-    cells = 1 << (f.dim * (f.max_depth - q0.depth))
-    threshold = float(f.pyramid_slice(f.osc_pyramid(), q0, 0)[0]) / cells / b
+    threshold = mean_oscillation(f, q0) / b
     if lam < threshold * (1.0 - 1e-12):
         raise PreconditionError("lambda below the good-lambda threshold",
                                 lam=lam, threshold=threshold)
     if K is None:
-        K = _jn_norm(f, q0, p)
+        K = jnp_dyadic(f, q0, p).norm
     levels = _shifted_levels(f, q0)
     a = 1.0 / (1.0 - arity * b)
     lhs = _level_measure(f, levels, lam)
@@ -259,7 +243,7 @@ def verify_jn_dyadic(f: GridFunction, q0: DyadicCube, p: float,
     doubling constant of Lebesgue measure for dyadic cubes.
     """
     n_lambda = _check_n_lambda(n_lambda)
-    K = _jn_norm(f, q0, p)
+    K = jnp_dyadic(f, q0, p).norm
     if K == 0.0:
         return [degenerate_report("jn-weak-lp-dyadic", "constant function, K = 0")]
     n = f.dim

@@ -19,9 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .errors import _check_jn_value, _check_p
-from .grid import (DyadicCube, GridFunction, RootCube, average, mean_oscillation,
-                   _subtree_cubes)
+from .errors import _check_jn_value, _check_p, _jn_underflow
+from .grid import (DyadicCube, GridFunction, RootCube, _cube_mean, _deviation,
+                   _subtree_cubes, mean_oscillation)
 
 __all__ = [
     "PartitionResult",
@@ -70,6 +70,8 @@ def jnp_dyadic(f: GridFunction, q0: DyadicCube, p: float) -> PartitionResult:
     Ties between a cube and its best-split children keep the cube, so the
     witness is the coarsest optimal partition; cubes appear in depth-first
     lexicographic order.  The result is built once per (f, q0, p).
+    PreconditionError when the value underflows to 0 although f is not
+    constant on q0, since every bound built on it would then read 0.
     """
     p = _check_p(p)
     f._check_cube(q0)
@@ -84,6 +86,10 @@ def _best_partition(f: GridFunction, q0: DyadicCube, p: float) -> PartitionResul
     with np.errstate(over="ignore"):  # an overflowed sum reaches the root too
         values, split = kernels.dp_sweep(terms[:max(1, len(terms) - 1)], f.dim)
     value = _check_jn_value(float(values[0][0]), p)
+    if value == 0.0:
+        block = f.zslice(q0)
+        if float(block.min()) != float(block.max()):
+            raise _jn_underflow(p)
 
     witness = []
     arity = 1 << f.dim
@@ -101,21 +107,13 @@ def _best_partition(f: GridFunction, q0: DyadicCube, p: float) -> PartitionResul
 def bmo_dyadic(f: GridFunction, q0: DyadicCube) -> float:
     """Largest mean oscillation over all dyadic subcubes of ``q0`` (incl. q0)."""
     pyr = f.osc_pyramid()
-    best = 0.0  # a finest cell's oscillation, so that level is not read
-    for rel in range(f.max_depth - q0.depth):
-        cnt = 1 << (f.dim * (f.max_depth - q0.depth - rel))
-        level = f.pyramid_slice(pyr, q0, rel) * (1.0 / float(cnt))
-        cand = float(level.max())
-        if cand > best:
-            best = cand
-    return best
+    # 0.0 is a finest cell's oscillation, so that level is not read
+    return max([0.0] + [_cube_mean(f, pyr, q0, rel) for rel in range(f.max_depth - q0.depth)])
 
 
 def distribution(f: GridFunction, q0: DyadicCube, lam: float) -> float:
     """Measure of ``{x in Q0 : |f(x) - avg_{Q0} f| > lam}``."""
-    block = f.zslice(q0)
-    avg = average(f, q0)
-    n_over = int(np.count_nonzero(np.abs(block - avg) > lam))
+    n_over = int(np.count_nonzero(_deviation(f, q0) > lam))
     return f.root.measure * (n_over / float(f.n_cells))
 
 
@@ -131,10 +129,8 @@ def weak_lp(f: GridFunction, q0: DyadicCube, p: float, centered: bool = True) ->
     bitwise the max over the distinct values.
     """
     p = _check_p(p)
-    block = f.zslice(q0)
     # one working copy, then in place: at 2**20 cells each copy is 8 MB
-    a = block - average(f, q0) if centered else block.copy()
-    np.abs(a, out=a)
+    a = _deviation(f, q0) if centered else np.abs(f.zslice(q0))
     a.sort()
     a = a[np.searchsorted(a, 0.0, side="right"):]  # the values > 0
     best = 0.0

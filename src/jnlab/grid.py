@@ -7,7 +7,8 @@ significant).  Cube sums read the values in bit-interleaved (Morton)
 order, where the cells of any dyadic cube form one contiguous block; all
 cube sums are computed by repeated adjacent-pair addition over such
 blocks, so a per-cube query and a full-grid sweep produce bitwise
-identical numbers.  Averages divide those sums by powers of two (exact).
+identical numbers.  :func:`_cube_mean` divides them by powers of two (exact),
+and :func:`_deviation` alone builds |f - avg_{Q0} f| over Q0's cells.
 The Morton codec in this module is the only code that knows the bit
 layout: bit k of a cube's index on axis j is bit k*dim + dim-1-j of its
 z-index.  In 1-D that is bit k of the index itself, so Morton order is
@@ -168,11 +169,11 @@ def _compact(s: np.ndarray, dim: int, depth: int) -> np.ndarray:
     return x
 
 
-@functools.lru_cache(maxsize=64)
+@functools.lru_cache(maxsize=1)
 def _lex_to_z_perm(dim: int, depth: int) -> np.ndarray:
     """perm[lex_position] = interleaved position, over all finest cells:
     the outer sum of the spread coordinates, first axis most significant.
-    Cached and read-only."""
+    Read-only; only the last is kept (8 B/cell): callers convert one grid's arrays."""
     z = axis = _spread_table(dim, depth)
     for _ in range(dim - 1):
         z = np.add.outer(z << 1, axis).reshape(-1)
@@ -436,17 +437,30 @@ def _cell_midpoints(root: RootCube, depth: int) -> np.ndarray:
     return np.stack([m.reshape(-1) for m in mesh], axis=1)
 
 
+def _cube_mean(f: GridFunction, pyramid, cube: DyadicCube, rel: int = 0) -> float:
+    """The mean over `cube` of what `pyramid` sums: its entry / cell count.
+    With rel > 0, the largest such mean `rel` levels down: 2^-k scaling is
+    monotone, so scaling after the max gives the largest scaled entry."""
+    cells = 1 << (f.dim * (f.max_depth - cube.depth - rel))
+    return float(f.pyramid_slice(pyramid, cube, rel).max()) / float(cells)
+
+
 def average(f: GridFunction, cube: DyadicCube) -> float:
-    """Average of ``f`` over a dyadic cube (its sum pyramid entry / cell count)."""
-    cells = 1 << (f.dim * (f.max_depth - cube.depth))
-    return float(f.pyramid_slice(f.sum_pyramid(), cube, 0)[0]) / float(cells)
+    """Average of ``f`` over a dyadic cube."""
+    return _cube_mean(f, f.sum_pyramid(), cube)
 
 
 def mean_oscillation(f: GridFunction, cube: DyadicCube) -> float:
     """Average of |f - average(f, cube)| over the cube."""
-    block = f.zslice(cube)
-    width = f.dim * (f.max_depth - cube.depth)
-    return float(kernels.osc_sums(block, [average(f, cube)], width)[0]) / float(block.size)
+    return _cube_mean(f, f.osc_pyramid(), cube)
+
+
+def _deviation(f: GridFunction, q0: DyadicCube) -> np.ndarray:
+    """|f - avg_{Q0} f| over q0's cells in Morton order: a fresh array
+    that the caller may write."""
+    dev = f.zslice(q0) - average(f, q0)
+    np.abs(dev, out=dev)
+    return dev
 
 
 class CellSet:

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import kernels
 from .errors import (InvariantViolation, MetricAxiomError, PreconditionError, _check_jn_value,
-                     _check_p)
+                     _check_p, _jn_underflow)
 from .grid import _Memoized
 
 __all__ = [
@@ -752,6 +752,8 @@ def jnp_metric_lower(space: MetricMeasureSpace, f, b0: Ball, p: float,
     points, so each table holds fewer than budget x m bits.  The value is
     at least the best pool term and non-decreasing in budget.  The
     incumbent is a tuple of pool indices, made `Ball`s once, at the end.
+    PreconditionError when the value underflows to 0 although f is not
+    constant on some pool ball, since a bound built on it would read 0.
     """
     v = space.check_values(f)
     p = _check_p(p)
@@ -802,6 +804,16 @@ def jnp_metric_lower(space: MetricMeasureSpace, f, b0: Ball, p: float,
         extend(0, 0, 0.0)
 
     best_val = _check_jn_value(best_val, p)  # a sum of finite terms may overflow
+    if best_val == 0.0:
+        # each center's pool balls are prefixes of its distance order, so
+        # its last one holds them all; min != max, since a constant's
+        # prefix mean can miss the constant by an ulp
+        last = np.flatnonzero(np.diff(centers, append=-1))
+        mem = space.d[centers[last]] < radii[last, None]
+        vals = np.broadcast_to(v, mem.shape)
+        if np.any(np.max(vals, axis=1, where=mem, initial=-np.inf)
+                  != np.min(vals, axis=1, where=mem, initial=np.inf)):
+            raise _jn_underflow(p)
     balls = tuple(Ball(int(centers[i]), float(radii[i])) for i in best_idx)
     family = check_admissible(space, b0, balls)
     if balls and not family.admissible:

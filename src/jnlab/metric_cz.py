@@ -8,7 +8,7 @@ in one pass (for a nonnegative function f with lam_1 >= mean of f over
 * every point x of B0 gets a witness ball: the realized ball containing x
   with member set inside B0 maximizing the f-average (ties: smaller
   radius, then smaller center index); the witness assignment depends only
-  on f and B0, not on lam, so all levels share it;
+  on f and B0, not on lam, so all levels share it, and a cover computes it;
 * each distinct witness ball of the points where that maximum exceeds
   lam_1 is walked once: its 5^k dilates, k = 1, 2, ..., until the average
   drops to lam_1 or below.  A point's stopping exponent n_x(lam) at any
@@ -102,10 +102,9 @@ class CzBallCover:
         return float(sum(self.measures))
 
 
-def cz_balls(space: MetricMeasureSpace, f, b0: Ball, lam: float,
-             witness: WitnessTable | None = None) -> CzBallCover:
+def cz_balls(space: MetricMeasureSpace, f, b0: Ball, lam: float) -> CzBallCover:
     """Level-lam stopping-ball cover of a nonnegative f: `nested_cz` at one level."""
-    return nested_cz(space, f, b0, (lam,), witness).covers[0]
+    return nested_cz(space, f, b0, (lam,)).covers[0]
 
 
 @dataclass
@@ -135,10 +134,16 @@ def _stop_walks(space: MetricMeasureSpace, v: np.ndarray, bases, lam: float) -> 
     return {b: np.array(avgs) for b, avgs in walks.items()}
 
 
-def nested_cz(space: MetricMeasureSpace, f, b0: Ball, levels,
-              witness: WitnessTable | None = None) -> NestedCovers:
+def nested_cz(space: MetricMeasureSpace, f, b0: Ball, levels) -> NestedCovers:
     """Stopping-ball covers at every level, in one pass (module docstring)."""
     v = space.check_values(f)
+    return _nested_cz(space, v, b0, levels, _witness_arrays(space, v, space.members(b0)))
+
+
+def _nested_cz(space: MetricMeasureSpace, f, b0: Ball, levels, witness) -> NestedCovers:
+    """`nested_cz` with the witness `_witness_arrays(space, f, members(b0))`
+    given: `verify_mainresult`'s two ladders on one function share it."""
+    v = space.check_values(f)  # a verifier's |f - f_B0| may overflow
     if np.any(v < 0):
         i = int(np.flatnonzero(v < 0)[0])
         raise PreconditionError("cz covers need f >= 0", index=i, value=float(v[i]))
@@ -153,21 +158,19 @@ def nested_cz(space: MetricMeasureSpace, f, b0: Ball, levels,
     if levels[0] < threshold * (1.0 - 1e-12):
         raise PreconditionError("cz level below the 11*B0 mean threshold",
                                 lam=levels[0], threshold=threshold)
-    if witness is None:
-        witness = compute_witness(space, v, b0)
-    elif witness.b0 != b0:
-        raise ValueError("witness table was built for a different base ball")
+    values, radii, centers = witness
     # every level set lies in the lowest one, and stops at or before it
-    lowest = np.flatnonzero(mask0 & (witness.values > levels[0]))
-    walks = _stop_walks(space, v, dict.fromkeys(witness.balls[x] for x in lowest), levels[0])
+    lowest = np.flatnonzero(mask0 & (values > levels[0]))
+    bases = {x: Ball(int(centers[x]), float(radii[x])) for x in lowest.tolist()}
+    walks = _stop_walks(space, v, dict.fromkeys(bases.values()), levels[0])
 
     built = []  # (cover, its balls' member sets, their 5-dilates')
     for lam in levels:
-        level = mask0 & (witness.values > lam)
+        level = mask0 & (values > lam)
         point_exp: dict = {}
         cand: dict = {}  # candidate ball -> exponent, first occurrence kept
         for x in np.flatnonzero(level).tolist():
-            base = witness.balls[x]
+            base = bases[x]
             n_x = point_exp[x] = int(np.argmax(walks[base] <= lam)) + 1
             cand.setdefault(base.dilate(5.0 ** (n_x - 1)), n_x)
         balls = list(cand)
@@ -246,6 +249,11 @@ def _verify_cz_balls(space: MetricMeasureSpace, v: np.ndarray, cover: CzBallCove
 # ------------------------------------------------------------------ checks
 
 
+def _deviation(space: MetricMeasureSpace, v: np.ndarray, mask0: np.ndarray) -> np.ndarray:
+    """|v - avg_{B0} v| at every point; `mask0` is B0's member set."""
+    return np.abs(v - space.average_mask(v, mask0))
+
+
 def check_toiterate(space: MetricMeasureSpace, f, b0: Ball, lam: float,
                     p: float) -> CheckReport:
     """Level-doubling inequality on covers of g = |f - avg_{B0} f|:
@@ -261,8 +269,7 @@ def check_toiterate(space: MetricMeasureSpace, f, b0: Ball, lam: float,
     p, lam = cons.p, float(lam)
     if not lam > 0:
         raise PreconditionError("level-doubling needs lam > 0", lam=lam)
-    mask0 = space.members(b0)
-    g = np.abs(v - space.average_mask(v, mask0))
+    g = _deviation(space, v, space.members(b0))
     nest = nested_cz(space, g, b0, (lam, 2.0 * lam))
     lo, hi = nest.covers
     sum_lo = float(sum(lo.measures))
@@ -308,7 +315,7 @@ def verify_mainresult(space: MetricMeasureSpace, f, b0: Ball, p: float,
     mask0 = space.members(b0)
     big = space.members(b0.dilate(11.0))
     mu0 = space.measure_mask(mask0)
-    g = np.abs(v - space.average_mask(v, mask0))
+    g = _deviation(space, v, mask0)
 
     k0 = max(_jn_term(space, v, mask0, p), _jn_term(space, v, big, p)) ** (1.0 / p)
     if k0 == 0.0:
@@ -316,13 +323,13 @@ def verify_mainresult(space: MetricMeasureSpace, f, b0: Ball, p: float,
             return [degenerate_report("jn-weak-metric", "constant on 11*B0, K = 0")]
         raise _jn_underflow(p)
 
-    witness = compute_witness(space, g, b0)
+    witness = _witness_arrays(space, g, mask0)  # both ladders share it
     integral_g = space.integral_mask(g, big)
 
     def ladder(k_norm: float):
         lam0 = theorem_constants(c, p, K=k_norm, mu_b0=mu0).lambda0
         levels = tuple(lam0 * 2.0**i for i in range(_MAIN_LADDER + 1))
-        nest = nested_cz(space, g, b0, levels, witness=witness)
+        nest = _nested_cz(space, g, b0, levels, witness)
         return lam0, nest, [_family_jn_sum(space, v, [b.dilate(5.0) for b in cov.balls], p)
                             for cov in nest.covers]
 
@@ -394,17 +401,15 @@ def verify_bmo_jn(space: MetricMeasureSpace, f, b0: Ball,
     mask0 = space.members(b0)
     big = space.members(b0.dilate(11.0))
     mu0 = space.measure_mask(mask0)
-    u = (v - space.average_mask(v, mask0)) / norm
-    gu = np.abs(u)
+    gu = _deviation(space, v, mask0) / norm  # |x| / norm is |x / norm| bitwise
 
     threshold = space.integral_mask(gu, big) / mu0
     if threshold > cons.a * (1.0 + _SLACK):
         raise InvariantViolation("normalized mean exceeds 2 c^8",
                                  threshold=threshold, a=cons.a)
 
-    witness = compute_witness(space, gu, b0)
     levels = tuple(cons.a * (k + 1) for k in range(_BMO_LADDER))
-    nest = nested_cz(space, gu, b0, levels, witness=witness)
+    nest = nested_cz(space, gu, b0, levels)
     reports = []
     for k in range(1, len(levels)):
         lo, hi = nest.covers[k - 1], nest.covers[k]

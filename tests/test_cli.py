@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from jnlab.cli import _emit_reports, _resolve, build_parser, load_config, main
-from jnlab.generators import gen_power_singularity
-from jnlab.grid import mean_oscillation
+from jnlab.generators import gen_log_singularity, gen_power_singularity
+from jnlab.grid import DyadicCube, average, mean_oscillation
 from jnlab.metric import space_from_points, space_to_csv, values_to_csv
 from jnlab.report import CheckReport
 
@@ -171,6 +171,20 @@ def test_analyze_curve(tmp_path):
     assert lines[0] == "lambda,measure"
     vals = [float(l.split(",")[1]) for l in lines[1:]]
     assert all(a >= b for a, b in zip(vals, vals[1:]))
+
+
+def test_analyze_curve_sweeps_the_deviation_on_q0(tmp_path):
+    # the curve's top level is max |f - f_Q0| over Q0's cells, not over
+    # the whole grid, so its last row is the first at measure 0
+    curve = tmp_path / "curve.csv"
+    assert run("analyze", "log-singularity", "--depth", "10", "--q0", "1:1",
+               "--out", str(tmp_path / "a.json"), "--curve-out", str(curve)) == 0
+    rows = [line.split(",") for line in curve.read_text().splitlines()[1:]]
+    f = gen_log_singularity(10)
+    q0 = DyadicCube(f.root, 1, (1,))
+    top = float(np.max(np.abs(f.zslice(q0) - average(f, q0))))
+    assert float(rows[-1][0]) == top and float(rows[-1][1]) == 0.0
+    assert float(rows[-2][1]) > 0.0
 
 
 def test_cz_dyadic_json(tmp_path):
@@ -385,6 +399,9 @@ def test_internal_error_exit_3(monkeypatch, capsys):
     (("analyze", "step", "--depth", "3", "--q0", "1:5"), "--q0 1:5:"),
     (("cz", "step", "--depth", "3", "--lam", "1", "--q0", "9"), "--q0 9:"),
     (("analyze", "step", "--depth", "3", "--q0", "-1"), "--q0 -1:"),
+    # numpy's own message for a negative seed names no option
+    (("gen", "random-uniform", "--seed", "-1", "--depth", "3", "--out", "a.csv"), "--seed"),
+    (("analyze", "--space", "random-cloud", "--m", "5", "--seed", "-3"), "--seed"),
 ])
 def test_out_of_range_option_exit_2(argv, option, capsys):
     assert run(*argv) == 2
@@ -471,6 +488,8 @@ def test_jnp_overflow_exit_2(tmp_path, capsys):
     # the JN_p value underflows to 0 though the values are not constant
     ("verify", "jn-dyadic", "random-uniform", "--depth", "6", "--p", "1100"),
     ("verify", "mainresult", "--space", "line", "--m", "5", "--p", "2000"),
+    ("analyze", "step", "--depth", "3", "--p", "2000"),
+    ("analyze", "--space", "line", "--m", "6", "--p", "3000"),
 ])
 def test_extreme_p_exit_2_naming_p(argv, capsys):
     assert run(*argv) == 2
@@ -571,7 +590,7 @@ SAMPLES = {
     "lam": ("0.75", 0.75, ["x", "nan"]),
     "b": ("0.75", 0.75, ["x", "inf"]),
     "n_lambda": ("3", 3, ["3.0", "0"]),
-    "seed": ("3", 3, ["x"]),
+    "seed": ("3", 3, ["x", "-1"]),
     "out": ("o.json", "o.json", []),
     "format": ("csv", "csv", ["xml"]),
     "depth": ("3", 3, ["x", "-1"]),

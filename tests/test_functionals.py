@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +9,8 @@ from grid_oracles import _partition_count, jnp_bruteforce, jnp_full_dp
 from jnlab import functionals, kernels
 from jnlab.errors import PreconditionError
 from jnlab.functionals import bmo_dyadic, distribution, jnp_dyadic, notlp_terms, weak_lp
-from jnlab.generators import gen_constant, gen_power_singularity, gen_random_uniform, gen_step
+from jnlab.generators import (gen_constant, gen_power_singularity, gen_random_martingale,
+                              gen_random_uniform, gen_step)
 from jnlab.grid import (DyadicCube, GridFunction, RootCube, average, cube_from_zindex,
                         mean_oscillation)
 from test_kernels import osc_sums_cases
@@ -266,6 +269,21 @@ def test_distribution_hand_value():
     assert distribution(f, q0, 1.0) == 1.0
     assert distribution(f, q0, 1.3) == 0.25
     assert distribution(f, q0, 4.0) == 0.0
+
+
+def test_distribution_heap_per_cell():
+    # one working copy of Q0's cells (8 B) and the count's mask (1 B); the
+    # sum pyramid that the average reads is built before tracing
+    f = gen_random_martingale(1, 16, 1)
+    q0 = f.root.top()
+    f.sum_pyramid()
+    tracemalloc.start()
+    try:
+        distribution(f, q0, 0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / f.n_cells <= 9.5
 
 
 def test_distribution_monotone():

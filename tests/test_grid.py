@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 import grid_oracles as oracle
+from jnlab import kernels
 from jnlab.errors import DepthOverflowError
+from jnlab.generators import gen_random_martingale
 from jnlab.grid import (CellSet, DyadicCube, GridFunction, RootCube, _lex_to_z_perm,
-                        average, cube_from_zindex, mean_oscillation)
+                        _subtree_cubes, average, cube_from_zindex, mean_oscillation)
 
 
 def tree_total(values):
@@ -108,6 +110,13 @@ def test_codec_at_the_cell_cap():
         assert c.zindex() == int(perm[lex]) == oracle.zindex(c)
 
 
+def test_one_permutation_is_cached():
+    # a permutation takes 8 B per cell; only the last shape's outlives its grids
+    for depth in (5, 6):
+        assert rand_f(2, depth, depth).zvalues.size == 1 << (2 * depth)
+    assert _lex_to_z_perm.cache_info().currsize <= 1
+
+
 def test_codec_on_deep_cubes():
     rng = np.random.default_rng(62)
     for dim, depth in ((1, 62), (2, 31), (3, 20), (4, 15)):
@@ -206,6 +215,25 @@ def test_mean_oscillation_hand_values():
     assert mean_oscillation(f2, f2.root.top()) == 0.5
     f4 = GridFunction(unit(1), 2, np.array([0.0, 1.0, 1.0, 1.0]))
     assert mean_oscillation(f4, f4.root.top()) == 0.375
+
+
+@pytest.mark.parametrize("dim,depth", [(1, 17), (2, 9)])
+def test_mean_oscillation_matches_untiled_osc_sums_bitwise(dim, depth):
+    # cubes of 2**(dim * (depth - k)) cells lie on both sides of the
+    # oscillation pyramid's 2**15-cell tile.  Every cube of a level with
+    # at most 2**12 cubes is read; 2**12 sampled ones below that, since a
+    # call per cube of these grids takes 10-20 s
+    f = gen_random_martingale(dim, depth, 1)
+    top, sums = f.root.top(), f.sum_pyramid()
+    rng = np.random.default_rng(depth)
+    for k in range(depth + 1):
+        width = dim * (depth - k)
+        cells = float(1 << width)
+        want = kernels.osc_sums(f.zvalues, sums[k] / cells, width) / cells
+        n = 1 << (dim * k)
+        z = np.arange(n) if n <= 1 << 12 else np.unique(rng.integers(0, n, 1 << 12))
+        got = np.array([mean_oscillation(f, c) for c in _subtree_cubes(top, k, z)])
+        assert np.array_equal(got.view(np.int64), want[z].view(np.int64)), (dim, k)
 
 
 def test_osc_pyramid_matches_direct():

@@ -367,6 +367,20 @@ def test_jnp_search_overflowing_weighted_values_raise():
         jnp_metric_lower(s, f, spanning_ball(s), 2.0)
 
 
+def test_jnp_search_underflow_raises_and_constants_read_zero():
+    # at p = 3000 every pool term of these values underflows to 0; the
+    # CLI's analyze used to report 0 and exit 0
+    s = space_from_points(np.arange(6, dtype=np.float64))
+    b0 = spanning_ball(s)
+    f = np.log(1.0 + s.d[0])
+    with pytest.raises(PreconditionError, match=r"underflows.*p=3000\.0"):
+        jnp_metric_lower(s, f, b0, 3000.0)
+    # a constant's prefix means can miss it by an ulp, so S may be > 0:
+    # min == max on the pool balls, not S == 0, says it is constant
+    res = jnp_metric_lower(s, np.full(s.m, 0.1), b0, 3000.0)
+    assert res.value == 0.0 and res.norm == 0.0
+
+
 def test_jnp_search_family_admissible():
     s = cloud(20, 41)
     f = np.random.default_rng(8).uniform(0, 2, s.m)

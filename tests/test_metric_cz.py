@@ -175,7 +175,7 @@ def test_cz_balls_stopping_exponents():
     thr = threshold(s, f, b0)
     lam = thr * 1.1
     table = compute_witness(s, f, b0)
-    cover = cz_balls(s, f, b0, lam, witness=table)
+    cover = cz_balls(s, f, b0, lam)
     for x, n_x in cover.point_exponents.items():
         assert n_x >= 1
         base = table.balls[x]
@@ -325,24 +325,3 @@ def test_bmo_halving_ingredients_nonvacuous():
             ball = Ball(center, float(r))
             assert s.measure(ball.dilate(5.0)) <= c ** 3 * s.measure(ball) * (1 + 1e-12)
             assert s.osc_mask(u, s.members(ball)) <= 1.0 + 1e-12
-
-
-def test_witness_table_reuse_is_consistent():
-    s = gen_random_cloud(18, 5)
-    f = np.abs(np.random.default_rng(5).standard_normal(s.m)) + 0.1
-    b0 = spanning_ball(s)
-    thr = threshold(s, f, b0)
-    lam = thr * 1.2
-    a = cz_balls(s, f, b0, lam)
-    b = cz_balls(s, f, b0, lam, witness=compute_witness(s, f, b0))
-    assert a.balls == b.balls
-    assert np.array_equal(a.averages, b.averages)
-
-
-def test_witness_table_rejects_other_base_ball():
-    s = gen_line(10)
-    f = np.abs(f_log_distance(s, 0)) + 0.1
-    table = compute_witness(s, f, spanning_ball(s, 0))
-    thr = threshold(s, f, spanning_ball(s, 3))
-    with pytest.raises(ValueError):
-        cz_balls(s, f, spanning_ball(s, 3), thr * 1.5, witness=table)
