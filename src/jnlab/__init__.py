@@ -27,10 +27,9 @@ from .metric import (Ball, BallFamily, JnSearchResult, MetricMeasureSpace,
                      jnp_metric_lower, space_from_csv, space_from_points,
                      space_to_csv, values_from_csv, values_to_csv,
                      vitali_subcover)
-from .metric_cz import (CzBallCover, NestedCovers, check_toiterate, compute_witness,
-                        cz_balls, nested_cz, verify_bmo_jn, verify_mainresult)
-from .report import (CheckReport, all_pass, degenerate_report, reports_to_csv,
-                     reports_to_json, write_reports_csv, write_reports_json)
+from .metric_cz import (CzBallCover, NestedCovers, check_toiterate, cz_balls, nested_cz,
+                        verify_bmo_jn, verify_mainresult)
+from .report import CheckReport, all_pass, degenerate_report, reports_to_csv, reports_to_json
 
 __version__ = "0.1.0"
 
@@ -61,7 +60,6 @@ __all__ = [
     "check_admissible",
     "check_good_lambda_dyadic",
     "check_toiterate",
-    "compute_witness",
     "cube_from_zindex",
     "cz_balls",
     "cz_decompose_dyadic",
@@ -104,6 +102,4 @@ __all__ = [
     "verify_mainresult",
     "vitali_subcover",
     "weak_lp",
-    "write_reports_csv",
-    "write_reports_json",
 ]

@@ -38,16 +38,14 @@ __all__ = [
 class MaximalField:
     """Maximal averages over the subtree of ``q0``.
 
-    ``values``/``provenance`` are per finest cell of q0 in local
-    lexicographic order; provenance is the depth of the shallowest
-    ancestor cube attaining the maximum.  The arrays are read-only: in 1-D
-    ``values`` and the private Morton-order ``_zvalues`` are one buffer.
+    ``values`` holds one per finest cell of q0, in local lexicographic
+    order.  The arrays are read-only: in 1-D ``values`` and the private
+    Morton-order ``_zvalues`` are one buffer.
     """
 
     q0: DyadicCube
     max_depth: int
     values: np.ndarray
-    provenance: np.ndarray
     _zvalues: np.ndarray
 
     @property
@@ -56,18 +54,18 @@ class MaximalField:
 
 
 def dyadic_maximal(f: GridFunction, q0: DyadicCube) -> MaximalField:
-    """Per-cell max of ancestor |f|-averages within q0, with provenance."""
+    """Per-cell max of ancestor |f|-averages within q0: one in-place
+    ``kernels._running_max`` sweep down a copy of q0's |f| pyramid, each
+    level scaled to averages."""
     pyr = f.abs_pyramid()
     local_depth = f.max_depth - q0.depth
-    zrun, prov = kernels.maximal_sweep(
-        [f.pyramid_slice(pyr, q0, rel) for rel in range(local_depth + 1)], f.dim)
+    zrun = kernels._running_max(
+        [f.pyramid_slice(pyr, q0, rel) * (1.0 / float(1 << (f.dim * (local_depth - rel))))
+         for rel in range(local_depth + 1)], f.dim)
     values = _z_to_cells(zrun, f.dim, local_depth)
-    prov = _z_to_cells(prov, f.dim, local_depth)
-    prov += q0.depth
-    for a in (zrun, values, prov):
+    for a in (zrun, values):
         a.setflags(write=False)
-    return MaximalField(q0=q0, max_depth=f.max_depth, values=values,
-                        provenance=prov, _zvalues=zrun)
+    return MaximalField(q0=q0, max_depth=f.max_depth, values=values, _zvalues=zrun)
 
 
 def level_set(field: MaximalField, lam: float) -> CellSet:
@@ -159,8 +157,8 @@ def _shifted_levels(f: GridFunction, q0: DyadicCube) -> tuple[np.ndarray, np.nda
     and for each the number of cells at or above it, then a final 0.
     Built once per (f, q0), read-only.  Each value is an ancestor cube's
     average, so they are few: 1.6% of the cells of a depth-20 martingale.
-    The sweep needs no provenance, so it runs in place in the private
-    pyramid of |h|, scaled to averages."""
+    The sweep runs in place in the private pyramid of |h|, scaled to
+    averages."""
     def build():
         local_depth = f.max_depth - q0.depth
         levels = list(kernels.build_pyramid(_deviation(f, q0), local_depth, f.dim))
@@ -188,16 +186,16 @@ def check_good_lambda_dyadic(
     p: float,
     b: float | None,
     lam: float,
-    K: float | None = None,
 ) -> CheckReport:
     """One good-lambda comparison for h = f - avg_{Q0} f:
 
         |{M h > lam}|  <=  (a K / lam) |{M h > b lam}|^(1/q),
 
-    a = 1/(1 - 2^n b), q = p/(p-1), K = dyadic JN_p norm by default.
-    Requires 0 < b < 2^-n (None: 2^-(n+1)), lam > 0, lam >= osc_{Q0}(f) / b
-    and a given K finite and >= 0.  Raises PreconditionError when the K it
-    computes underflows to 0 on values that are not constant on Q0.
+    a = 1/(1 - 2^n b), q = p/(p-1), K = ``jnp_dyadic(f, q0, p).norm``, the
+    dyadic JN_p norm that ``verify_jn_dyadic`` reports too.  Requires
+    0 < b < 2^-n (None: 2^-(n+1)), lam > 0 and lam >= osc_{Q0}(f) / b.
+    Raises PreconditionError, from ``jnp_dyadic``, when K underflows to 0
+    on values that are not constant on Q0.
     """
     arity = 1 << f.dim
     cons = theorem_constants(2.0**f.dim, p, n=f.dim)
@@ -206,14 +204,11 @@ def check_good_lambda_dyadic(
         raise PreconditionError("b must lie in (0, 2^-n)", b=b, dim=f.dim)
     if not lam > 0:
         raise PreconditionError("lambda must be positive", lam=lam)
-    if K is not None and not (K >= 0 and math.isfinite(K)):
-        raise PreconditionError("K must be finite and >= 0", K=K)
     threshold = mean_oscillation(f, q0) / b
     if lam < threshold * (1.0 - 1e-12):
         raise PreconditionError("lambda below the good-lambda threshold",
                                 lam=lam, threshold=threshold)
-    if K is None:
-        K = jnp_dyadic(f, q0, p).norm
+    K = jnp_dyadic(f, q0, p).norm
     levels = _shifted_levels(f, q0)
     a = 1.0 / (1.0 - arity * b)
     lhs = _level_measure(f, levels, lam)

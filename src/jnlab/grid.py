@@ -351,7 +351,8 @@ class GridFunction(_Memoized):
         while every level is summed over them: a cube inside a tile is
         summed there, and a larger cube gets one partial sum per tile,
         pair-summed after the walk.  A tile is an aligned subtree of the
-        pair tree, so each sum is bitwise that of one untiled `osc_sums`.
+        pair tree, so each sum is bitwise that of one untiled
+        `kernels._osc_sums` call.
         """
         def build():
             sums = self.sum_pyramid()

@@ -1,9 +1,9 @@
 """Numeric kernels.
 
-The four grid kernels (``build_pyramid``, ``osc_sums``,
-``maximal_sweep``, ``dp_sweep``) are plain numpy functions that add only
-adjacent pairs, so every cube sum is a fixed-shape tree of pair additions
-and bitwise reproducible.
+The grid kernels (``build_pyramid``, ``_osc_sums``, ``_running_max`` and
+``dp_sweep``) are plain numpy functions that add only adjacent pairs, so
+every cube sum is a fixed-shape tree of pair additions and bitwise
+reproducible.
 
 A level of pair sums is one strided add, ``x[0::2] + x[1::2]``, over ten
 times faster than ``x.reshape(-1, 2).sum(axis=1)`` on 2**20 doubles.  Each
@@ -11,7 +11,7 @@ output is one correctly rounded addition of the same two operands, so the
 sums are bitwise those of the reduction, with one exception: numpy's
 reduction adds onto +0.0, so two negative zeros sum to +0.0 there and to
 -0.0 in a plain add.  Adding 0 afterwards turns -0.0 into +0.0 and
-leaves every other value as it is.  ``osc_sums`` needs no such pass:
+leaves every other value as it is.  ``_osc_sums`` needs no such pass:
 each addend is |x| >= +0.0, and no sum of those is -0.0.  A 4-wide
 block (``nbits = 2``) is still two rounds of pair sums, since one
 4-term reduction rounds differently.
@@ -20,9 +20,9 @@ The maximal sweep runs down a pyramid of averages: each level becomes the
 max of its own averages and its parent's running max, where an average
 replaces the parent's only if it is strictly larger (so a tie of -0.0
 with +0.0 keeps the parent's).  ``_sweep_level`` is that step, in place
-and with no per-leaf copy of the parent level.  ``_running_max`` runs it
-alone, in a pyramid of averages its caller owns; ``maximal_sweep`` also
-keeps, per leaf, the depth that attains the max.
+and with no per-leaf copy of the parent level, and ``_running_max`` runs
+it down a pyramid of averages its caller owns.  It is the one maximal
+sweep: ``dyadic_maximal`` and the dyadic verifiers both call it.
 
 Pyramid layout: a function on ``A**L`` leaves (``A = 2**nbits`` children
 per node) is stored as a sequence of ``L + 1`` arrays, one per level.
@@ -45,9 +45,7 @@ import numpy as np
 __all__ = [
     "build_pyramid",
     "dp_sweep",
-    "maximal_sweep",
     "osc_entries",
-    "osc_sums",
 ]
 
 
@@ -92,15 +90,11 @@ def build_pyramid(leaves: np.ndarray, depth: int, nbits: int) -> tuple[np.ndarra
     return tuple(reversed(levels))
 
 
-def osc_sums(block: np.ndarray, avgs, width: int) -> np.ndarray:
-    """Tree sums of |v - avgs[j]| over the j-th run of 2**width cells of `block`."""
-    return _osc_sums(block, avgs, width)
-
-
 def _osc_sums(block: np.ndarray, avgs, width: int) -> np.ndarray:
-    """`osc_sums` for the tiled oscillation pyramid, which calls it once per
-    tile and level: kept private, so that a tracer wrapping every public
-    kernel sees that build as one call, not hundreds."""
+    """Tree sums of |v - avgs[j]| over the j-th run of 2**width cells of
+    `block`.  The tiled oscillation pyramid calls it once per tile and
+    level; it is private, so that a tracer wrapping every public kernel
+    sees that build as one call, not hundreds."""
     avgs = np.asarray(avgs, dtype=np.float64)
     dev = np.reshape(block, (avgs.size, 1 << width)) - avgs[:, None]
     np.abs(dev, out=dev)
@@ -110,40 +104,22 @@ def _osc_sums(block: np.ndarray, avgs, width: int) -> np.ndarray:
     return out
 
 
-def _sweep_level(parent: np.ndarray, level: np.ndarray, nbits: int) -> np.ndarray:
+def _sweep_level(parent: np.ndarray, level: np.ndarray, nbits: int) -> None:
     """One step of the maximal sweep, in place: each average in `level`
     that is not strictly larger than its parent's running max becomes that
-    max.  Returns where the parent's was kept, per entry of `level`.  It
-    takes one strided slot of siblings at a time, so each operation is one
-    loop over `parent`, not a loop over each parent's few children."""
+    max.  It takes one strided slot of siblings at a time, so each
+    operation is one loop over `parent`, not a loop over each parent's few
+    children."""
     arity = 1 << nbits
-    kept = np.empty(level.size, dtype=bool)
+    keep = np.empty(parent.size, dtype=bool)
     for j in range(arity):
-        child, keep = level[j::arity], kept[j::arity]
+        child = level[j::arity]
         np.less_equal(child, parent, out=keep)  # values are finite
         np.copyto(child, parent, where=keep)
-    return kept
-
-
-def maximal_sweep(pyramid, nbits: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per-leaf max of ancestor averages of a sum pyramid, with the depth
-    of the shallowest ancestor attaining it (strict improvement updates)."""
-    arity = 1 << nbits
-    depth = len(pyramid) - 1
-    run = np.full(1, pyramid[0][0] / float(arity**depth))
-    prov = np.zeros(1, dtype=np.int64)
-    for k in range(1, depth + 1):
-        avg = pyramid[k] * (1.0 / float(arity ** (depth - k)))
-        kept = _sweep_level(run, avg, nbits)
-        deeper = np.full(avg.size, k, dtype=np.int64)
-        for j in range(arity):
-            np.copyto(deeper[j::arity], prov, where=kept[j::arity])
-        run, prov = avg, deeper
-    return run, prov
 
 
 def _running_max(levels, nbits: int) -> np.ndarray:
-    """The values of `maximal_sweep` alone, in place: `levels` is a list of
+    """Per-leaf max of ancestor averages, in place: `levels` is a list of
     writable average levels, top first, and each takes one
     :func:`_sweep_level` step from its parent; returns the finest level."""
     for parent, level in zip(levels, levels[1:]):

@@ -246,12 +246,9 @@ class MetricMeasureSpace(_Memoized):
         return v
 
 
-def build_space(points=None, dmat=None, weights=None) -> MetricMeasureSpace:
-    """Space from coordinates (Euclidean metric) or an explicit matrix."""
-    if (points is None) == (dmat is None):
-        raise ValueError("provide exactly one of points / dmat")
-    if points is not None:
-        return space_from_points(points, weights)
+def build_space(dmat, weights=None) -> MetricMeasureSpace:
+    """Space from an explicit distance matrix (unit weights by default);
+    ``space_from_points`` builds one from coordinates."""
     d = np.asarray(dmat, dtype=np.float64)
     w = np.ones(d.shape[0]) if weights is None else weights
     return MetricMeasureSpace(d, w)

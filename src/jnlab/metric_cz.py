@@ -40,9 +40,7 @@ from .report import CheckReport, degenerate_report
 __all__ = [
     "CzBallCover",
     "NestedCovers",
-    "WitnessTable",
     "check_toiterate",
-    "compute_witness",
     "cz_balls",
     "nested_cz",
     "verify_bmo_jn",
@@ -52,29 +50,6 @@ __all__ = [
 _SLACK = 1e-9
 _MAIN_LADDER = 5  # doublings of lambda0 in verify_mainresult's ladder
 _BMO_LADDER = 4   # levels a, 2a, ... of verify_bmo_jn's halving checks
-
-
-# ------------------------------------------------------------- witness table
-
-
-@dataclass
-class WitnessTable:
-    """Per-point argmax ball over realized balls inside B0 (None outside
-    B0) and the attained f-average."""
-
-    b0: Ball
-    balls: list
-    values: np.ndarray
-
-
-def compute_witness(space: MetricMeasureSpace, f: np.ndarray, b0: Ball) -> WitnessTable:
-    """Deterministic witness assignment: maximize the ball f-average,
-    break ties by smaller radius, then smaller center index."""
-    values, radii, centers = _witness_arrays(space, space.check_values(f),
-                                             space.members(b0))
-    balls = [None if c < 0 else Ball(c, r)
-             for c, r in zip(centers.tolist(), radii.tolist())]
-    return WitnessTable(b0=b0, balls=balls, values=values)
 
 
 # ------------------------------------------------------------------ cz cover

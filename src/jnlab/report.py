@@ -3,7 +3,8 @@
 A report states one comparison lhs <= rhs.  ``margin = rhs - lhs`` and the
 check passes iff ``margin >= -1e-9 * max(1, |rhs|)``.  Reports serialize to
 JSON objects with keys {claim, lambda, lhs, rhs, constant, margin, pass,
-witness} and to a lambda,lhs,rhs CSV for plotting.
+witness} and to a lambda,lhs,rhs CSV for plotting.  Both serializers
+return text; the CLI writes it to a file or to stdout.
 """
 
 from __future__ import annotations
@@ -20,8 +21,6 @@ __all__ = [
     "degenerate_report",
     "reports_to_csv",
     "reports_to_json",
-    "write_reports_csv",
-    "write_reports_json",
 ]
 
 PASS_SLACK = 1e-9
@@ -94,11 +93,6 @@ def reports_to_json(reports) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def write_reports_json(reports, path) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(reports_to_json(reports))
-
-
 def reports_to_csv(reports) -> str:
     """lambda,lhs,rhs rows (full-precision floats), one line per report."""
     rows = ["lambda,lhs,rhs\n"]
@@ -106,8 +100,3 @@ def reports_to_csv(reports) -> str:
         lam = "" if r.lam is None else repr(float(r.lam))
         rows.append(f"{lam},{repr(float(r.lhs))},{repr(float(r.rhs))}\n")
     return "".join(rows)
-
-
-def write_reports_csv(reports, path) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(reports_to_csv(reports))

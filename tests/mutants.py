@@ -1,0 +1,135 @@
+"""A catalogue of mutants: small faults in the package and the tests that
+must catch each one.
+
+    python tests/mutants.py            # every mutant
+    python tests/mutants.py NAME ...   # only these
+
+Each mutant replaces one piece of text, which occurs exactly once in its
+file, by another.  The runner copies ``src/``, ``tests/`` and
+``pyproject.toml`` to a temporary directory and first runs every selected
+mutant's tests there unchanged; they must pass.  Then, for each mutant, it
+applies the replacement to a fresh copy, runs the mutant's tests with
+``-x`` against that copy's ``src/``, and prints ``killed`` when a test
+fails or ``survived`` when every test passes.  It exits 1 if any mutant
+survives or its run ends in an error (a mutant that breaks the import is
+an error, not a kill).
+
+pytest does not collect this module.  ``test_mutants.py`` checks, at no
+runtime cost, that every old text still occurs exactly once and that every
+named test file exists, so the catalogue stays in step with refactors.
+A mutant that no sound test can kill belongs here too, marked with the
+reason; never loosen a test to make the runner pass.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from dataclasses import dataclass
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+@dataclass(frozen=True)
+class Mutant:
+    """Replace `old` by `new` in `path` (relative to the repository root);
+    `tests` are pytest node ids or test files, relative to the root, at
+    least one of which must fail."""
+
+    name: str
+    path: str
+    old: str
+    new: str
+    tests: tuple[str, ...]
+
+
+MUTANTS = (
+    Mutant("good-lambda-rhs-x1e6", "src/jnlab/dyadic_cz.py",
+           "    rhs = (a * K / lam) * eb ** (1.0 / cons.q)",
+           "    rhs = 1e6 * (a * K / lam) * eb ** (1.0 / cons.q)",
+           ("tests/test_dyadic_cz.py",)),
+    Mutant("good-lambda-lhs-x0", "src/jnlab/dyadic_cz.py",
+           "    lhs = _level_measure(f, levels, lam)\n    eb = ",
+           "    lhs = 0.0 * _level_measure(f, levels, lam)\n    eb = ",
+           ("tests/test_dyadic_cz.py",)),
+    Mutant("jn-weak-lp-dyadic-lhs-x0", "src/jnlab/dyadic_cz.py",
+           "        lhs = _level_measure(f, levels, lam)\n        rhs = ",
+           "        lhs = 0.0 * _level_measure(f, levels, lam)\n        rhs = ",
+           ("tests/test_constants.py",)),
+    Mutant("check-toiterate-rhs-x1e6", "src/jnlab/metric_cz.py",
+           "    rhs = cons.c3q * (s_val ** (1.0 / p) / lam)",
+           "    rhs = 1e6 * cons.c3q * (s_val ** (1.0 / p) / lam)",
+           ("tests/test_acceptance.py::test_criterion_08_level_doubling_with_certified_value",)),
+    Mutant("bmo-exponential-lhs-x0", "src/jnlab/metric_cz.py",
+           "        lhs = space.measure_mask(mask0 & (gu > lam))",
+           "        lhs = 0.0 * space.measure_mask(mask0 & (gu > lam))",
+           ("tests/test_acceptance.py::test_criterion_10_bmo_exponential_on_grids",)),
+    # a tie of -0.0 with +0.0 must keep the parent's zero; only the
+    # bitwise comparison with the mask oracle sees the difference
+    Mutant("sweep-level-strict-less", "src/jnlab/kernels.py",
+           "np.less_equal(child, parent, out=keep)",
+           "np.less(child, parent, out=keep)",
+           ("tests/test_kernels.py",)),
+)
+
+
+def _copy_tree(dest: str) -> None:
+    ignore = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
+    for name in ("src", "tests"):
+        shutil.copytree(os.path.join(ROOT, name), os.path.join(dest, name), ignore=ignore)
+    shutil.copy(os.path.join(ROOT, "pyproject.toml"), dest)
+
+
+def _pytest(tree: str, tests) -> int:
+    """Exit code of pytest on `tests` in `tree`, importing jnlab from its src/."""
+    env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"))
+    cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests]
+    return subprocess.run(cmd, cwd=tree, env=env, stdout=subprocess.DEVNULL,
+                          stderr=subprocess.DEVNULL).returncode
+
+
+def apply(mutant: Mutant, tree: str) -> None:
+    """Write `mutant` into the copy at `tree`."""
+    path = os.path.join(tree, mutant.path)
+    with open(path) as fh:
+        text = fh.read()
+    if text.count(mutant.old) != 1:
+        raise ValueError(f"{mutant.name}: old text occurs {text.count(mutant.old)} times "
+                         f"in {mutant.path}, not once")
+    with open(path, "w") as fh:
+        fh.write(text.replace(mutant.old, mutant.new))
+
+
+def main(argv=None) -> int:
+    names = sys.argv[1:] if argv is None else argv
+    by_name = {m.name: m for m in MUTANTS}
+    unknown = [n for n in names if n not in by_name]
+    if unknown:
+        print(f"unknown mutant(s): {', '.join(unknown)}", file=sys.stderr)
+        return 2
+    chosen = [by_name[n] for n in names] or list(MUTANTS)
+    with tempfile.TemporaryDirectory() as tmp:
+        clean = os.path.join(tmp, "clean")
+        _copy_tree(clean)
+        tests = sorted({t for m in chosen for t in m.tests})
+        if _pytest(clean, tests) != 0:
+            print("the unmutated tree fails the selected tests", file=sys.stderr)
+            return 2
+        bad = 0
+        for i, mutant in enumerate(chosen):
+            tree = os.path.join(tmp, f"m{i}")
+            shutil.copytree(clean, tree)
+            apply(mutant, tree)
+            code = _pytest(tree, mutant.tests)
+            verdict = {0: "survived", 1: "killed"}.get(code, f"error (pytest exit {code})")
+            bad += code != 1
+            print(f"{mutant.name}: {verdict}", flush=True)
+            shutil.rmtree(tree)
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -237,8 +237,8 @@ def test_criterion_04_good_lambda_every_admissible_level():
                     if x >= thr:
                         grid.add(x)
         for lam in sorted(grid):
-            rep = check_good_lambda_dyadic(f, q0, p, b, lam, K=K)
-            ok &= rep.passed and rep.constant == a_expect
+            rep = check_good_lambda_dyadic(f, q0, p, b, lam)
+            ok &= rep.passed and rep.constant == a_expect and rep.witness["K"] == K
             checked += 1
     _verdict(4, f"good-lambda inequality with a = 1/(1 - 2^n b) at every "
                 f"admissible level ({checked} checks, 100 instances)", ok)

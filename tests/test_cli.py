@@ -402,6 +402,9 @@ def test_internal_error_exit_3(monkeypatch, capsys):
     # numpy's own message for a negative seed names no option
     (("gen", "random-uniform", "--seed", "-1", "--depth", "3", "--out", "a.csv"), "--seed"),
     (("analyze", "--space", "random-cloud", "--m", "5", "--seed", "-3"), "--seed"),
+    # a cloud was built in 2-D and a grid generator's message named no option
+    (("analyze", "--space", "random-cloud", "--m", "5", "--dim", "0"), "--dim must be >= 1"),
+    (("gen", "step", "--dim", "0", "--depth", "3", "--out", "x.csv"), "--dim must be >= 1"),
 ])
 def test_out_of_range_option_exit_2(argv, option, capsys):
     assert run(*argv) == 2
@@ -594,7 +597,7 @@ SAMPLES = {
     "out": ("o.json", "o.json", []),
     "format": ("csv", "csv", ["xml"]),
     "depth": ("3", 3, ["x", "-1"]),
-    "dim": ("2", 2, ["1.0"]),
+    "dim": ("2", 2, ["1.0", "0", "-1"]),
     "p": ("1.5", 1.5, ["x", "nan"]),
     "m": ("5", 5, ["x", "0"]),
     "side": ("5", 5, ["x", "0"]),

@@ -229,7 +229,7 @@ def test_mean_oscillation_matches_untiled_osc_sums_bitwise(dim, depth):
     for k in range(depth + 1):
         width = dim * (depth - k)
         cells = float(1 << width)
-        want = kernels.osc_sums(f.zvalues, sums[k] / cells, width) / cells
+        want = kernels._osc_sums(f.zvalues, sums[k] / cells, width) / cells
         n = 1 << (dim * k)
         z = np.arange(n) if n <= 1 << 12 else np.unique(rng.integers(0, n, 1 << 12))
         got = np.array([mean_oscillation(f, c) for c in _subtree_cubes(top, k, z)])

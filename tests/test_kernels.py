@@ -24,7 +24,7 @@ def osc_tree_totals(values, avgs):
 def test_pair_sums_hand():
     levels = kernels.build_pyramid(np.array([1.0, 2.0, 3.0, 4.0]), 2, 1)
     assert [level.tolist() for level in levels] == [[10.0], [3.0, 7.0], [1.0, 2.0, 3.0, 4.0]]
-    out = kernels.osc_sums(np.array([1.0, 2.0, 3.0, 5.0]), [1.5, 3.0], 1)
+    out = kernels._osc_sums(np.array([1.0, 2.0, 3.0, 5.0]), [1.5, 3.0], 1)
     assert out.tolist() == [1.0, 2.0]
 
 
@@ -34,7 +34,7 @@ def test_pair_sums_match_python_tree():
         x = rng.uniform(-1, 1, 1 << depth)
         assert kernels.build_pyramid(x, depth, 1)[0][0] == tree_total(x)
         avg = float(rng.uniform(-1, 1))
-        assert kernels.osc_sums(x, [avg], depth)[0] == osc_tree_totals(x, [avg])[0]
+        assert kernels._osc_sums(x, [avg], depth)[0] == osc_tree_totals(x, [avg])[0]
 
 
 def test_build_pyramid_levels_are_tree_sums():
@@ -120,7 +120,7 @@ def test_pair_sums_match_reduction_bitwise():
         dev = np.abs(x - 0.5)
         for width in range(depth + 1):
             want = reshape_pyramid(dev, width, 1)[0]
-            assert same_bits(kernels.osc_sums(x, np.full(x.size >> width, 0.5), width), want)
+            assert same_bits(kernels._osc_sums(x, np.full(x.size >> width, 0.5), width), want)
     assert kernels.build_pyramid(signed_zeros(), 3, 1)[2].tobytes() == np.zeros(4).tobytes()
 
 
@@ -143,7 +143,7 @@ def test_osc_sums_matches_python_tree_bitwise():
     for f, k in osc_sums_cases():
         width = f.dim * (f.max_depth - k)
         avgs = f.sum_pyramid()[k] * (1.0 / float(1 << width))
-        got = kernels.osc_sums(f.zvalues, avgs, width)
+        got = kernels._osc_sums(f.zvalues, avgs, width)
         want = np.array(osc_tree_totals(f.zvalues, avgs))
         assert same_bits(got, want), (f.dim, k)
         assert same_bits(f.osc_pyramid()[k], want)
@@ -189,7 +189,7 @@ def test_odd_length_pair_sums_raise():
         with pytest.raises(ValueError):
             kernels.build_pyramid(np.ones(n), 1, 1)
         with pytest.raises(ValueError):
-            kernels.osc_sums(np.ones(n), [0.0], 1)
+            kernels._osc_sums(np.ones(n), [0.0], 1)
     with pytest.raises(ValueError):
         kernels.build_pyramid(np.ones(6), 2, 1)
     with pytest.raises(ValueError):
@@ -197,36 +197,25 @@ def test_odd_length_pair_sums_raise():
 
 
 def mask_maximal_sweep(pyramid, nbits):
-    """The former maximal_sweep body: boolean-index assignments."""
+    """The first maximal sweep: boolean-index assignments of each strictly
+    larger average onto a repeated copy of the parent's running max."""
     arity = 1 << nbits
     depth = len(pyramid) - 1
     run = np.full(1, pyramid[0][0] / float(arity**depth))
-    prov = np.zeros(1, dtype=np.int64)
+    deepest = np.zeros(1, dtype=np.int64)  # the depth that attains the max
     for k in range(1, depth + 1):
         run = np.repeat(run, arity)
-        prov = np.repeat(prov, arity)
+        deepest = np.repeat(deepest, arity)
         avg = pyramid[k] * (1.0 / float(arity ** (depth - k)))
         better = avg > run
         run[better] = avg[better]
-        prov[better] = k
-    return run, prov
+        deepest[better] = k
+    return run, deepest
 
 
 def test_maximal_sweep_matches_mask_oracle_bitwise():
-    for f, k in osc_sums_cases():
-        if k:
-            continue
-        for pyr in (f.sum_pyramid(), f.abs_pyramid(), f.osc_pyramid()):
-            run, prov = kernels.maximal_sweep(pyr, f.dim)
-            want_run, want_prov = mask_maximal_sweep(pyr, f.dim)
-            assert same_bits(run, want_run) and same_bits(prov, want_prov), f.dim
-            assert len(set(prov.tolist())) > 1 or pyr[0][0] == 0.0
-
-
-def test_running_max_matches_maximal_sweep_bitwise():
-    # the value-only sweep, in place in a private pyramid of averages,
-    # against maximal_sweep's run: hard floats, signed zeros (ties of
-    # -0.0 with +0.0 in the signed sums), cancellations, and the
+    # hard floats, signed zeros (ties of -0.0 with +0.0 in the signed
+    # sums, where the parent's zero must win), cancellations, and the
     # |f - avg| pyramid that the dyadic verifiers sweep
     cases = [(f, pyr) for f, k in osc_sums_cases() if k == 0
              for pyr in (f.sum_pyramid(), f.abs_pyramid(), f.osc_pyramid())]
@@ -236,19 +225,22 @@ def test_running_max_matches_maximal_sweep_bitwise():
         dev = np.abs(f.zvalues - f.sum_pyramid()[0][0] / f.n_cells)
         cases.append((f, kernels.build_pyramid(dev, f.max_depth, f.dim)))
     for f, pyr in cases:
+        # _running_max sweeps, in place, a copy scaled to averages
         depth = len(pyr) - 1
         levels = [level * (1.0 / float(1 << (f.dim * (depth - k))))
                   for k, level in enumerate(pyr)]
         got = kernels._running_max(levels, f.dim)
-        assert got is levels[-1]
-        assert same_bits(got, kernels.maximal_sweep(pyr, f.dim)[0]), f.dim
+        want, deepest = mask_maximal_sweep(pyr, f.dim)
+        assert got is levels[-1] and same_bits(got, want), f.dim
+        # the sweep is not trivial: the max is attained at more than one depth
+        assert len(set(deepest.tolist())) > 1 or pyr[0][0] == 0.0
 
 
 def test_osc_pyramid_leaf_level_is_zero_bitwise():
     for f, k in osc_sums_cases():
         if k == f.max_depth:
             leaf = f.osc_pyramid()[k]
-            assert same_bits(leaf, kernels.osc_sums(f.zvalues, f.zvalues, 0))
+            assert same_bits(leaf, kernels._osc_sums(f.zvalues, f.zvalues, 0))
             assert same_bits(leaf, np.zeros(f.n_cells))
 
 
@@ -268,7 +260,7 @@ def assert_tiled_osc_pyramid_bitwise(shapes, min_tiles):
             for k in range(depth + 1):
                 width = dim * (depth - k)
                 avgs = f.sum_pyramid()[k] * (1.0 / float(1 << width))
-                assert same_bits(pyr[k], kernels.osc_sums(f.zvalues, avgs, width)), (dim, k)
+                assert same_bits(pyr[k], kernels._osc_sums(f.zvalues, avgs, width)), (dim, k)
 
 
 def test_osc_pyramid_tiles_match_untiled_osc_sums_bitwise():

@@ -7,14 +7,22 @@ import metric_oracles as oracle
 from jnlab.constants import g_factor, theorem_constants
 from jnlab.errors import PreconditionError
 from jnlab.generators import f_log_distance, gen_grid2d, gen_line, gen_random_cloud
-from jnlab.metric import Ball, doubling_constant, hl_maximal_restricted, space_from_points
-from jnlab.metric_cz import (check_toiterate, compute_witness, cz_balls, nested_cz,
-                             verify_bmo_jn, verify_mainresult)
+from jnlab.metric import (Ball, _witness_arrays, doubling_constant, hl_maximal_restricted,
+                          space_from_points)
+from jnlab.metric_cz import check_toiterate, cz_balls, nested_cz, verify_bmo_jn, verify_mainresult
 from jnlab.report import all_pass
 
 
 def spanning_ball(space, center=0):
     return Ball(center, 1.5 * float(space.d[center].max()) + 1.0)
+
+
+def witness(space, f, b0):
+    """(balls, values): the witness ball of each point (None outside b0)
+    and its f-average, from the arrays the covers read."""
+    values, radii, centers = _witness_arrays(space, space.check_values(f), space.members(b0))
+    balls = [None if c < 0 else Ball(c, r) for c, r in zip(centers.tolist(), radii.tolist())]
+    return balls, values
 
 
 def shifted_abs(space, f, b0):
@@ -83,18 +91,17 @@ def test_witness_matches_restricted_maximal():
         s = gen_random_cloud(20, seed + 1)
         f = np.abs(np.random.default_rng(seed).standard_normal(s.m)) + 0.05
         b0 = spanning_ball(s)
-        table = compute_witness(s, f, b0)
+        balls, values = witness(s, f, b0)
         mf = hl_maximal_restricted(s, f, b0)
         inside = s.members(b0)
         for x in range(s.m):
             if not inside[x]:
-                assert table.balls[x] is None
+                assert balls[x] is None
                 continue
-            ball = table.balls[x]
-            mem = s.members(ball)
+            mem = s.members(balls[x])
             assert mem[x]
             assert not np.any(mem & ~inside)
-            assert np.isclose(table.values[x], mf[x], rtol=1e-12, atol=0)
+            assert np.isclose(values[x], mf[x], rtol=1e-12, atol=0)
 
 
 def test_witness_takes_any_numeric_values():
@@ -102,10 +109,10 @@ def test_witness_takes_any_numeric_values():
     # functions read them
     s = gen_random_cloud(12, 3)
     ints = np.random.default_rng(3).integers(0, 5, s.m)
-    want = compute_witness(s, ints.astype(float), spanning_ball(s))
+    want_balls, want_values = witness(s, ints.astype(float), spanning_ball(s))
     for f in (ints, ints.tolist()):
-        got = compute_witness(s, f, spanning_ball(s))
-        assert got.balls == want.balls and np.array_equal(got.values, want.values)
+        balls, values = witness(s, f, spanning_ball(s))
+        assert balls == want_balls and np.array_equal(values, want_values)
 
 
 def test_witness_prefers_smaller_balls_on_ties():
@@ -114,9 +121,9 @@ def test_witness_prefers_smaller_balls_on_ties():
     s = space_from_points(np.arange(5, dtype=np.float64))
     f = np.full(5, 2.0)
     b0 = spanning_ball(s)
-    table = compute_witness(s, f, b0)
+    balls, _ = witness(s, f, b0)
     for x in range(5):
-        mem = s.members(table.balls[x])
+        mem = s.members(balls[x])
         assert mem.sum() == 1 and mem[x]
 
 
@@ -174,11 +181,11 @@ def test_cz_balls_stopping_exponents():
     b0 = spanning_ball(s)
     thr = threshold(s, f, b0)
     lam = thr * 1.1
-    table = compute_witness(s, f, b0)
+    balls, _ = witness(s, f, b0)
     cover = cz_balls(s, f, b0, lam)
     for x, n_x in cover.point_exponents.items():
         assert n_x >= 1
-        base = table.balls[x]
+        base = balls[x]
         assert s.average_mask(f, s.members(base.dilate(5.0 ** n_x))) <= lam * (1 + 1e-9)
         if n_x > 1:
             assert s.average_mask(f, s.members(base.dilate(5.0 ** (n_x - 1)))) > lam

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import metric_oracles as oracle
 from test_acceptance import _corpus
+from test_metric_cz import witness
 from jnlab import kernels
 from jnlab.errors import MetricAxiomError
 from jnlab.generators import (f_distance, f_log_distance, f_random, gen_grid2d, gen_line,
@@ -21,7 +22,7 @@ from jnlab.metric import (_TRIANGLE_TILE, Ball, MetricMeasureSpace, _first_overl
                           bmo_norm_metric, check_admissible, doubling_constant, global_maximal,
                           hl_maximal_restricted, jnp_metric_lower, space_from_points,
                           vitali_subcover)
-from jnlab.metric_cz import compute_witness, nested_cz
+from jnlab.metric_cz import nested_cz
 
 SEEDS = range(10)
 
@@ -108,10 +109,10 @@ def assert_path_matches(space, f):
     for b0 in base_balls(space):
         assert np.array_equal(hl_maximal_restricted(space, f, b0),
                               oracle.hl_maximal_restricted(space, f, b0), equal_nan=True)
-        table = compute_witness(space, g, b0)
-        balls, values = oracle.compute_witness(space, g, b0)
-        assert table.balls == balls
-        assert np.array_equal(table.values, values)
+        balls, values = witness(space, g, b0)
+        want_balls, want_values = oracle.compute_witness(space, g, b0)
+        assert balls == want_balls
+        assert np.array_equal(values, want_values)
 
 
 @pytest.mark.parametrize("kind", ["line", "grid2d", "tree-graph", "random-cloud",
@@ -145,8 +146,8 @@ def test_prefix_path_single_point():
     space = space_from_points(np.array([[0.5, 0.5]]), weights=np.array([2.0]))
     assert_path_matches(space, np.array([-3.0]))
     assert doubling_constant(space) == oracle.doubling_constant(space) == 1.0
-    table = compute_witness(space, np.array([3.0]), Ball(0, 0.25))
-    assert table.balls == [Ball(0, 1.0)] and table.values.tolist() == [3.0]
+    balls, values = witness(space, np.array([3.0]), Ball(0, 0.25))
+    assert balls == [Ball(0, 1.0)] and values.tolist() == [3.0]
 
 
 def test_prefix_path_adjacent_floats():
