@@ -213,27 +213,40 @@ def mask_maximal_sweep(pyramid, nbits):
     return run, deepest
 
 
+def assert_running_max_matches_mask_oracle(f, pyr):
+    """_running_max, in place in a copy of `pyr` scaled to averages,
+    against the mask oracle's run; returns the oracle's deepest depths."""
+    depth = len(pyr) - 1
+    levels = [level * (1.0 / float(1 << (f.dim * (depth - k))))
+              for k, level in enumerate(pyr)]
+    got = kernels._running_max(levels, f.dim)
+    want, deepest = mask_maximal_sweep(pyr, f.dim)
+    assert got is levels[-1] and same_bits(got, want), f.dim
+    return deepest
+
+
 def test_maximal_sweep_matches_mask_oracle_bitwise():
-    # hard floats, signed zeros (ties of -0.0 with +0.0 in the signed
-    # sums, where the parent's zero must win), cancellations, and the
-    # |f - avg| pyramid that the dyadic verifiers sweep
-    cases = [(f, pyr) for f, k in osc_sums_cases() if k == 0
-             for pyr in (f.sum_pyramid(), f.abs_pyramid(), f.osc_pyramid())]
-    for f in (GridFunction(RootCube(dim, (0.0,) * dim, 1.0), depth,
-                           hard_floats(1 << (dim * depth), 30 + dim))
-              for dim, depth in ((1, 9), (2, 4), (3, 3))):
+    # signed zeros (ties of -0.0 with +0.0 in the signed sums, where the
+    # parent's zero must win) and cancellations
+    for f, k in osc_sums_cases():
+        if k:
+            continue
+        for pyr in (f.sum_pyramid(), f.abs_pyramid(), f.osc_pyramid()):
+            deepest = assert_running_max_matches_mask_oracle(f, pyr)
+            # the sweep is not trivial: the max is attained at more than one depth
+            assert len(set(deepest.tolist())) > 1 or pyr[0][0] == 0.0
+
+
+def test_running_max_matches_maximal_sweep_bitwise():
+    # hard floats in 1-3 D, and the |f - avg| pyramid that the dyadic
+    # verifiers sweep
+    for dim, depth in ((1, 9), (2, 4), (3, 3)):
+        f = GridFunction(RootCube(dim, (0.0,) * dim, 1.0), depth,
+                         hard_floats(1 << (dim * depth), 30 + dim))
         dev = np.abs(f.zvalues - f.sum_pyramid()[0][0] / f.n_cells)
-        cases.append((f, kernels.build_pyramid(dev, f.max_depth, f.dim)))
-    for f, pyr in cases:
-        # _running_max sweeps, in place, a copy scaled to averages
-        depth = len(pyr) - 1
-        levels = [level * (1.0 / float(1 << (f.dim * (depth - k))))
-                  for k, level in enumerate(pyr)]
-        got = kernels._running_max(levels, f.dim)
-        want, deepest = mask_maximal_sweep(pyr, f.dim)
-        assert got is levels[-1] and same_bits(got, want), f.dim
-        # the sweep is not trivial: the max is attained at more than one depth
-        assert len(set(deepest.tolist())) > 1 or pyr[0][0] == 0.0
+        for pyr in (f.sum_pyramid(), f.abs_pyramid(), f.osc_pyramid(),
+                    kernels.build_pyramid(dev, f.max_depth, f.dim)):
+            assert_running_max_matches_mask_oracle(f, pyr)
 
 
 def test_osc_pyramid_leaf_level_is_zero_bitwise():
