@@ -39,8 +39,8 @@ from .dyadic_cz import check_good_lambda_dyadic, cz_decompose_dyadic, verify_jn_
 from .errors import InvariantViolation, MetricAxiomError, PreconditionError
 from .functionals import bmo_dyadic, distribution, jnp_dyadic, notlp_terms, weak_lp
 from .grid import MAX_CELL_BITS, DyadicCube, GridFunction, _deviation, average, mean_oscillation
-from .metric import (Ball, bmo_norm_metric, doubling_constant, hl_maximal_restricted,
-                     jnp_metric_lower, space_from_csv, space_to_csv,
+from .metric import (Ball, _family_sums, bmo_norm_metric, doubling_constant,
+                     hl_maximal_restricted, jnp_metric_lower, space_from_csv, space_to_csv,
                      values_from_csv, values_to_csv)
 from .metric_cz import check_toiterate, cz_balls, verify_bmo_jn, verify_mainresult
 from .report import _jsonable, all_pass, reports_to_csv, reports_to_json
@@ -61,7 +61,7 @@ SPACES = {
     "line": lambda o: gen.gen_line(o["m"]),
     "grid2d": lambda o: gen.gen_grid2d(o["side"]),
     "tree-graph": lambda o: gen.gen_tree_graph(o["m"], o["seed"]),
-    "random-cloud": lambda o: gen.gen_random_cloud(o["m"], o["seed"], dim=max(2, o["dim"])),
+    "random-cloud": lambda o: gen.gen_random_cloud(o["m"], o["seed"], dim=o["dim"] or 2),
 }
 VALUES = {
     "log-distance": lambda o, space: gen.f_log_distance(space, o["anchor"]),
@@ -126,7 +126,7 @@ OPTIONS = {opt.name: opt for opt in (
     Option("format", default="json", choices=("json", "csv")),
     Option("config"),
     Option("depth", int, 8, low=0),
-    Option("dim", int, 1, low=1),
+    Option("dim", int, low=1, help="dimension (default: 1 for a grid, 2 for random-cloud)"),
     Option("p", float, 2.0, finite=True),
     Option("m", int, 32, low=1),
     Option("side", int, 8, low=1),
@@ -179,15 +179,16 @@ def _resolve(args: argparse.Namespace) -> dict:
     return cfg
 
 
-def _check_grid_size(cfg: dict, source: str, one_d: bool) -> None:
-    """Refuse a generated grid above the cell cap before it is allocated,
-    and a --dim other than 1 for a source that is always 1-D."""
-    dim, depth = cfg["dim"], cfg["depth"]
+def _grid_dim(cfg: dict, source: str, one_d: bool) -> int:
+    """--dim of a generated grid, 1 if not given; refuses a grid above the cell
+    cap before it is allocated, and a --dim other than 1 for a 1-D source."""
+    dim, depth = cfg["dim"] or 1, cfg["depth"]
     if one_d and dim != 1:
         raise ValueError(f"--dim must be 1 for {source}, got {dim}")
     if dim * depth > MAX_CELL_BITS:
         raise ValueError(f"--depth {depth} gives a {dim}-D grid of 2**{dim * depth} "
                          f"cells; the cap is 2**{MAX_CELL_BITS}")
+    return dim
 
 
 def _need_lam(cfg: dict, what: str) -> float:
@@ -209,8 +210,7 @@ def _read_csv(reader, path: str):
 
 def _generate_grid(cfg: dict, name: str) -> GridFunction:
     one_d, build = GRIDS[name]
-    _check_grid_size(cfg, name, one_d)
-    return build(cfg)
+    return build(dict(cfg, dim=_grid_dim(cfg, name, one_d)))
 
 
 def _grid_from_source(cfg: dict, source: str) -> GridFunction:
@@ -366,7 +366,7 @@ def _analyze_grid(cfg: dict) -> int:
 
 
 def _analyze_notlp(cfg: dict) -> int:
-    _check_grid_size(cfg, "notlp", one_d=True)
+    _grid_dim(cfg, "notlp", one_d=True)
     terms = notlp_terms(cfg["p"], cfg["terms"], cfg["depth"])
     partial = np.cumsum(terms)
     rows = ["j,term,partial"]
@@ -380,14 +380,14 @@ def _analyze_space(cfg: dict) -> int:
     space, f, b0 = _space_input(cfg)
     jn = jnp_metric_lower(space, f, b0, cfg["p"], budget=cfg["budget"])
     mf = hl_maximal_restricted(space, f, b0)
-    mask0 = space.members(b0)
+    (mu0,), (integral,) = _family_sums(space, f, [b0])
     result = {
         "space": cfg["space"],
         "m": space.m,
         "p": cfg["p"],
         "ball": {"center": b0.center, "radius": b0.radius},
         "doubling": doubling_constant(space),
-        "average": space.average_mask(f, mask0),
+        "average": float(integral / mu0),
         "bmo": bmo_norm_metric(space, f),
         "jnp_lower": {
             "value": jn.value, "norm": jn.norm,

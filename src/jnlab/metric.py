@@ -5,7 +5,9 @@ Points are indices 0..m-1 with positive weights; balls are open,
 one of finitely many critical radii per center (midpoints between
 consecutive distinct distances, or the farther one where the midpoint
 rounds onto the nearer), which makes suprema over all real radii
-exactly computable.  Mean oscillations and averages are weighted.
+exactly computable.  Mean oscillations and averages are weighted.  A ball
+is a prefix of its center's distance order, so its measure, integral and
+mean are read from the sorted prefix tables (`_ball_sums`), one mean a ball.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
+from .constants import _pow
 from .errors import (InvariantViolation, MetricAxiomError, PreconditionError, _check_jn_value,
                      _check_p, _jn_underflow)
 from .grid import _Memoized
@@ -217,25 +220,6 @@ class MetricMeasureSpace(_Memoized):
     def measure_mask(self, mask: np.ndarray) -> float:
         return float(np.sum(self.w[mask]))
 
-    def measure(self, ball: Ball) -> float:
-        return self.measure_mask(self.members(ball))
-
-    def integral_mask(self, f: np.ndarray, mask: np.ndarray) -> float:
-        """Integral of f over the member set (weighted sum)."""
-        return float(np.sum(self.w[mask] * f[mask]))
-
-    def average_mask(self, f: np.ndarray, mask: np.ndarray) -> float:
-        wsum = float(np.sum(self.w[mask]))
-        if wsum == 0.0:
-            raise ValueError("average over an empty member set")
-        return float(np.sum(self.w[mask] * f[mask])) / wsum
-
-    def osc_mask(self, f: np.ndarray, mask: np.ndarray) -> float:
-        """Weighted mean oscillation of f over the member set."""
-        avg = self.average_mask(f, mask)
-        wsum = float(np.sum(self.w[mask]))
-        return float(np.sum(self.w[mask] * np.abs(f[mask] - avg))) / wsum
-
     def check_values(self, f) -> np.ndarray:
         v = np.ascontiguousarray(f, dtype=np.float64).reshape(-1)
         if v.size != self.m:
@@ -291,15 +275,19 @@ def doubling_constant(space: MetricMeasureSpace) -> float:
     return space._memo("doubling", build)
 
 
-def _member_rows(space: MetricMeasureSpace, balls) -> np.ndarray:
-    """The member sets of a ball family as the rows of one boolean array,
-    each bitwise `members`; ValueError, as `members` raises, for a center
-    out of range."""
+def _ball_arrays(space: MetricMeasureSpace, balls) -> tuple[np.ndarray, np.ndarray]:
+    """(centers, radii) of a ball family; ValueError for a center out of range."""
     centers = np.array([b.center for b in balls], dtype=np.int64)
     bad = np.flatnonzero((centers < 0) | (centers >= space.m))
     if bad.size:
         raise ValueError(f"center {centers[bad[0]]} out of range (m={space.m})")
-    radii = np.array([b.radius for b in balls], dtype=np.float64)
+    return centers, np.array([b.radius for b in balls], dtype=np.float64)
+
+
+def _member_rows(space: MetricMeasureSpace, balls) -> np.ndarray:
+    """The member sets of a ball family as the rows of one boolean array,
+    each bitwise `members`."""
+    centers, radii = _ball_arrays(space, balls)
     return space.d[centers] < radii[:, None]
 
 
@@ -420,14 +408,30 @@ _EPS = 2.0**-52
 _OSC_NODES = 8  # quantiles of f that serve as nodes of the oscillation bound
 
 
-def _prefix_means(space: MetricMeasureSpace, v: np.ndarray, rows) -> np.ndarray:
-    """fl(F / W) at every sorted position of the centers `rows` (a slice
-    or an index array): the weighted mean of each prefix of their
-    distance orders, with F the sum of w v and W that of w (`space.wcum`),
-    both summed left to right."""
+def _prefix_sums(space: MetricMeasureSpace, v: np.ndarray, rows) -> np.ndarray:
+    """F = sum w v, left to right, at every sorted position of centers `rows`."""
     fcum = (v * space.w)[space.orders[rows]]
-    np.cumsum(fcum, axis=1, out=fcum)
+    return np.cumsum(fcum, axis=1, out=fcum)
+
+
+def _prefix_means(space: MetricMeasureSpace, v: np.ndarray, rows) -> np.ndarray:
+    """fl(F / W) at every sorted position of centers `rows`, W = `space.wcum`."""
+    fcum = _prefix_sums(space, v, rows)
     return np.divide(fcum, space.wcum[rows], out=fcum)
+
+
+def _ball_sums(space: MetricMeasureSpace, fcum: np.ndarray, centers, radii) -> tuple:
+    """(W, F) of the balls B(centers[i], radii[i]), F from row i of `fcum =
+    _prefix_sums(space, v, centers)`: a ball is its center's sorted positions
+    0..k, k = count(sorted_d[c] < r) - 1, and F / W is `_prefix_means` at k."""
+    k = np.count_nonzero(space.sorted_d[centers] < radii[:, None], axis=1) - 1
+    return space.wcum[centers, k], fcum[np.arange(k.size), k]
+
+
+def _family_sums(space: MetricMeasureSpace, v: np.ndarray, balls) -> tuple:
+    """(W, F) of each ball of a family, by `_ball_sums`."""
+    centers, radii = _ball_arrays(space, balls)
+    return _ball_sums(space, _prefix_sums(space, v, centers), centers, radii)
 
 
 def _osc_nodes(v: np.ndarray) -> np.ndarray:
@@ -627,25 +631,16 @@ class JnSearchResult:
     evaluations: int
 
 
-def _jn_term(space: MetricMeasureSpace, v: np.ndarray, mask: np.ndarray,
-             p: float) -> float:
-    """mu(B) * osc_B(v)^p for the member set `mask` of one ball B, by
-    masked reductions.  Kept for the few balls outside the search pool
-    (5-dilates, B0 and 11*B0): `kernels.osc_entries` walks every sorted
-    position up to its longest entry, so a handful of large balls costs
-    more through it than through one mask each."""
-    try:
-        term = space.measure_mask(mask) * space.osc_mask(v, mask) ** p
-    except OverflowError:
-        term = math.inf
-    return _check_jn_value(term, p)
-
-
 def _family_jn_sum(space: MetricMeasureSpace, v: np.ndarray, balls, p: float) -> float:
-    """sum mu(B) osc_B(v)^p over a family, left to right."""
+    """sum W (S / W)^p over a family, left to right, in Python floats (so an
+    overflow is inf): W and the mean a from the prefix tables, S = sum w |v - a|
+    by one mask per ball, cheaper for the few large balls outside the search
+    pool (5-dilates, B0, 11*B0) than `kernels.osc_entries`' position walk."""
+    meas, integ = _family_sums(space, v, balls)
     total = 0.0
-    for mask in _member_rows(space, balls):
-        total += _jn_term(space, v, mask, p)
+    for mask, wsum, fsum in zip(_member_rows(space, balls), meas.tolist(), integ.tolist()):
+        osc = float(np.sum(space.w[mask] * np.abs(v[mask] - fsum / wsum))) / wsum
+        total += _check_jn_value(wsum * _pow(osc, p), p)
     return total
 
 

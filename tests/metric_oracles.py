@@ -2,16 +2,19 @@
 and of the ball-family overlap tests.
 
 These are the direct computations the vectorized code replaced: the
+masked ball algebra (a member set's measure, integral, mean, mean
+oscillation and JN_p term by numpy reductions over a mask), a ball's
+measure and integral by one left-to-right loop over its points, the
 O(m^3) per-center oscillation table, the distinct-distance critical radii,
 the per-center maximal loop, the per-center witness loop, the doubling
 constant's scan of radii between breakpoints, the pairwise
 member-mask loops behind the Vitali, admissibility, CZ-cover and nested-
 cover checks, the CZ cover built one level at a time with one stopping
-walk per level point, the JN_p search with its greedy and clash tests on
-member masks (and, as the floor of its value, the four-stage search it
-replaced), the search pool's per-center loop of masked terms and the
-density bound U over it, the tree
-generator's per-pair lowest-common-ancestor loop, and the triangle
+walk of loop means per level point, the JN_p search with its greedy and
+clash tests on member masks (and, as the floor of its value, the
+four-stage search it replaced), the search pool's per-center loop of
+masked terms and the density bound U over it, the tree generator's
+per-pair lowest-common-ancestor loop, and the triangle
 check's full m x m pass per intermediate point.  Tests compare the
 package against them bitwise.  The pool's terms are compared within a
 rounding bound, since the masked sums run in another order.  The triangle
@@ -21,11 +24,64 @@ against the whole matrix's worst violation.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from jnlab.errors import InvariantViolation, MetricAxiomError
-from jnlab.metric import Ball, BallFamily, JnSearchResult, _jn_term
+from jnlab.errors import InvariantViolation, MetricAxiomError, _check_jn_value
+from jnlab.metric import Ball, BallFamily, JnSearchResult
 from jnlab.metric_cz import CzBallCover
+
+
+# ------------------------------------------------------- ball algebra
+
+
+def measure(space, ball):
+    return space.measure_mask(space.members(ball))
+
+
+def integral_mask(space, f, mask):
+    """Integral of f over the member set (weighted sum)."""
+    return float(np.sum(space.w[mask] * f[mask]))
+
+
+def average_mask(space, f, mask):
+    return integral_mask(space, f, mask) / space.measure_mask(mask)
+
+
+def osc_mask(space, f, mask):
+    """Weighted mean oscillation of f over the member set."""
+    avg = average_mask(space, f, mask)
+    return float(np.sum(space.w[mask] * np.abs(f[mask] - avg))) / space.measure_mask(mask)
+
+
+def jn_term(space, v, mask, p):
+    """mu(B) * osc_B(v)^p for the member set `mask` of one ball B, by
+    masked reductions; PreconditionError when it is not finite."""
+    try:
+        term = space.measure_mask(mask) * osc_mask(space, v, mask) ** p
+    except OverflowError:
+        term = math.inf
+    return _check_jn_value(term, p)
+
+
+def loop_sums(space, v, ball):
+    """(W, F): the measure of a ball and the integral of v over it, each
+    summed by one loop over the ball's points in (distance, index) order,
+    starting from the first point's term."""
+    row = space.d[ball.center].tolist()
+    pts = sorted((x for x in range(space.m) if row[x] < ball.radius), key=lambda x: (row[x], x))
+    w, vals = space.w.tolist(), np.asarray(v, dtype=np.float64).tolist()
+    W, F = w[pts[0]], vals[pts[0]] * w[pts[0]]
+    for x in pts[1:]:
+        W += w[x]
+        F += vals[x] * w[x]
+    return W, F
+
+
+def loop_mean(space, v, ball):
+    W, F = loop_sums(space, v, ball)
+    return F / W
 
 
 def ball_tables(orders, w, f):
@@ -282,9 +338,9 @@ def containment(space, lo_balls, hi_balls):
 
 def cz_cover(space, g, b0, lam):
     """The level-lam stopping-ball cover, one level at a time: the loop
-    witness table, each level point's own walk of masked averages over
-    the 5^k dilates of its witness ball, first occurrences of the stopped
-    balls, the loop Vitali pass, and per-ball masked statistics."""
+    witness table, each level point's own walk of loop means over the 5^k
+    dilates of its witness ball, first occurrences of the stopped balls,
+    the loop Vitali pass, and per-ball loop measures and means."""
     mask0 = space.members(b0)
     big = space.members(b0.dilate(11.0))
     witness_balls, witness_values = compute_witness(space, g, b0)
@@ -292,8 +348,7 @@ def cz_cover(space, g, b0, lam):
     cand, cand_exp, point_exp, seen = [], [], {}, set()
     for x in np.flatnonzero(level):
         base = witness_balls[x]
-        n_x = next(k for k in range(1, 200)
-                   if space.average_mask(g, space.members(base.dilate(5.0**k))) <= lam)
+        n_x = next(k for k in range(1, 200) if loop_mean(space, g, base.dilate(5.0**k)) <= lam)
         point_exp[int(x)] = n_x
         ball = base.dilate(5.0 ** (n_x - 1))
         if (ball.center, ball.radius) not in seen:
@@ -308,9 +363,9 @@ def cz_cover(space, g, b0, lam):
         union5 |= mask
     return CzBallCover(
         lam=lam, b0=b0, balls=balls,
-        averages=np.asarray([space.average_mask(g, space.members(b)) for b in balls]),
-        averages5=np.asarray([space.average_mask(g, mask) for mask in mem5]),
-        measures=tuple(space.measure(b) for b in balls),
+        averages=np.asarray([loop_mean(space, g, b) for b in balls]),
+        averages5=np.asarray([loop_mean(space, g, b.dilate(5.0)) for b in balls]),
+        measures=tuple(loop_sums(space, g, b)[0] for b in balls),
         exponents=tuple(cand_exp[i] for i in kept),
         point_exponents=point_exp,
         level_mask=level,
@@ -411,7 +466,7 @@ def search_pool(space, f, b0, p):
     (numpy's pairwise sums, in point order)."""
     v = space.check_values(f)
     centers, radii = pool_balls(space, b0)
-    terms = [_jn_term(space, v, space.d[c] < r, p) for c, r in zip(centers, radii)]
+    terms = [jn_term(space, v, space.d[c] < r, p) for c, r in zip(centers, radii)]
     return centers, radii, np.array(terms)
 
 
@@ -549,7 +604,7 @@ def jnp_metric_lower_staged(space, f, b0, p, budget=4000):
         mem = space.members(ball)
         if np.any(mem & ~big):
             return None
-        return _jn_term(space, v, mem, p)
+        return jn_term(space, v, mem, p)
 
     pool, pool_term = pool_terms(space, v, b0, p)
 

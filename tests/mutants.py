@@ -67,6 +67,33 @@ MUTANTS = (
            "        lhs = space.measure_mask(mask0 & (gu > lam))",
            "        lhs = 0.0 * space.measure_mask(mask0 & (gu > lam))",
            ("tests/test_acceptance.py::test_criterion_10_bmo_exponential_on_grids",)),
+    Mutant("jn-weak-lp-dyadic-rhs-x1e6", "src/jnlab/dyadic_cz.py",
+           "rhs = _check_rhs(const * _pow(K / lam, p), p)",
+           "rhs = _check_rhs(1e6 * const * _pow(K / lam, p), p)",
+           ("tests/test_constants.py::test_jn_weak_lp_dyadic_rhs_both_branches",)),
+    Mutant("jn-weak-metric-small-rhs-x1e6", "src/jnlab/metric_cz.py",
+           "            rhs = _pow(cons.C1 * k_cert / lam, p)",
+           "            rhs = 1e6 * _pow(cons.C1 * k_cert / lam, p)",
+           ("tests/test_constants.py::test_jn_weak_metric_rhs_both_branches",)),
+    Mutant("jn-weak-metric-large-rhs-x1e6", "src/jnlab/metric_cz.py",
+           "            rhs = cons.c3 * prod * (m0_bound",
+           "            rhs = 1e6 * cons.c3 * prod * (m0_bound",
+           ("tests/test_constants.py::test_jn_weak_metric_rhs_both_branches",)),
+    Mutant("bmo-exponential-rhs-x1e6", "src/jnlab/metric_cz.py",
+           "        rhs = cons.c1 * mu0 * math.exp(-cons.c2 * lam)",
+           "        rhs = 1e6 * cons.c1 * mu0 * math.exp(-cons.c2 * lam)",
+           ("tests/test_constants.py::test_bmo_exponential_rhs",)),
+    # the halving checks are live only at a step below the theorem's 2 c^8
+    Mutant("bmo-halving-rhs-5x", "src/jnlab/metric_cz.py",
+           "rhs=0.5 * float(sum(lo.measures)),",
+           "rhs=5.0 * float(sum(lo.measures)),",
+           ("tests/test_constants.py::test_bmo_halving_rhs_is_half_the_lower_cover",)),
+    # at a level a walk's mean attains, a strict comparison stops one step
+    # late, and the kept ball's average then equals the level
+    Mutant("cz-stopping-strict-less", "src/jnlab/metric_cz.py",
+           "int(np.argmax(means[row[x], 1:] <= lam)) + 1",
+           "int(np.argmax(means[row[x], 1:] < lam)) + 1",
+           ("tests/test_metric_cz.py::test_cz_stopping_sides_exact_at_attained_levels",)),
     # a tie of -0.0 with +0.0 must keep the parent's zero; only the
     # bitwise comparison with the mask oracle sees the difference
     Mutant("sweep-level-strict-less", "src/jnlab/kernels.py",

@@ -14,6 +14,7 @@ import time
 
 import numpy as np
 
+import metric_oracles as oracle
 from grid_oracles import jnp_bruteforce
 from jnlab.dyadic_cz import (check_good_lambda_dyadic, cz_decompose_dyadic,
                              dyadic_maximal, level_set, verify_jn_dyadic)
@@ -74,12 +75,12 @@ def _corpus():
 
 
 def _centered_abs(sp, f, b0):
-    return np.abs(np.asarray(f) - sp.average_mask(f, sp.members(b0)))
+    return np.abs(np.asarray(f) - oracle.average_mask(sp, f, sp.members(b0)))
 
 
 def _cz_threshold(sp, g, b0) -> float:
     big = sp.members(b0.dilate(11.0))
-    return sp.integral_mask(g, big) / sp.measure_mask(sp.members(b0))
+    return oracle.integral_mask(sp, g, big) / sp.measure_mask(sp.members(b0))
 
 
 # --------------------------------------------------------------- criterion 1
@@ -311,8 +312,8 @@ def test_criterion_07_metric_cz_suite():
             union5 |= sp.members(b.dilate(5.0))
         # (i) selected averages against the level, with the computed c_mu
         for b, mem in zip(cover.balls, mems):
-            avg = sp.average_mask(g, mem)
-            avg5 = sp.average_mask(g, sp.members(b.dilate(5.0)))
+            avg = oracle.average_mask(sp, g, mem)
+            avg5 = oracle.average_mask(sp, g, sp.members(b.dilate(5.0)))
             ok &= avg > lam - SLACK * max(1.0, lam) and _le(avg, c3 * lam)
             ok &= _le(avg5, lam) and avg5 > lam / c3 - SLACK * max(1.0, lam)
         # (ii) disjointness and coverage of the level set by the 5-dilates
@@ -439,8 +440,8 @@ def test_criterion_11_maximal_subset_chain():
         for balls, vals in jobs:
             mf = global_maximal(sp, vals)
             for b in balls:
-                lhs = sp.average_mask(mf, sp.members(b.dilate(0.2)))
-                rhs = sp.average_mask(np.abs(vals), sp.members(b))
+                lhs = oracle.average_mask(sp, mf, sp.members(b.dilate(0.2)))
+                rhs = oracle.average_mask(sp, np.abs(vals), sp.members(b))
                 ok &= lhs >= rhs - SLACK * max(1.0, abs(rhs))
                 n_balls += 1
     _verdict(11, f"fifth-ball maximal average dominates the full-ball "

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from jnlab.cli import _emit_reports, _resolve, build_parser, load_config, main
-from jnlab.generators import gen_log_singularity, gen_power_singularity
+from jnlab.generators import gen_log_singularity, gen_power_singularity, gen_random_cloud
 from jnlab.grid import DyadicCube, average, mean_oscillation
 from jnlab.metric import space_from_points, space_to_csv, values_to_csv
 from jnlab.report import CheckReport
@@ -38,6 +38,20 @@ def test_gen_space_and_values(tmp_path):
     s = space_from_csv(sp)
     f = values_from_csv(vals)
     assert s.m == 15 and f.shape == (15,)
+
+
+def test_gen_random_cloud_dim(tmp_path):
+    # a cloud is 2-D unless --dim is given, and an explicit --dim 1 is honoured
+    outs = {}
+    for dim in (None, "1", "2"):
+        outs[dim] = tmp_path / f"cloud-{dim}.csv"
+        flags = () if dim is None else ("--dim", dim)
+        assert run("gen", "random-cloud", "--m", "6", *flags, "--out", str(outs[dim])) == 0
+    for dim in (1, 2):
+        space_to_csv(gen_random_cloud(6, 0, dim=dim), tmp_path / f"want-{dim}.csv")
+    want1, want2 = ((tmp_path / f"want-{d}.csv").read_bytes() for d in (1, 2))
+    assert outs[None].read_bytes() == outs["2"].read_bytes() == want2
+    assert outs["1"].read_bytes() == want1 != want2
 
 
 def test_gen_requires_out():

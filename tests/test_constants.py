@@ -2,12 +2,15 @@
 from ``theorem_constants``, so shrinking them there makes its checks fail."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 
+import metric_oracles as oracle
 from jnlab import dyadic_cz, metric_cz
-from jnlab.constants import theorem_constants
+from jnlab.constants import g_factor, theorem_constants
+from jnlab.functionals import jnp_dyadic
 from jnlab.generators import f_log_distance, gen_line, gen_random_martingale
 from jnlab.metric import Ball
 
@@ -56,8 +59,8 @@ def jn_dyadic_reports():
 
 def level_doubling_reports():
     space, v, b0 = line_input()
-    g = np.abs(v - space.average_mask(v, space.members(b0)))
-    threshold = (space.integral_mask(g, space.members(b0.dilate(11.0)))
+    g = np.abs(v - oracle.average_mask(space, v, space.members(b0)))
+    threshold = (oracle.integral_mask(space, g, space.members(b0.dilate(11.0)))
                  / space.measure_mask(space.members(b0)))
     return [metric_cz.check_toiterate(space, v, b0, 1.02 * threshold, 2.0)]
 
@@ -87,3 +90,77 @@ def test_family_fails_with_shrunk_constants(family, monkeypatch):
         monkeypatch.setattr(module, "theorem_constants", shrunk_constants)
     reports = FAMILIES[family]()
     assert reports and not all(r.passed for r in reports)
+
+
+# ------------------------------------------------------ right-hand sides
+
+# Each rhs rebuilt from theorem_constants, the report's witness and the
+# masked oracles, independently of the verifier that wrote it.
+
+
+def test_jn_weak_lp_dyadic_rhs_both_branches():
+    f = gen_random_martingale(1, 10, 3)
+    q0 = f.root.top()
+    K = jnp_dyadic(f, q0, 2.0).norm
+    cons = theorem_constants(2.0, 2.0, n=1, K=K, measure_q0=q0.measure)
+    branches = set()
+    for r in dyadic_cz.verify_jn_dyadic(f, q0, 2.0):
+        assert r.witness["K"] == K
+        small = r.lam <= cons.eta
+        const = cons.dyadic_small_constant if small else cons.dyadic_constant
+        assert r.rhs == pytest.approx(const * (K / r.lam) ** 2.0, rel=1e-12)
+        branches.add(r.witness["branch"])
+    assert branches == {"small", "large"}
+
+
+def test_jn_weak_metric_rhs_both_branches():
+    space, v, b0 = line_input()
+    c = oracle.doubling_constant(space)
+    mask0 = space.members(b0)
+    mu0 = space.measure_mask(mask0)
+    g = np.abs(v - oracle.average_mask(space, v, mask0))
+    integral = oracle.integral_mask(space, g, space.members(b0.dilate(11.0)))
+    branches = set()
+    for r in metric_cz.verify_mainresult(space, v, b0, 2.0):
+        w = r.witness
+        cons = theorem_constants(c, 2.0, K=w["K_cert"], mu_b0=mu0)
+        p, q, lam0 = cons.p, cons.q, cons.lambda0
+        assert w["lambda0"] == pytest.approx(lam0, rel=1e-12)
+        if r.lam <= lam0:
+            want = (cons.C1 * w["K_cert"] / r.lam) ** p
+        else:
+            n = w["N"]
+            assert 2.0 ** n * lam0 < r.lam <= 2.0 ** (n + 1) * lam0
+            want = (cons.c3 * (cons.c3q * w["K_used"] / lam0) ** (p - p * q ** -n)
+                    / g_factor(n, p, q) * (integral / lam0) ** (q ** -n))
+        assert r.rhs == pytest.approx(want, rel=1e-9)
+        branches.add(w["branch"])
+    assert branches == {"small", "large"}
+
+
+def test_bmo_exponential_rhs():
+    space, v, b0 = line_input()
+    cons = theorem_constants(oracle.doubling_constant(space), 2.0)
+    mu0 = oracle.measure(space, b0)
+    for r in bmo_exponential_reports():
+        assert r.rhs == pytest.approx(cons.c1 * mu0 * math.exp(-cons.c2 * r.lam), rel=1e-12)
+
+
+def test_bmo_halving_rhs_is_half_the_lower_cover(monkeypatch):
+    # at the real step a = 2 c^8 (c >= 2 on two or more points) no ball's
+    # average reaches the first level here and both sides read 0; a step
+    # just above the 11*B0 threshold of u = |f - f_B0| / ||f||_* makes the
+    # covers live
+    space, v, b0 = line_input()
+    mask0 = space.members(b0)
+    u = np.abs(v - oracle.average_mask(space, v, mask0)) / oracle.bmo_norm_metric(space, v)
+    step = 1.05 * (oracle.integral_mask(space, u, space.members(b0.dilate(11.0)))
+                   / space.measure_mask(mask0))
+    monkeypatch.setattr(metric_cz, "theorem_constants", lambda *args, **kwargs:
+                        dataclasses.replace(theorem_constants(*args, **kwargs), a=step))
+    reports = [r for r in metric_cz.verify_bmo_jn(space, v, b0) if r.claim == "bmo-halving"]
+    for r in reports:
+        lower = oracle.cz_cover(space, u, b0, r.witness["lower_level"])
+        want = 0.5 * sum(oracle.measure(space, b) for b in lower.balls)
+        assert r.rhs == pytest.approx(want, rel=1e-12)
+    assert len(reports) == 3 and all(r.rhs > 0 for r in reports)

@@ -6,7 +6,7 @@ import pytest
 import metric_oracles as oracle
 from jnlab.constants import g_factor, theorem_constants
 from jnlab.errors import PreconditionError
-from jnlab.generators import f_log_distance, gen_grid2d, gen_line, gen_random_cloud
+from jnlab.generators import f_log_distance, f_random, gen_grid2d, gen_line, gen_random_cloud
 from jnlab.metric import (Ball, _witness_arrays, doubling_constant, hl_maximal_restricted,
                           space_from_points)
 from jnlab.metric_cz import check_toiterate, cz_balls, nested_cz, verify_bmo_jn, verify_mainresult
@@ -26,11 +26,11 @@ def witness(space, f, b0):
 
 
 def shifted_abs(space, f, b0):
-    return np.abs(f - space.average_mask(f, space.members(b0)))
+    return np.abs(f - oracle.average_mask(space, f, space.members(b0)))
 
 
 def threshold(space, g, b0):
-    return (space.integral_mask(g, space.members(b0.dilate(11.0)))
+    return (oracle.integral_mask(space, g, space.members(b0.dilate(11.0)))
             / space.measure_mask(space.members(b0)))
 
 
@@ -186,9 +186,36 @@ def test_cz_balls_stopping_exponents():
     for x, n_x in cover.point_exponents.items():
         assert n_x >= 1
         base = balls[x]
-        assert s.average_mask(f, s.members(base.dilate(5.0 ** n_x))) <= lam * (1 + 1e-9)
+        assert oracle.average_mask(s, f, s.members(base.dilate(5.0 ** n_x))) <= lam * (1 + 1e-9)
         if n_x > 1:
-            assert s.average_mask(f, s.members(base.dilate(5.0 ** (n_x - 1)))) > lam
+            assert oracle.average_mask(s, f, s.members(base.dilate(5.0 ** (n_x - 1)))) > lam
+
+
+def test_cz_stopping_sides_exact_at_attained_levels():
+    # levels that some ball's average attains: the masked mean of each
+    # witness ball (which misses the ball's prefix-table mean by an ulp on
+    # some balls), each witness value, and the averages of a cover.  A kept
+    # ball's average is above the level and its 5-dilate's at or below it,
+    # with no slack, and an exponent-1 ball reports its witness value
+    tight = 0
+    for seed in range(6):
+        s = gen_random_cloud(80, seed)
+        b0 = spanning_ball(s)
+        g = shifted_abs(s, f_random(s, seed), b0)
+        thr = threshold(s, g, b0)
+        balls, values = witness(s, g, b0)
+        by_ball = dict(zip(balls, values.tolist()))
+        masked = [oracle.average_mask(s, g, s.members(b)) for b in by_ball]
+        attained = masked + values.tolist() + cz_balls(s, g, b0, 1.05 * thr).averages.tolist()
+        levels = sorted({lam for lam in attained if lam >= thr})
+        for cover in nested_cz(s, g, b0, levels).covers:
+            lam = cover.lam
+            assert np.all(cover.averages > lam), lam
+            assert np.all(cover.averages5 <= lam), lam
+            for ball, avg, n in zip(cover.balls, cover.averages.tolist(), cover.exponents):
+                assert n > 1 or avg == by_ball[ball], (lam, ball)
+            tight += int(np.count_nonzero(cover.averages5 == lam))
+    assert tight > 0
 
 
 def test_nested_cz_structure():
@@ -325,10 +352,11 @@ def test_bmo_halving_ingredients_nonvacuous():
     s = gen_grid2d(5)
     f = f_log_distance(s, 0)
     b0 = spanning_ball(s)
-    u = (f - s.average_mask(f, s.members(b0))) / bmo_norm_metric(s, f)
+    u = (f - oracle.average_mask(s, f, s.members(b0))) / bmo_norm_metric(s, f)
     c = doubling_constant(s)
     for center in range(0, s.m, 3):
         for r in oracle.critical_radii(s, center)[::2]:
             ball = Ball(center, float(r))
-            assert s.measure(ball.dilate(5.0)) <= c ** 3 * s.measure(ball) * (1 + 1e-12)
-            assert s.osc_mask(u, s.members(ball)) <= 1.0 + 1e-12
+            mu, mu5 = oracle.measure(s, ball), oracle.measure(s, ball.dilate(5.0))
+            assert mu5 <= c ** 3 * mu * (1 + 1e-12)
+            assert oracle.osc_mask(s, u, s.members(ball)) <= 1.0 + 1e-12

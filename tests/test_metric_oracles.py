@@ -340,7 +340,7 @@ def pool_term_gaps(space, f, b0, p):
         mem = space.d[c] < r
         n = int(np.count_nonzero(mem))
         g = float(np.max(np.abs(f[mem])))
-        dev = float(np.max(np.abs(f[mem] - space.average_mask(f, mem))))
+        dev = float(np.max(np.abs(f[mem] - oracle.average_mask(space, f, mem))))
         bound = 8 * p * n * eps * space.measure_mask(mem) * (dev + n * eps * g) ** (p - 1) \
             * (dev + g)
         gaps.append(abs(t - u) / bound if t != u else 0.0)
@@ -470,7 +470,8 @@ def test_ball_family_overlap_tests_match_loop_oracles():
             rng = np.random.default_rng(seed)
             g = np.full(space.m, 0.1)
             g[rng.choice(space.m, size=6, replace=False)] = rng.uniform(5, 50, 6)
-            lam = space.integral_mask(g, space.members(b0)) / space.measure_mask(space.members(b0))
+            mask0 = space.members(b0)
+            lam = oracle.integral_mask(space, g, mask0) / space.measure_mask(mask0)
             nest = nested_cz(space, g, b0, (1.05 * lam, 1.6 * lam, 2.4 * lam))
             for k in range(1, 3):
                 lo, hi = nest.covers[k - 1], nest.covers[k]
@@ -495,9 +496,9 @@ def cover_cases():
             cases += [(space, f, b0) for b0 in base_balls(space)[:2]
                       for f in value_sets(space, seed)]
     for space, f, b0 in cases:
-        g = np.abs(f - space.average_mask(f, space.members(b0)))
+        g = np.abs(f - oracle.average_mask(space, f, space.members(b0)))
         big = space.members(b0.dilate(11.0))
-        yield space, g, b0, space.integral_mask(g, big) / space.measure(b0)
+        yield space, g, b0, oracle.integral_mask(space, g, big) / oracle.measure(space, b0)
 
 
 def assert_same_cover(got, want):
@@ -535,7 +536,7 @@ def density_bound_ratio(space, f, b0, p, budget=4000):
     relative tolerance 1e-12; returns value / U (0 where U is 0)."""
     value = jnp_metric_lower(space, f, b0, p, budget=budget).value
     upper = oracle.density_bound(space, f, b0, p)
-    closed = (doubling_constant(space) ** 3 * space.measure(b0.dilate(11.0))
+    closed = (doubling_constant(space) ** 3 * oracle.measure(space, b0.dilate(11.0))
               * bmo_norm_metric(space, f) ** p)
     assert value <= upper * (1.0 + 1e-12)
     assert upper <= closed * (1.0 + 1e-12)
