@@ -21,7 +21,7 @@ import numpy as np
 from . import kernels
 from .errors import _check_jn_value, _check_p, _jn_underflow
 from .grid import (DyadicCube, GridFunction, RootCube, _cube_mean, _deviation,
-                   _subtree_cubes, mean_oscillation)
+                   _subtree_cubes, average)
 
 __all__ = [
     "PartitionResult",
@@ -167,6 +167,12 @@ def notlp_terms(p: float, n_terms: int, depth: int) -> np.ndarray:
     f = GridFunction.from_callable(root, depth, lambda pts: pts[:, 0] ** (-1.0 / p))
     terms = np.empty(n_terms, dtype=np.float64)
     for j in range(n_terms):
+        # the oscillation sum over Q_j alone, bitwise its `mean_oscillation`
+        # pyramid entry (see `GridFunction.osc_pyramid`), without the
+        # whole grid's tiled pyramid
         q = DyadicCube(root, j + 1, (1,))
-        terms[j] = q.measure * mean_oscillation(f, q) ** p
+        block = f.zslice(q)
+        width = depth - q.depth
+        osc = float(kernels._osc_sums(block, [average(f, q)], width)[0]) / float(block.size)
+        terms[j] = q.measure * osc ** p
     return terms

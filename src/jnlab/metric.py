@@ -152,22 +152,40 @@ def _tie_group_ends(sd: np.ndarray) -> np.ndarray:
     return ends
 
 
-def _radius_at(sd: np.ndarray) -> np.ndarray:
-    """Radius of the realized ball ending at each position of a sorted-
-    distance row (last axis): the midpoint to the next distance, or
-    1.5 * last + 1 past the farthest point.  Read at tie-group ends.
-
-    Where two distances are adjacent floats the midpoint can round onto
-    the nearer one, and the open ball of that radius would lose the tie
-    group ending there; the next distance itself is the radius then."""
-    rad = np.empty_like(sd)
-    near, nxt = sd[..., :-1], sd[..., 1:]
-    mid = rad[..., :-1]
-    np.add(near, nxt, out=mid)
+def _midpoint_radius(near: np.ndarray, nxt: np.ndarray, out=None) -> np.ndarray:
+    """The midpoint of each distance `near` and the next one `nxt`, or `nxt`
+    itself where two distances are adjacent floats and the midpoint rounds
+    onto `near`: the open ball of that radius would lose the tie group
+    ending at `near`."""
+    mid = np.add(near, nxt, out=out)
     mid *= 0.5
     np.copyto(mid, nxt, where=mid <= near)
+    return mid
+
+
+def _radius_at(sd: np.ndarray) -> np.ndarray:
+    """Radius of the realized ball ending at each position of a sorted-
+    distance row (last axis): `_midpoint_radius` to the next distance, or
+    1.5 * last + 1 past the farthest point.  Read at tie-group ends."""
+    rad = np.empty_like(sd)
+    _midpoint_radius(sd[..., :-1], sd[..., 1:], out=rad[..., :-1])
     rad[..., -1] = 1.5 * sd[..., -1] + 1.0
     return rad
+
+
+def _stable_order(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(orders, sorted_d): each row's stable argsort (ties by index) and
+    its sorted distances.  A row of distinct distances has one sorted
+    order, so the default (unstable, vectorized) argsort gives it; only
+    the rows whose sorted distances hold an equal neighbour are sorted
+    again stably.  Their sorted distances need no new gather: equal
+    distances are bitwise equal, since a row holds one zero, its diagonal."""
+    orders = np.argsort(d, axis=1)
+    sd = np.take_along_axis(d, orders, axis=1)
+    tied = np.flatnonzero(np.any(sd[:, 1:] == sd[:, :-1], axis=1))
+    if tied.size:
+        orders[tied] = np.argsort(d[tied], axis=1, kind="stable")
+    return orders, sd
 
 
 class MetricMeasureSpace(_Memoized):
@@ -195,15 +213,17 @@ class MetricMeasureSpace(_Memoized):
 
     # ------------------------------------------------------- sorted tables
 
+    def _sorted_tables(self) -> tuple[np.ndarray, np.ndarray]:
+        return self._memo("sorted", lambda: _stable_order(self.d))
+
     @property
     def orders(self) -> np.ndarray:
         """Per-center stable distance order of all points (ties by index)."""
-        return self._memo("orders", lambda: np.argsort(
-            self.d, axis=1, kind="stable").astype(np.int64))
+        return self._sorted_tables()[0]
 
     @property
     def sorted_d(self) -> np.ndarray:
-        return self._memo("sorted_d", lambda: np.take_along_axis(self.d, self.orders, axis=1))
+        return self._sorted_tables()[1]
 
     @property
     def wcum(self) -> np.ndarray:
@@ -340,6 +360,8 @@ def vitali_subcover(space: MetricMeasureSpace, balls) -> list[int]:
 
 # ------------------------------------------------------------------ maximal
 
+_MERGE_ENTRIES = 2**15  # (center, point) entries per block of the witness merge
+
 
 def _witness_arrays(space: MetricMeasureSpace, g: np.ndarray, mask0: np.ndarray):
     """Per point: the largest g-average over realized balls containing it
@@ -352,6 +374,14 @@ def _witness_arrays(space: MetricMeasureSpace, g: np.ndarray, mask0: np.ndarray)
     up to k leaves mask0.  A point at position k lies in exactly the balls
     ending at k or later, so its best ball is a suffix maximum.  Each
     (row x position) temporary is freed once spent, to bound peak memory.
+
+    The centers' best balls merge per point as a lexicographic reduction
+    over a block of centers at a time: the largest value, then among the
+    centers holding it (+0.0 and -0.0 alike) the smallest radius, then the
+    first center; a block's winner replaces the earlier blocks' only when
+    it is strictly better, so the result is the first best center, as a
+    loop over centers in ascending order would keep.  A radius is read
+    only where a center holds its block's largest value at a point.
     """
     m = space.m
     values = np.full(m, -np.inf)
@@ -369,18 +399,37 @@ def _witness_arrays(space: MetricMeasureSpace, g: np.ndarray, mask0: np.ndarray)
     del avg
     np.minimum.accumulate(end[:, ::-1], axis=1, out=end[:, ::-1])
     np.minimum(end, m - 1, out=end)
-    rad = np.take_along_axis(_radius_at(sd), end, axis=1)
-    del end
-    # merge centers in ascending order; each row of orders is a permutation
-    for r, c in enumerate(cent):
-        pts, val, rr = orders[r], best[r], rad[r]
-        cur_val, cur_rad = values[pts], radii[pts]
-        win = (val > cur_val) | ((val == cur_val) & (rr < cur_rad))
-        win &= val > -np.inf
-        pts = pts[win]
-        values[pts] = val[win]
-        radii[pts] = rr[win]
-        centers[pts] = c
+    np.fmax(best, -np.inf, out=best)  # a NaN mean never wins, as -inf
+    pts = np.arange(m)
+    step = max(1, _MERGE_ENTRIES // m)
+    for lo in range(0, cent.size, step):
+        val = best[lo:lo + step]
+        n = val.shape[0]
+        # flat index of each (center, position) entry in the block's
+        # (center, point) tables: values, then radii
+        at = orders[lo:lo + n] + (np.arange(n) * m)[:, None]
+        by_val = np.empty((n, m))
+        by_val.reshape(-1)[at] = val
+        top = by_val.max(axis=0)
+        top[top == -np.inf] = np.nan  # no qualifying ball: no candidate
+        tie = np.flatnonzero(val == top[orders[lo:lo + n]])  # flat (center, position)
+        e = np.take(end[lo:lo + n], tie)
+        e += tie - tie % m  # flat (center, end position)
+        near = np.take(sd[lo:lo + n], e)
+        last = e % m == m - 1
+        e[~last] += 1
+        rad = _midpoint_radius(near, np.take(sd[lo:lo + n], e))
+        rad[last] = 1.5 * near[last] + 1.0  # as `_radius_at`
+        by_rad = np.full((n, m), np.inf)
+        by_rad.reshape(-1)[np.take(at, tie)] = rad
+        first = np.argmin(by_rad, axis=0)  # the first center of smallest radius
+        rad = by_rad[first, pts]
+        val = by_val[first, pts]
+        win = val > values
+        win |= (val == values) & (rad < radii)  # a -inf value never wins
+        values[win] = val[win]
+        radii[win] = rad[win]
+        centers[win] = cent[lo + first[win]]
     return values, radii, centers
 
 
@@ -469,12 +518,17 @@ def _osc_bounds(space: MetricMeasureSpace, lo: int, hi: int, v: np.ndarray,
     lam = np.subtract(tr, ac, out=tr)
     lam /= h
     lam += 2.0**-1074
-    lam *= np.take_along_axis(at, j.T[:, None, :], axis=1)[:, 0, :].T
+    # flat index of at[k, j[c, k], c], in the (center, position) shape of j
+    n = hi - lo
+    flat = np.multiply(j, n, out=j)
+    flat += np.arange(n)[:, None]
+    flat += np.arange(space.m) * (t.size * n)
+    lam *= np.take(at, flat)
     mu = np.subtract(ac, tl, out=tl)
     mu /= h
     mu += 2.0**-1074
-    j += 1
-    mu *= np.take_along_axis(at, j.T[:, None, :], axis=1)[:, 0, :].T
+    flat += n  # node j + 1
+    mu *= np.take(at, flat)
     del at
     lam += mu
     outside = np.subtract(a, ac, out=ac)

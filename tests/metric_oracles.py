@@ -6,7 +6,8 @@ masked ball algebra (a member set's measure, integral, mean, mean
 oscillation and JN_p term by numpy reductions over a mask), a ball's
 measure and integral by one left-to-right loop over its points, the
 O(m^3) per-center oscillation table, the distinct-distance critical radii,
-the per-center maximal loop, the per-center witness loop, the doubling
+the per-center maximal loop, the per-center witness loop and the
+per-center merge of the witness tables, the doubling
 constant's scan of radii between breakpoints, the pairwise
 member-mask loops behind the Vitali, admissibility, CZ-cover and nested-
 cover checks, the CZ cover built one level at a time with one stopping
@@ -29,7 +30,8 @@ import math
 import numpy as np
 
 from jnlab.errors import InvariantViolation, MetricAxiomError, _check_jn_value
-from jnlab.metric import Ball, BallFamily, JnSearchResult
+from jnlab.metric import (Ball, BallFamily, JnSearchResult, _prefix_means, _radius_at,
+                          _tie_group_ends)
 from jnlab.metric_cz import CzBallCover
 
 
@@ -293,6 +295,38 @@ def compute_witness(space, f, b0):
                 best_rad[x] = rad
                 best_ball[x] = Ball(c, rad)
     return best_ball, best_val
+
+
+def witness_arrays(space, g, mask0):
+    """`metric._witness_arrays` with its per-center merge: the same suffix-
+    maximum tables, with a radius at every (center, position), merged one
+    center at a time in ascending order; a center replaces a point's ball
+    only with a larger value, or an equal one at a smaller radius."""
+    m = space.m
+    values = np.full(m, -np.inf)
+    radii = np.full(m, np.inf)
+    centers = np.full(m, -1, dtype=np.int64)
+    cent = np.flatnonzero(mask0)
+    orders, sd = space.orders[cent], space.sorted_d[cent]
+    avg = _prefix_means(space, g, cent)
+    allowed = np.logical_and.accumulate(mask0[orders], axis=1)
+    allowed &= _tie_group_ends(sd)
+    avg[~allowed] = -np.inf
+    best = np.maximum.accumulate(avg[:, ::-1], axis=1)[:, ::-1]
+    end = np.where(avg == best, np.arange(m), m)
+    np.minimum.accumulate(end[:, ::-1], axis=1, out=end[:, ::-1])
+    np.minimum(end, m - 1, out=end)
+    rad = np.take_along_axis(_radius_at(sd), end, axis=1)
+    for r, c in enumerate(cent):
+        pts, val, rr = orders[r], best[r], rad[r]
+        cur_val, cur_rad = values[pts], radii[pts]
+        win = (val > cur_val) | ((val == cur_val) & (rr < cur_rad))
+        win &= val > -np.inf
+        pts = pts[win]
+        values[pts] = val[win]
+        radii[pts] = rr[win]
+        centers[pts] = c
+    return values, radii, centers
 
 
 def bmo_norm_metric(space, f):

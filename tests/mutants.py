@@ -100,6 +100,26 @@ MUTANTS = (
            "np.less_equal(child, parent, out=keep)",
            "np.less(child, parent, out=keep)",
            ("tests/test_kernels.py",)),
+    # grid2d and tree rows tie everywhere, and the default argsort orders
+    # equal distances by no fixed rule
+    Mutant("sorted-tables-skip-stable-resort", "src/jnlab/metric.py",
+           "    if tied.size:\n",
+           "    if tied.size and False:\n",
+           ("tests/test_metric_oracles.py::test_orders_are_the_stable_argsort",)),
+    # a later block's center of equal value and radius replaces the first;
+    # the killer runs the merge one center per block too
+    Mutant("witness-merge-last-tying-center", "src/jnlab/metric.py",
+           "win |= (val == values) & (rad < radii)",
+           "win |= (val == values) & (rad <= radii)",
+           ("tests/test_metric_oracles.py::test_witness_merge_matches_per_center_loop",)),
+    Mutant("jn-pool-drop-power", "src/jnlab/metric.py",
+           "        terms **= p\n",
+           "",
+           ("tests/test_metric_oracles.py::test_search_value_below_density_bound",)),
+    Mutant("bmo-dyadic-twice-count", "src/jnlab/functionals.py",
+           "[_cube_mean(f, pyr, q0, rel) for rel",
+           "[0.5 * _cube_mean(f, pyr, q0, rel) for rel",
+           ("tests/test_functionals.py::test_jn_bounds_on_criterion_3_grids",)),
 )
 
 

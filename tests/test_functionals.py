@@ -403,6 +403,18 @@ def test_notlp_terms_flat_and_positive():
     assert np.max(np.abs(terms[:7] - terms[0])) <= 0.15 * terms[0]
 
 
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+def test_notlp_terms_match_mean_oscillation_bitwise(p):
+    # Q_1 .. Q_4 at depth 18 span 2^17 .. 2^14 cells: the tiled pyramid sums
+    # the first two from per-tile partials and the last two inside a tile
+    depth, n = 18, 4
+    root = RootCube(1, (0.0,), 2.0)
+    f = GridFunction.from_callable(root, depth, lambda pts: pts[:, 0] ** (-1.0 / p))
+    want = [q.measure * mean_oscillation(f, q) ** p
+            for q in (DyadicCube(root, j + 1, (1,)) for j in range(n))]
+    assert notlp_terms(p, n, depth).tobytes() == np.array(want).tobytes()
+
+
 def test_notlp_depth_requirement():
     with pytest.raises(ValueError):
         notlp_terms(2.0, 10, 11)

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import metric_oracles as oracle
 from test_acceptance import _corpus
 from test_metric_cz import witness
-from jnlab import kernels
+from jnlab import kernels, metric
 from jnlab.errors import MetricAxiomError
 from jnlab.generators import (f_distance, f_log_distance, f_random, gen_grid2d, gen_line,
                               gen_random_cloud, gen_tree_graph)
@@ -154,6 +154,79 @@ def test_prefix_path_adjacent_floats():
     space = adjacent_float_line()
     for f in value_sets(space, 0):
         assert_path_matches(space, f)
+
+
+def order_cases():
+    """(name, space) for the sorted tables: a cloud, whose rows hold no tie;
+    grid2d, tree-graph and line, with ties in every row (the line's two end
+    rows excepted); -0.0 on the diagonal; adjacent-float distances, with
+    and without a tie in the row."""
+    cloud = gen_random_cloud(200, 1)
+    d = np.array(cloud.d)
+    d[np.arange(0, 200, 3), np.arange(0, 200, 3)] = -0.0
+    line = np.array(gen_line(9).d)
+    np.fill_diagonal(line, -0.0)
+    x = np.array([0.0, 1.0, 1.0 + 2.0**-52, 3.75, 7.5])
+    return [
+        ("cloud", cloud),
+        ("grid2d", gen_grid2d(9)),
+        ("tree-graph", gen_tree_graph(80, 3)),
+        ("line", gen_line(40)),
+        ("cloud-negative-zero", MetricMeasureSpace(d, cloud.w)),
+        ("line-negative-zero", MetricMeasureSpace(line, np.ones(9))),
+        ("adjacent-floats", MetricMeasureSpace(np.abs(x[:, None] - x[None, :]), np.ones(5))),
+        ("adjacent-floats-tied", adjacent_float_line()),
+    ]
+
+
+@pytest.mark.parametrize("name,space", order_cases(), ids=[c[0] for c in order_cases()])
+def test_orders_are_the_stable_argsort(name, space):
+    want = np.argsort(space.d, axis=1, kind="stable")
+    assert space.orders.dtype == np.int64 and np.array_equal(space.orders, want)
+    sd = np.take_along_axis(space.d, want, axis=1)
+    assert space.sorted_d.tobytes() == sd.tobytes()
+
+
+def witness_cases():
+    """(space, values, mask0): integer values over grid2d, where many centers
+    tie on value and radius; values of +0.0 and -0.0 only; and the spaces of
+    `make_space` with their value sets; each over a spanning ball, a sub-ball
+    and a small ball."""
+    rng = np.random.default_rng(5)
+    for side in (3, 5, 8):
+        space = gen_grid2d(side)
+        sets = [rng.integers(0, 3, space.m).astype(float),
+                rng.integers(-2, 3, space.m).astype(float),
+                np.where(rng.random(space.m) < 0.5, -0.0, 0.0)]
+        for f in sets:
+            for b0 in base_balls(space):
+                yield space, f, space.members(b0)
+    for kind in ("line", "tree-graph", "random-cloud", "weighted-grid"):
+        space = make_space(kind, 3)
+        for f in value_sets(space, 3):
+            for b0 in base_balls(space):
+                yield space, f, space.members(b0)
+    # w f overflows to +inf and -inf: every qualifying ball of center 0
+    # holds both, so its row of means is NaN, while center 6's balls stop
+    # at point 7, outside B0, and hold neither
+    x = np.arange(10.0)
+    space = MetricMeasureSpace(np.abs(x[:, None] - x[None, :]), np.full(10, 4.0))
+    f = np.zeros(10)
+    f[:2] = 1e308, -1e308
+    yield space, f, space.members(Ball(3, 3.5))
+
+
+@pytest.mark.parametrize("rows", [None, 1, 4])
+def test_witness_merge_matches_per_center_loop(rows, monkeypatch):
+    # rows: centers per block of the merge (None: the package's own block)
+    for space, f, mask0 in witness_cases():
+        if rows is not None:
+            monkeypatch.setattr(metric, "_MERGE_ENTRIES", rows * space.m)
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = metric._witness_arrays(space, f, mask0)
+            want = oracle.witness_arrays(space, f, mask0)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 def bmo_cases():
