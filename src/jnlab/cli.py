@@ -26,7 +26,6 @@ Exit codes:
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
@@ -43,7 +42,7 @@ from .metric import (Ball, _family_sums, bmo_norm_metric, doubling_constant,
                      hl_maximal_restricted, jnp_metric_lower, space_from_csv, space_to_csv,
                      values_from_csv, values_to_csv)
 from .metric_cz import check_toiterate, cz_balls, verify_bmo_jn, verify_mainresult
-from .report import _jsonable, all_pass, reports_to_csv, reports_to_json
+from .report import _csv_text, _json_text, all_pass, reports_to_csv, reports_to_json
 
 # ---------------------------------------------------------------- generators
 
@@ -283,14 +282,6 @@ def _space_input(cfg: dict) -> tuple:
 # ------------------------------------------------------------------- output
 
 
-def _json(obj) -> str:
-    return json.dumps(_jsonable(obj), indent=2, sort_keys=True) + "\n"
-
-
-def _lines(rows: list[str]) -> str:
-    return "\n".join(rows) + "\n"
-
-
 def _write(text: str, out: str | None) -> None:
     """Write `text` to the file `out`, or to stdout when there is none."""
     if out:
@@ -354,14 +345,12 @@ def _analyze_grid(cfg: dict) -> int:
         # too, so the dyadic maximal sup is max |f| over Q0's cells
         "maximal_sup": float(np.abs(f.zslice(q0)).max()),
     }
-    _write(_json(result), cfg.get("out"))
+    _write(_json_text(result), cfg.get("out"))
     if cfg.get("curve_out"):
         top = float(_deviation(f, q0).max())
         lams = np.geomspace(max(top, 1e-12) / 1e4, max(top, 1e-12), 60)
-        rows = ["lambda,measure"]
-        rows += [f"{repr(float(l))},{repr(distribution(f, q0, float(l)))}"
-                 for l in lams]
-        _write(_lines(rows), cfg["curve_out"])
+        rows = [(l, distribution(f, q0, float(l))) for l in lams]
+        _write(_csv_text(("lambda", "measure"), rows), cfg["curve_out"])
     return 0
 
 
@@ -369,10 +358,8 @@ def _analyze_notlp(cfg: dict) -> int:
     _grid_dim(cfg, "notlp", one_d=True)
     terms = notlp_terms(cfg["p"], cfg["terms"], cfg["depth"])
     partial = np.cumsum(terms)
-    rows = ["j,term,partial"]
-    rows += [f"{j},{repr(float(terms[j]))},{repr(float(partial[j]))}"
-             for j in range(terms.size)]
-    _write(_lines(rows), cfg.get("out"))
+    rows = zip(range(terms.size), terms, partial)
+    _write(_csv_text(("j", "term", "partial"), rows), cfg.get("out"))
     return 0
 
 
@@ -398,7 +385,7 @@ def _analyze_space(cfg: dict) -> int:
         },
         "maximal_sup": float(np.nanmax(mf)),
     }
-    _write(_json(result), cfg.get("out"))
+    _write(_json_text(result), cfg.get("out"))
     return 0
 
 
@@ -420,13 +407,11 @@ def cmd_cz(cfg: dict) -> int:
         f, q0 = _grid_input(cfg)
         cover = cz_decompose_dyadic(f, q0, lam)
         if csv:
-            rows = ["depth,index,average,measure"]
-            rows += ["%d,%s,%s,%s" % (c.depth, ";".join(map(str, c.index)),
-                                      repr(float(a)), repr(c.measure))
-                     for c, a in zip(cover.cubes, cover.averages)]
-            text = _lines(rows)
+            text = _csv_text(("depth", "index", "average", "measure"),
+                             ((c.depth, c.index, a, c.measure)
+                              for c, a in zip(cover.cubes, cover.averages)))
         else:
-            text = _json({
+            text = _json_text({
                 "lambda": lam,
                 "q0": _cube_dict(q0),
                 "n_cubes": len(cover.cubes),
@@ -439,15 +424,12 @@ def cmd_cz(cfg: dict) -> int:
         space, f, b0 = _space_input(cfg)
         cover = cz_balls(space, f, b0, lam)
         if csv:
-            rows = ["center,radius,average,average5,measure"]
-            rows += ["%d,%s,%s,%s,%s" % (b.center, repr(b.radius),
-                                         repr(float(a)), repr(float(a5)),
-                                         repr(mu))
-                     for b, a, a5, mu in zip(cover.balls, cover.averages,
-                                             cover.averages5, cover.measures)]
-            text = _lines(rows)
+            text = _csv_text(("center", "radius", "average", "average5", "measure"),
+                             ((b.center, b.radius, a, a5, mu)
+                              for b, a, a5, mu in zip(cover.balls, cover.averages,
+                                                      cover.averages5, cover.measures)))
         else:
-            text = _json({
+            text = _json_text({
                 "lambda": lam,
                 "ball": {"center": b0.center, "radius": b0.radius},
                 "n_balls": len(cover.balls),

@@ -53,15 +53,23 @@ class MaximalField:
         return float(self.values.max())
 
 
+def _running_max_of(leaves: np.ndarray, dim: int, depth: int) -> np.ndarray:
+    """Per-leaf max of ancestor averages over a depth-`depth` subtree.
+    `leaves` holds its finest values in local Morton order and must be a
+    fresh array: the sweep overwrites it and returns it.  The pyramid of
+    `leaves`, each level scaled to averages in place, takes one
+    ``kernels._running_max``."""
+    levels = list(kernels.build_pyramid(leaves, depth, dim))
+    for k, level in enumerate(levels[:-1]):  # the finest cells are their own averages
+        level *= 1.0 / float(1 << (dim * (depth - k)))
+    return kernels._running_max(levels, dim)
+
+
 def dyadic_maximal(f: GridFunction, q0: DyadicCube) -> MaximalField:
-    """Per-cell max of ancestor |f|-averages within q0: one in-place
-    ``kernels._running_max`` sweep down a copy of q0's |f| pyramid, each
-    level scaled to averages."""
-    pyr = f.abs_pyramid()
+    """Per-cell max of ancestor |f|-averages within q0: the maximal sweep
+    of |f| over q0's cells."""
     local_depth = f.max_depth - q0.depth
-    zrun = kernels._running_max(
-        [f.pyramid_slice(pyr, q0, rel) * (1.0 / float(1 << (f.dim * (local_depth - rel))))
-         for rel in range(local_depth + 1)], f.dim)
+    zrun = _running_max_of(np.abs(f.zslice(q0)), f.dim, local_depth)
     values = _z_to_cells(zrun, f.dim, local_depth)
     for a in (zrun, values):
         a.setflags(write=False)
@@ -156,16 +164,9 @@ def _shifted_levels(f: GridFunction, q0: DyadicCube) -> tuple[np.ndarray, np.nda
     dyadic verifiers count them: the distinct values in increasing order,
     and for each the number of cells at or above it, then a final 0.
     Built once per (f, q0), read-only.  Each value is an ancestor cube's
-    average, so they are few: 1.6% of the cells of a depth-20 martingale.
-    The sweep runs in place in the private pyramid of |h|, scaled to
-    averages."""
+    average, so they are few: 1.6% of the cells of a depth-20 martingale."""
     def build():
-        local_depth = f.max_depth - q0.depth
-        levels = list(kernels.build_pyramid(_deviation(f, q0), local_depth, f.dim))
-        for k, level in enumerate(levels[:-1]):  # the finest cells are their own averages
-            level *= 1.0 / float(1 << (f.dim * (local_depth - k)))
-        run = kernels._running_max(levels, f.dim)
-        del levels
+        run = _running_max_of(_deviation(f, q0), f.dim, f.max_depth - q0.depth)
         run.sort()
         return kernels._sorted_runs(run)
     return f._memo(("shifted_levels", q0), build)

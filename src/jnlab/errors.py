@@ -27,13 +27,18 @@ class DepthOverflowError(ValueError):
         super().__init__(f"requested depth {depth} exceeds grid resolution {max_depth}")
 
 
-class PreconditionError(ValueError):
-    """An operation's entry condition fails; `details` holds the numbers."""
+class _Detailed(Exception):
+    """An error that keeps its keyword numbers in `details` and lists them
+    after its message."""
 
     def __init__(self, message: str, **details):
         self.details = details
         extra = ", ".join(f"{k}={v!r}" for k, v in details.items())
         super().__init__(f"{message} ({extra})" if extra else message)
+
+
+class PreconditionError(_Detailed, ValueError):
+    """An operation's entry condition fails; `details` holds the numbers."""
 
 
 class MetricAxiomError(ValueError):
@@ -44,13 +49,8 @@ class MetricAxiomError(ValueError):
         super().__init__(message if witness is None else f"{message}; witness {witness!r}")
 
 
-class InvariantViolation(AssertionError):
+class InvariantViolation(_Detailed, AssertionError):
     """A constructed object fails one of its own guaranteed properties."""
-
-    def __init__(self, message: str, **details):
-        self.details = details
-        extra = ", ".join(f"{k}={v!r}" for k, v in details.items())
-        super().__init__(f"{message} ({extra})" if extra else message)
 
 
 def _check_p(p: float) -> float:

@@ -286,13 +286,6 @@ class GridFunction(_Memoized):
     # ---------------------------------------------------------- internals
 
     @property
-    def zperm(self) -> np.ndarray:
-        """perm[lex_position] = Morton position (the identity in 1-D),
-        from the codec's cache; the package itself moves arrays between
-        the orders with :func:`_z_to_cells` and :func:`_cells_to_z`."""
-        return _lex_to_z_perm(self.dim, self.max_depth)
-
-    @property
     def zvalues(self) -> np.ndarray:
         """The values in Morton order: :attr:`values` itself in 1-D."""
         return self._memo("zvalues", lambda: _cells_to_z(self.values, self.dim, self.max_depth))

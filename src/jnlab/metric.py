@@ -152,23 +152,18 @@ def _tie_group_ends(sd: np.ndarray) -> np.ndarray:
     return ends
 
 
-def _midpoint_radius(near: np.ndarray, nxt: np.ndarray, out=None) -> np.ndarray:
-    """The midpoint of each distance `near` and the next one `nxt`, or `nxt`
-    itself where two distances are adjacent floats and the midpoint rounds
-    onto `near`: the open ball of that radius would lose the tie group
-    ending at `near`."""
-    mid = np.add(near, nxt, out=out)
-    mid *= 0.5
-    np.copyto(mid, nxt, where=mid <= near)
-    return mid
-
-
 def _radius_at(sd: np.ndarray) -> np.ndarray:
     """Radius of the realized ball ending at each position of a sorted-
-    distance row (last axis): `_midpoint_radius` to the next distance, or
-    1.5 * last + 1 past the farthest point.  Read at tie-group ends."""
+    distance row (last axis): the midpoint to the next distance, or the next
+    distance itself where the two are adjacent floats and the midpoint
+    rounds onto the first (the open ball of that radius would lose the tie
+    group ending there); 1.5 * last + 1 past the farthest point.  Read at
+    tie-group ends."""
     rad = np.empty_like(sd)
-    _midpoint_radius(sd[..., :-1], sd[..., 1:], out=rad[..., :-1])
+    near, nxt, mid = sd[..., :-1], sd[..., 1:], rad[..., :-1]
+    np.add(near, nxt, out=mid)
+    mid *= 0.5
+    np.copyto(mid, nxt, where=mid <= near)
     rad[..., -1] = 1.5 * sd[..., -1] + 1.0
     return rad
 
@@ -380,8 +375,9 @@ def _witness_arrays(space: MetricMeasureSpace, g: np.ndarray, mask0: np.ndarray)
     centers holding it (+0.0 and -0.0 alike) the smallest radius, then the
     first center; a block's winner replaces the earlier blocks' only when
     it is strictly better, so the result is the first best center, as a
-    loop over centers in ascending order would keep.  A radius is read
-    only where a center holds its block's largest value at a point.
+    loop over centers in ascending order would keep.  Radii come from one
+    `_radius_at` table of the block's rows, read only where a center holds
+    the block's largest value at a point.
     """
     m = space.m
     values = np.full(m, -np.inf)
@@ -415,11 +411,7 @@ def _witness_arrays(space: MetricMeasureSpace, g: np.ndarray, mask0: np.ndarray)
         tie = np.flatnonzero(val == top[orders[lo:lo + n]])  # flat (center, position)
         e = np.take(end[lo:lo + n], tie)
         e += tie - tie % m  # flat (center, end position)
-        near = np.take(sd[lo:lo + n], e)
-        last = e % m == m - 1
-        e[~last] += 1
-        rad = _midpoint_radius(near, np.take(sd[lo:lo + n], e))
-        rad[last] = 1.5 * near[last] + 1.0  # as `_radius_at`
+        rad = np.take(_radius_at(sd[lo:lo + n]), e)
         by_rad = np.full((n, m), np.inf)
         by_rad.reshape(-1)[np.take(at, tie)] = rad
         first = np.argmin(by_rad, axis=0)  # the first center of smallest radius

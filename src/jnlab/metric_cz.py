@@ -112,13 +112,6 @@ def _stop_walks(space: MetricMeasureSpace, v, centers, radii, lam: float) -> tup
 
 def nested_cz(space: MetricMeasureSpace, f, b0: Ball, levels) -> NestedCovers:
     """Stopping-ball covers at every level, in one pass (module docstring)."""
-    v = space.check_values(f)
-    return _nested_cz(space, v, b0, levels, _witness_arrays(space, v, space.members(b0)))
-
-
-def _nested_cz(space: MetricMeasureSpace, f, b0: Ball, levels, witness) -> NestedCovers:
-    """`nested_cz` with the witness `_witness_arrays(space, f, members(b0))`
-    given: `verify_mainresult`'s two ladders on one function share it."""
     v = space.check_values(f)  # a verifier's |f - f_B0| may overflow
     if np.any(v < 0):
         i = int(np.flatnonzero(v < 0)[0])
@@ -135,7 +128,7 @@ def _nested_cz(space: MetricMeasureSpace, f, b0: Ball, levels, witness) -> Neste
     if levels[0] < threshold * (1.0 - 1e-12):
         raise PreconditionError("cz level below the 11*B0 mean threshold",
                                 lam=levels[0], threshold=threshold)
-    values, radii, centers = witness
+    values, radii, centers = _witness_arrays(space, v, mask0)
     # every level set lies in the lowest one, and stops at or before it
     lowest = np.flatnonzero(mask0 & (values > levels[0]))
     meas, means = _stop_walks(space, v, centers[lowest], radii[lowest], levels[0])
@@ -305,12 +298,10 @@ def verify_mainresult(space: MetricMeasureSpace, f, b0: Ball, p: float,
             return [degenerate_report("jn-weak-metric", "constant on 11*B0, K = 0")]
         raise _jn_underflow(p)
 
-    witness = _witness_arrays(space, g, mask0)  # both ladders share it
-
     def ladder(k_norm: float):
         lam0 = theorem_constants(c, p, K=k_norm, mu_b0=mu0).lambda0
         levels = tuple(lam0 * 2.0**i for i in range(_MAIN_LADDER + 1))
-        nest = _nested_cz(space, g, b0, levels, witness)
+        nest = nested_cz(space, g, b0, levels)
         return lam0, nest, [_family_jn_sum(space, v, [b.dilate(5.0) for b in cov.balls], p)
                             for cov in nest.covers]
 

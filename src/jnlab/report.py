@@ -4,7 +4,9 @@ A report states one comparison lhs <= rhs.  ``margin = rhs - lhs`` and the
 check passes iff ``margin >= -1e-9 * max(1, |rhs|)``.  Reports serialize to
 JSON objects with keys {claim, lambda, lhs, rhs, constant, margin, pass,
 witness} and to a lambda,lhs,rhs CSV for plotting.  Both serializers
-return text; the CLI writes it to a file or to stdout.
+return text; the CLI writes it to a file or to stdout.  The module holds
+the one JSON writer and the one CSV row writer; the CLI's other outputs
+use them too.
 """
 
 from __future__ import annotations
@@ -72,31 +74,55 @@ def all_pass(reports) -> bool:
     return all(r.passed for r in reports)
 
 
+def _plain(obj):
+    """A numpy scalar or array as the Python value(s) it holds."""
+    if isinstance(obj, (np.generic, np.ndarray)):
+        return obj.tolist()
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
 def _jsonable(obj):
+    """`obj` with every dict key a str, every tuple a list and every numpy
+    value a Python one."""
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.bool_, bool)):
-        return bool(obj)
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
+    if isinstance(obj, (np.generic, np.ndarray)):
+        return _plain(obj)
     return obj
 
 
+def _json_text(obj) -> str:
+    """`obj` as indented JSON with sorted keys, numpy values as Python ones."""
+    return json.dumps(obj, indent=2, sort_keys=True, default=_plain) + "\n"
+
+
+def _csv_cell(x) -> str:
+    """An int as str, a float as repr(float), None as empty and an index
+    tuple joined by ';'."""
+    if x is None:
+        return ""
+    if isinstance(x, tuple):
+        return ";".join(map(str, x))
+    if isinstance(x, (int, np.integer)):
+        return str(x)
+    return repr(float(x))
+
+
+def _csv_text(header, rows) -> str:
+    """A header line of column names, then one line of cells per row."""
+    lines = [",".join(header)]
+    lines += [",".join(map(_csv_cell, row)) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
 def reports_to_json(reports) -> str:
-    payload = [r.to_dict() for r in reports]
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    return _json_text([r.to_dict() for r in reports])
 
 
 def reports_to_csv(reports) -> str:
     """lambda,lhs,rhs rows (full-precision floats), one line per report."""
-    rows = ["lambda,lhs,rhs\n"]
-    for r in reports:
-        lam = "" if r.lam is None else repr(float(r.lam))
-        rows.append(f"{lam},{repr(float(r.lhs))},{repr(float(r.rhs))}\n")
-    return "".join(rows)
+    return _csv_text(("lambda", "lhs", "rhs"), (
+        (None if r.lam is None else float(r.lam), float(r.lhs), float(r.rhs))
+        for r in reports))

@@ -120,6 +120,21 @@ MUTANTS = (
            "[_cube_mean(f, pyr, q0, rel) for rel",
            "[0.5 * _cube_mean(f, pyr, q0, rel) for rel",
            ("tests/test_functionals.py::test_jn_bounds_on_criterion_3_grids",)),
+    # on five of the tiny clouds only the enumeration reaches the optimum
+    Mutant("jnp-dfs-skipped", "src/jnlab/metric.py",
+           "    if terms.size < budget:\n",
+           "    if False:\n",
+           ("tests/test_metric.py::test_jnp_search_tiny_exhaustive",)),
+    # where two distances are adjacent floats the midpoint rounds onto the
+    # nearer one, and the open ball of that radius loses its tie group
+    Mutant("realized-radius-strict", "src/jnlab/metric.py",
+           "np.copyto(mid, nxt, where=mid <= near)",
+           "np.copyto(mid, nxt, where=mid < near)",
+           ("tests/test_metric_oracles.py::test_prefix_path_adjacent_floats",)),
+    Mutant("maximal-top-level-unscaled", "src/jnlab/dyadic_cz.py",
+           "    for k, level in enumerate(levels[:-1]):",
+           "    for k, level in enumerate(levels[1:-1], 1):",
+           ("tests/test_dyadic_cz.py::test_maximal_matches_bruteforce_exact",)),
 )
 
 

@@ -16,6 +16,7 @@ import numpy as np
 
 import metric_oracles as oracle
 from grid_oracles import jnp_bruteforce
+from jnlab import grid
 from jnlab.dyadic_cz import (check_good_lambda_dyadic, cz_decompose_dyadic,
                              dyadic_maximal, level_set, verify_jn_dyadic)
 from jnlab.functionals import distribution, jnp_dyadic, notlp_terms, weak_lp
@@ -90,7 +91,7 @@ def _maximal_oracle(f: GridFunction) -> np.ndarray:
     """Best containing-cube |f|-average per cell, by direct enumeration of
     every ancestor level (same pairwise summation tree, so exact)."""
     gz = np.empty(f.n_cells)
-    gz[f.zperm] = np.abs(f.values)
+    gz[grid._lex_to_z_perm(f.dim, f.max_depth)] = np.abs(f.values)
     best = gz.copy()
     s = gz
     for up in range(1, f.max_depth + 1):
@@ -98,14 +99,15 @@ def _maximal_oracle(f: GridFunction) -> np.ndarray:
             s = s.reshape(-1, 2).sum(axis=1)
         cnt = 1 << (f.dim * up)
         best = np.maximum(best, np.repeat(s * (1.0 / float(cnt)), cnt))
-    return best[f.zperm]
+    return best[grid._lex_to_z_perm(f.dim, f.max_depth)]
 
 
 def _maximal_loop(f: GridFunction) -> np.ndarray:
     """Literal per-cell loop over all containing cubes (small grids only)."""
     out = np.empty(f.n_cells)
+    zperm = grid._lex_to_z_perm(f.dim, f.max_depth)
     for lex in range(f.n_cells):
-        z = int(f.zperm[lex])
+        z = int(zperm[lex])
         cand = []
         for depth in range(f.max_depth + 1):
             width = f.dim * (f.max_depth - depth)

@@ -313,7 +313,9 @@ def exhaustive_jnp(space, f, b0, p):
 
 
 def test_jnp_search_tiny_exhaustive():
-    for seed in range(4):
+    # on seeds 27, 34, 49, 86 and 94 the greedy alone ends at 0.76-0.98 of
+    # the optimum, and only the enumeration reaches it
+    for seed in (0, 1, 2, 3, 27, 34, 49, 86, 94):
         s = cloud(4, seed + 200, dim=1)
         f = np.random.default_rng(seed).uniform(0, 3, s.m)
         b0 = spanning_ball(s)

@@ -1,9 +1,11 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 import metric_oracles as oracle
+from jnlab import metric_cz
 from jnlab.constants import g_factor, theorem_constants
 from jnlab.errors import PreconditionError
 from jnlab.generators import f_log_distance, f_random, gen_grid2d, gen_line, gen_random_cloud
@@ -302,6 +304,34 @@ def test_verify_mainresult_passes_and_reports_constants():
                           3.0 * c ** 8 * w["K_cert"] / w["mu_B0"] ** 0.5,
                           rtol=1e-12)
     assert branches == {"small", "large"}
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+def test_verify_mainresult_certified_ladder(p, monkeypatch):
+    # with C1 and lambda0 shrunk 1e4-fold the seed ladder selects balls, so
+    # the 5-dilates certify a K above the single-ball seed and a second,
+    # certified ladder runs at lambda0(K_cert)
+    def shrunk(*args, **kwargs):
+        cons = theorem_constants(*args, **kwargs)
+        lam0 = None if cons.lambda0 is None else cons.lambda0 * 1e-4
+        return dataclasses.replace(cons, C1=cons.C1 * 1e-4, lambda0=lam0)
+
+    monkeypatch.setattr(metric_cz, "theorem_constants", shrunk)
+    s = gen_line(32)
+    rng = np.random.default_rng(0)
+    f = np.zeros(32)
+    f[rng.choice(32, 4, replace=False)] = rng.uniform(1, 3, 4)
+    b0 = spanning_ball(s, int(np.argmin(s.d.max(axis=1))))
+    reports = verify_mainresult(s, f, b0, p, n_lambda=40)
+    w = next(r.witness for r in reports if r.witness["branch"] == "large")
+    assert w["K_cert"] > w["K_seed"]
+    lam0 = shrunk(doubling_constant(s), p, K=w["K_cert"], mu_b0=w["mu_B0"]).lambda0
+    assert w["lambda0"] == lam0
+    g = metric_cz._deviation(s, f, b0)  # the verifier's |f - avg_B0 f|
+    nest = nested_cz(s, g, b0, [lam0 * 2.0**i for i in range(metric_cz._MAIN_LADDER + 1)])
+    assert w["ladder_ball_counts"] == [len(cov.balls) for cov in nest.covers]
+    assert w["ladder_ball_counts"][0] > 0
+    assert w["sum_mu_ladder"] == [float(sum(cov.measures)) for cov in nest.covers]
 
 
 def test_verify_mainresult_degenerate_on_constant():

@@ -2,8 +2,8 @@ import json
 
 import numpy as np
 
-from jnlab.report import (CheckReport, all_pass, degenerate_report, reports_to_csv,
-                          reports_to_json)
+from jnlab.report import (CheckReport, _csv_text, _json_text, all_pass, degenerate_report,
+                          reports_to_csv, reports_to_json)
 
 
 def test_margin_and_pass():
@@ -61,3 +61,17 @@ def test_csv_output():
     assert lines[1] == "0.5,1.0,2.0"
     assert lines[2] == ",0.5,2.0"
 
+
+def test_csv_cells():
+    # ints as str, floats as repr(float), None empty, index tuples by ';'
+    text = _csv_text(("a", "b", "c", "d"), [(np.int64(3), np.float64(0.1), None, (1, 20)),
+                                            (7, 2, 1e-300, ())])
+    assert text == "a,b,c,d\n3,0.1,,1;20\n7,2,1e-300,\n"
+
+
+def test_json_text_reads_numpy_values():
+    obj = {"b": np.bool_(True), "i": np.int64(4), "x": np.float64(0.1),
+           "a": np.array([[1, 2]]), "t": (1.5, None)}
+    text = _json_text(obj)
+    assert text.endswith("}\n")
+    assert json.loads(text) == {"a": [[1, 2]], "b": True, "i": 4, "t": [1.5, None], "x": 0.1}
