@@ -304,7 +304,11 @@ def _emit_reports(reports, cfg: dict) -> int:
 
 
 def _cube_dict(c: DyadicCube) -> dict:
-    return {"depth": c.depth, "index": list(c.index)}
+    return {"depth": c.depth, "index": c.index}
+
+
+def _ball_dict(b: Ball) -> dict:
+    return {"center": b.center, "radius": b.radius}
 
 
 # ----------------------------------------------------------------- commands
@@ -372,7 +376,7 @@ def _analyze_space(cfg: dict) -> int:
         "space": cfg["space"],
         "m": space.m,
         "p": cfg["p"],
-        "ball": {"center": b0.center, "radius": b0.radius},
+        "ball": _ball_dict(b0),
         "doubling": doubling_constant(space),
         "average": float(integral / mu0),
         "bmo": bmo_norm_metric(space, f),
@@ -380,8 +384,7 @@ def _analyze_space(cfg: dict) -> int:
             "value": jn.value, "norm": jn.norm,
             "evaluations": jn.evaluations,
             "n_balls": len(jn.family.balls),
-            "balls": [{"center": b.center, "radius": b.radius}
-                      for b in jn.family.balls],
+            "balls": [_ball_dict(b) for b in jn.family.balls],
         },
         "maximal_sup": float(np.nanmax(mf)),
     }
@@ -402,49 +405,32 @@ def cmd_analyze(cfg: dict) -> int:
 
 def cmd_cz(cfg: dict) -> int:
     lam = _need_lam(cfg, "cz")
-    csv = cfg["format"] == "csv"
     if cfg.get("source"):
         f, q0 = _grid_input(cfg)
         cover = cz_decompose_dyadic(f, q0, lam)
-        if csv:
-            text = _csv_text(("depth", "index", "average", "measure"),
-                             ((c.depth, c.index, a, c.measure)
-                              for c, a in zip(cover.cubes, cover.averages)))
-        else:
-            text = _json_text({
-                "lambda": lam,
-                "q0": _cube_dict(q0),
-                "n_cubes": len(cover.cubes),
-                "cubes": [dict(_cube_dict(c), average=a, measure=c.measure)
-                          for c, a in zip(cover.cubes, cover.averages)],
-                "union_measure": cover.union_measure,
-                "residual_measure": cover.residual.measure,
-            })
+        columns = ("depth", "index", "average", "measure")
+        rows = [dict(_cube_dict(c), average=a, measure=c.measure)
+                for c, a in zip(cover.cubes, cover.averages)]
+        result = {"lambda": lam, "q0": _cube_dict(q0), "n_cubes": len(rows), "cubes": rows,
+                  "union_measure": cover.union_measure,
+                  "residual_measure": cover.residual.measure}
     elif cfg.get("space"):
         space, f, b0 = _space_input(cfg)
         cover = cz_balls(space, f, b0, lam)
-        if csv:
-            text = _csv_text(("center", "radius", "average", "average5", "measure"),
-                             ((b.center, b.radius, a, a5, mu)
-                              for b, a, a5, mu in zip(cover.balls, cover.averages,
-                                                      cover.averages5, cover.measures)))
-        else:
-            text = _json_text({
-                "lambda": lam,
-                "ball": {"center": b0.center, "radius": b0.radius},
-                "n_balls": len(cover.balls),
-                "balls": [{"center": b.center, "radius": b.radius,
-                           "average": a, "average5": a5, "measure": mu,
-                           "exponent": ex}
-                          for b, a, a5, mu, ex in zip(
-                              cover.balls, cover.averages, cover.averages5,
-                              cover.measures, cover.exponents)],
-                "total_measure": cover.total_measure,
-                "level_measure": space.measure_mask(cover.level_mask),
-                "truncated": cover.truncated,
-            })
+        columns = ("center", "radius", "average", "average5", "measure")
+        rows = [dict(_ball_dict(b), average=a, average5=a5, measure=mu, exponent=n)
+                for b, a, a5, mu, n in zip(cover.balls, cover.averages, cover.averages5,
+                                           cover.measures, cover.exponents)]
+        result = {"lambda": lam, "ball": _ball_dict(b0), "n_balls": len(rows), "balls": rows,
+                  "total_measure": cover.total_measure,
+                  "level_measure": space.measure_mask(cover.level_mask),
+                  "truncated": cover.truncated}
     else:
         raise ValueError("cz needs a grid source argument or --space")
+    if cfg["format"] == "csv":  # the named columns of each row; the exponent is JSON-only
+        text = _csv_text(columns, ([row[k] for k in columns] for row in rows))
+    else:
+        text = _json_text(result)
     _write(text, cfg.get("out"))
     return 0
 

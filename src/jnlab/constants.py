@@ -34,6 +34,14 @@ class Constants:
     eta: float | None = None               # K / (b |Q0|^(1/p))
 
 
+def _sum_left(xs) -> float:
+    """`xs` added left to right; builtin `sum` compensates floats from Python 3.12 on."""
+    total = 0.0
+    for x in xs:
+        total += x
+    return total
+
+
 def _pow(x: float, y: float) -> float:
     """x ** y, or inf where that overflows the float range."""
     try:
@@ -78,5 +86,5 @@ def g_factor(N: int, p: float, q: float) -> float:
     """
     if N <= 1:
         return 1.0
-    s = sum(i * q ** (-i) for i in range(1, N))
+    s = _sum_left(i * q ** (-i) for i in range(1, N))
     return 2.0 ** ((N - 1) * (p - p * q ** (-N)) - s)

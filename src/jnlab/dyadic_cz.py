@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .constants import _pow, theorem_constants
+from .constants import _pow, _sum_left, theorem_constants
 from .errors import InvariantViolation, PreconditionError, _check_n_lambda, _check_rhs
 from .functionals import jnp_dyadic
 from .grid import (CellSet, DyadicCube, GridFunction, _cube_mean, _deviation, _subtree_cubes,
@@ -97,7 +97,7 @@ class CzCover:
 
     @property
     def union_measure(self) -> float:
-        return float(sum(q.measure for q in self.cubes))
+        return _sum_left(q.measure for q in self.cubes)
 
 
 def cz_decompose_dyadic(f: GridFunction, q0: DyadicCube, lam: float) -> CzCover:

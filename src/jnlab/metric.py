@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .constants import _pow
+from .constants import _pow, _sum_left
 from .errors import (InvariantViolation, MetricAxiomError, PreconditionError, _check_jn_value,
                      _check_p, _jn_underflow)
 from .grid import _Memoized
@@ -646,11 +646,12 @@ def check_admissible(space: MetricMeasureSpace, b0: Ball, balls) -> BallFamily:
     balls = tuple(balls)
     mask0 = space.members(b0)
     big = space.members(b0.dilate(11.0))
+    # ValueError for a center out of range, before any center indexes mask0
+    escape = np.flatnonzero(_escapes(_member_rows(space, balls), big))
     witness: dict = {}
     off = [b for b in balls if not mask0[b.center]]
     if off:
         witness["off_center"] = off[0]
-    escape = np.flatnonzero(_escapes(_member_rows(space, balls), big))
     if escape.size:
         witness["escapes_11B0"] = balls[escape[0]]
     pair = _first_overlap(_member_rows(space, [b.dilate(0.2) for b in balls]))
@@ -811,7 +812,7 @@ def jnp_metric_lower(space: MetricMeasureSpace, f, b0: Ball, p: float,
     evals = min(budget, 2)
     if budget >= 2:
         fam = _greedy_family(space, centers, radii, terms)
-        consider(float(sum(terms[fam].tolist())), fam)
+        consider(_sum_left(terms[fam].tolist()), fam)
 
     # the enumeration; same-center balls always clash, so the admissible
     # count stays tame on small spaces and the DFS finishes there
@@ -870,6 +871,14 @@ def jnp_metric_lower(space: MetricMeasureSpace, f, b0: Ball, p: float,
 # ------------------------------------------------------------------- IO
 
 
+def _m_header(fh, what: str) -> int:
+    """m from the ``m,<m>`` first line of a space or values CSV."""
+    head = fh.readline().strip().split(",")
+    if len(head) != 2 or head[0] != "m":
+        raise ValueError(f"malformed {what} header: {head!r}")
+    return int(head[1])
+
+
 def space_to_csv(space: MetricMeasureSpace, path) -> None:
     """Header ``m,<m>``; then one row per point: m distances then the weight."""
     with open(path, "w", encoding="ascii") as fh:
@@ -881,10 +890,7 @@ def space_to_csv(space: MetricMeasureSpace, path) -> None:
 
 def space_from_csv(path) -> MetricMeasureSpace:
     with open(path, "r", encoding="ascii") as fh:
-        head = fh.readline().strip().split(",")
-        if len(head) != 2 or head[0] != "m":
-            raise ValueError(f"malformed space header: {head!r}")
-        m = int(head[1])
+        m = _m_header(fh, "space")
         rows = [line.strip().split(",") for line in fh if line.strip()]
     if len(rows) != m:
         raise ValueError(f"expected {m} rows, got {len(rows)}")
@@ -909,10 +915,7 @@ def values_to_csv(f: np.ndarray, path) -> None:
 
 def values_from_csv(path) -> np.ndarray:
     with open(path, "r", encoding="ascii") as fh:
-        head = fh.readline().strip().split(",")
-        if len(head) != 2 or head[0] != "m":
-            raise ValueError(f"malformed values header: {head!r}")
-        m = int(head[1])
+        m = _m_header(fh, "values")
         vals: dict[int, float] = {}
         for line in fh:
             if not line.strip():

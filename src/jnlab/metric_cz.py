@@ -9,11 +9,11 @@ in one pass (for a nonnegative function f with lam_1 >= mean of f over
   with member set inside B0 maximizing the f-average (ties: smaller
   radius, then smaller center index); the witness assignment depends only
   on f and B0, not on lam, so all levels share it, and a cover computes it;
-* each distinct witness ball of the points where that maximum exceeds
-  lam_1 is walked once: its 5^k dilates, k = 1, 2, ..., until the average
-  drops to lam_1 or below.  A point's stopping exponent n_x(lam) at any
-  level is the first k of that walk with average <= lam, and its witness
-  ball dilated by 5^(n_x - 1) is a candidate;
+* each point where that maximum exceeds lam_1 walks its witness ball, one
+  walk a point even where points share a ball: the 5^k dilates, k = 1, 2,
+  ..., until the average drops to lam_1 or below.  A point's stopping
+  exponent n_x(lam) at any level is the first k of its walk with average
+  <= lam, and its witness ball dilated by 5^(n_x - 1) is a candidate;
 * per level, a greedy 5r-covering pass keeps a disjoint subfamily.
 
 The kept balls B_i satisfy: f <= lam on B0 off the union of the 5B_i;
@@ -29,11 +29,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import _pow, g_factor, theorem_constants
+from .constants import _pow, _sum_left, g_factor, theorem_constants
 from .errors import (InvariantViolation, PreconditionError, _check_n_lambda, _check_rhs,
                      _jn_underflow)
 from .metric import (Ball, MetricMeasureSpace, _ball_sums, _escapes, _family_jn_sum,
-                     _family_sums, _first_overlap, _member_rows, _prefix_sums,
+                     _family_sums, _member_rows, _prefix_sums,
                      _witness_arrays, bmo_norm_metric, doubling_constant, vitali_subcover)
 from .report import CheckReport, degenerate_report
 
@@ -74,7 +74,7 @@ class CzBallCover:
 
     @property
     def total_measure(self) -> float:
-        return float(sum(self.measures))
+        return _sum_left(self.measures)
 
 
 def cz_balls(space: MetricMeasureSpace, f, b0: Ball, lam: float) -> CzBallCover:
@@ -163,7 +163,7 @@ def nested_cz(space: MetricMeasureSpace, f, b0: Ball, levels) -> NestedCovers:
             union5_mask=union5,
             truncated=bool(np.all(big)),
         )
-        _verify_cz_balls(space, v, cover, mem, mem5, big)
+        _verify_cz_balls(space, v, cover, mem5, big)
         built.append((cover, mem, mem5))
 
     maps = [()]
@@ -191,9 +191,9 @@ def nested_cz(space: MetricMeasureSpace, f, b0: Ball, levels) -> NestedCovers:
 
 
 def _verify_cz_balls(space: MetricMeasureSpace, v: np.ndarray, cover: CzBallCover,
-                     mem: np.ndarray, mem5: np.ndarray, big: np.ndarray) -> None:
-    """Re-check a cover from the member sets of its balls (`mem`) and of
-    their 5-dilates (`mem5`); `big` is 11*B0's."""
+                     mem5: np.ndarray, big: np.ndarray) -> None:
+    """Re-check a cover but for disjointness, which `vitali_subcover`
+    checked; `mem5` holds its 5-dilates' member sets, `big` 11*B0's."""
     lam, avg, avg5 = cover.lam, cover.averages, cover.averages5
     c3 = doubling_constant(space) ** 3  # >= 1
     tol = _SLACK * max(1.0, lam)
@@ -206,11 +206,6 @@ def _verify_cz_balls(space: MetricMeasureSpace, v: np.ndarray, cover: CzBallCove
             i = int(np.argmax(bad))
             raise InvariantViolation(what, ball=cover.balls[i], average=float(avg[i]),
                                      average5=float(avg5[i]), lam=lam, c3=c3)
-    # disjointness comes from the covering pass; re-check member sets
-    pair = _first_overlap(mem)
-    if pair is not None:
-        first, second = (cover.balls[k] for k in pair)
-        raise InvariantViolation("kept balls overlap", first=first, second=second)
     if np.any(cover.level_mask & ~cover.union5_mask):
         raise InvariantViolation("level set escapes the 5-dilate union")
     # slack: a singleton's mean fl(fl(w v) / w) can miss v by an ulp where w != 1
@@ -246,15 +241,14 @@ def check_toiterate(space: MetricMeasureSpace, f, b0: Ball, lam: float,
     g = _deviation(space, v, b0)
     nest = nested_cz(space, g, b0, (lam, 2.0 * lam))
     lo, hi = nest.covers
-    sum_lo = float(sum(lo.measures))
-    sum_hi = float(sum(hi.measures))
+    sum_lo = lo.total_measure
     s_val = _family_jn_sum(space, v, [b.dilate(5.0) for b in lo.balls], p)
     if s_val == 0.0 and lo.balls:
         raise _jn_underflow(p)
     rhs = cons.c3q * (s_val ** (1.0 / p) / lam) * sum_lo ** (1.0 / cons.q)
     return CheckReport(
         claim="cz-level-doubling",
-        lhs=sum_hi,
+        lhs=hi.total_measure,
         rhs=rhs,
         constant=cons.c3q,
         lam=lam,
@@ -310,7 +304,7 @@ def verify_mainresult(space: MetricMeasureSpace, f, b0: Ball, p: float,
     lam0, nest, s_b = seed if k_cert == k0 else ladder(k_cert)
     k_used = max([k_cert] + [s ** (1.0 / p) for s in s_b])
 
-    sums = [float(sum(cov.measures)) for cov in nest.covers]
+    sums = [cov.total_measure for cov in nest.covers]
     m0_bound = integral_g / lam0
 
     lams = np.geomspace(lam0 / 40.0, lam0 * 2.0 ** (_MAIN_LADDER + 1), n_lambda)
@@ -385,8 +379,8 @@ def verify_bmo_jn(space: MetricMeasureSpace, f, b0: Ball,
         lo, hi = nest.covers[k - 1], nest.covers[k]
         reports.append(CheckReport(
             claim="bmo-halving",
-            lhs=float(sum(hi.measures)),
-            rhs=0.5 * float(sum(lo.measures)),
+            lhs=hi.total_measure,
+            rhs=0.5 * lo.total_measure,
             constant=0.5,
             lam=levels[k],
             witness={"lower_level": levels[k - 1],

@@ -50,6 +50,7 @@ class CheckReport:
         return bool(self.witness.get("degenerate", False))
 
     def to_dict(self) -> dict:
+        """The fields; the witness, copied, may hold tuples and numpy scalars."""
         return {
             "claim": self.claim,
             "lambda": None if self.lam is None else float(self.lam),
@@ -58,7 +59,7 @@ class CheckReport:
             "constant": float(self.constant),
             "margin": float(self.margin),
             "pass": self.passed,
-            "witness": _jsonable(self.witness),
+            "witness": dict(self.witness),
         }
 
 
@@ -79,18 +80,6 @@ def _plain(obj):
     if isinstance(obj, (np.generic, np.ndarray)):
         return obj.tolist()
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
-
-
-def _jsonable(obj):
-    """`obj` with every dict key a str, every tuple a list and every numpy
-    value a Python one."""
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.generic, np.ndarray)):
-        return _plain(obj)
-    return obj
 
 
 def _json_text(obj) -> str:

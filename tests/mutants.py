@@ -85,8 +85,8 @@ MUTANTS = (
            ("tests/test_constants.py::test_bmo_exponential_rhs",)),
     # the halving checks are live only at a step below the theorem's 2 c^8
     Mutant("bmo-halving-rhs-5x", "src/jnlab/metric_cz.py",
-           "rhs=0.5 * float(sum(lo.measures)),",
-           "rhs=5.0 * float(sum(lo.measures)),",
+           "rhs=0.5 * lo.total_measure,",
+           "rhs=5.0 * lo.total_measure,",
            ("tests/test_constants.py::test_bmo_halving_rhs_is_half_the_lower_cover",)),
     # at a level a walk's mean attains, a strict comparison stops one step
     # late, and the kept ball's average then equals the level
@@ -135,6 +135,15 @@ MUTANTS = (
            "    for k, level in enumerate(levels[:-1]):",
            "    for k, level in enumerate(levels[1:-1], 1):",
            ("tests/test_dyadic_cz.py::test_maximal_matches_bruteforce_exact",)),
+    # one row list feeds both cz formats; only its JSON rows carry the exponent
+    Mutant("cz-json-ball-no-exponent", "src/jnlab/cli.py",
+           "average5=a5, measure=mu, exponent=n)",
+           "average5=a5, measure=mu)",
+           ("tests/test_cli.py::test_cz_space_formats_list_the_same_rows",)),
+    Mutant("cz-ball-header-average-swapped", "src/jnlab/cli.py",
+           'columns = ("center", "radius", "average", "average5", "measure")',
+           'columns = ("center", "radius", "average5", "average", "measure")',
+           ("tests/test_cli.py::test_cz_space_formats_list_the_same_rows",)),
 )
 
 

@@ -7,9 +7,13 @@ import numpy as np
 import pytest
 
 from jnlab.cli import _emit_reports, _resolve, build_parser, load_config, main
-from jnlab.generators import gen_log_singularity, gen_power_singularity, gen_random_cloud
+from jnlab.dyadic_cz import cz_decompose_dyadic
+from jnlab.errors import InvariantViolation
+from jnlab.generators import (f_random, gen_log_singularity, gen_power_singularity,
+                              gen_random_cloud, gen_random_uniform)
 from jnlab.grid import DyadicCube, average, mean_oscillation
-from jnlab.metric import space_from_points, space_to_csv, values_to_csv
+from jnlab.metric import Ball, space_from_points, space_to_csv, values_to_csv
+from jnlab.metric_cz import cz_balls
 from jnlab.report import CheckReport
 
 
@@ -228,6 +232,50 @@ def test_cz_metric_csv(tmp_path):
             assert float(x) == float(x)  # plain decimal, no repr wrappers
 
 
+def cz_rows(tmp_path, argv, columns):
+    """One cz run in each format: the JSON result, after checking that the
+    CSV has `columns` and lists the JSON's rows in those columns, an index
+    joined by ';'."""
+    out = {fmt: tmp_path / f"cz.{fmt}" for fmt in ("json", "csv")}
+    for fmt, path in out.items():
+        assert run("cz", *argv, "--format", fmt, "--out", str(path)) == 0
+    data = json.loads(out["json"].read_text())
+    header, *lines = out["csv"].read_text().splitlines()
+    assert header == ",".join(columns)
+    rows = data["cubes" if "cubes" in data else "balls"]
+    assert len(rows) == len(lines) > 0
+    for line, row in zip(lines, rows):
+        assert line.split(",") == [";".join(map(str, row[k])) if isinstance(row[k], list)
+                                   else str(row[k]) for k in columns]
+    return data, rows
+
+
+def test_cz_grid_formats_list_the_same_rows(tmp_path):
+    data, rows = cz_rows(tmp_path, ("random-uniform", "--depth", "6", "--seed", "1",
+                                    "--lam", "0.7"), ("depth", "index", "average", "measure"))
+    f = gen_random_uniform(1, 6, 1)
+    cover = cz_decompose_dyadic(f, DyadicCube(f.root, 0, (0,)), 0.7)
+    assert data["n_cubes"] == len(rows) == len(cover.cubes)
+    assert [r["index"] for r in rows] == [list(c.index) for c in cover.cubes]
+    assert [r["average"] for r in rows] == cover.averages.tolist()
+
+
+def test_cz_space_formats_list_the_same_rows(tmp_path):
+    data, rows = cz_rows(tmp_path, ("--space", "random-cloud", "--m", "80", "--seed", "2",
+                                    "--values-kind", "random-values", "--lam", "0.9"),
+                         ("center", "radius", "average", "average5", "measure"))
+    space = gen_random_cloud(80, 2)
+    b0 = Ball(0, 1.5 * float(space.d[0].max()) + 1.0)  # --ball 0:auto
+    cover = cz_balls(space, f_random(space, 2), b0, 0.9)
+    assert data["n_balls"] == len(rows) == len(cover.balls) > 1
+    assert len(set(cover.exponents)) > 1
+    assert [r["exponent"] for r in rows] == list(cover.exponents)
+    assert [r["average"] for r in rows] == cover.averages.tolist()
+    assert [r["average5"] for r in rows] == cover.averages5.tolist()
+    assert [(r["center"], r["radius"]) for r in rows] == [(b.center, b.radius)
+                                                          for b in cover.balls]
+
+
 def test_cz_dyadic_csv_rows_parse(tmp_path):
     out = tmp_path / "cz.csv"
     assert run("cz", "random-uniform", "--depth", "5", "--seed", "1",
@@ -392,6 +440,34 @@ def test_internal_error_exit_3(monkeypatch, capsys):
         assert run("analyze", "step") == 3
         name = type(exc).__name__
         assert f"jnlab: internal error: {name}" in one_line_error(capsys)
+
+
+def test_check_failure_exit_1(monkeypatch, capsys):
+    # a verifier's InvariantViolation means a check failed, not bad input
+    import jnlab.cli as cli
+
+    def broken(*args, **kwargs):
+        raise InvariantViolation("kept balls overlap", lam=1.0)
+
+    monkeypatch.setattr(cli, "verify_mainresult", broken)
+    assert run("verify", "mainresult", "--space", "line", "--m", "6") == 1
+    assert one_line_error(capsys).startswith("jnlab: check failed: kept balls overlap")
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("analyze", "no-such-grid"),
+     "unknown grid source 'no-such-grid' (not a file, not a generator)"),
+    (("verify", "mainresult"), "this command needs --space (a CSV path or a space kind)"),
+    (("analyze", "--space", "no-such-space"), "unknown space kind 'no-such-space'"),
+    (("verify", "bmo", "--space", "line", "--values", "v.csv", "--values-kind", "distance"),
+     "give --values or --values-kind, not both"),
+    (("cz", "--lam", "1"), "cz needs a grid source argument or --space"),
+    (("verify", "jn-dyadic"), "verify jn-dyadic needs a grid source argument"),
+])
+def test_missing_or_unknown_input_exit_2(argv, message, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)  # no file of a source's name
+    assert run(*argv) == 2
+    assert one_line_error(capsys) == f"jnlab: error: {message}\n"
 
 
 @pytest.mark.parametrize("argv,option", [

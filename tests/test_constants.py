@@ -2,17 +2,24 @@
 from ``theorem_constants``, so shrinking them there makes its checks fail."""
 
 import dataclasses
+import functools
+import importlib
 import math
+import operator
+import pkgutil
 
 import numpy as np
 import pytest
 
+import jnlab
 import metric_oracles as oracle
-from jnlab import dyadic_cz, metric_cz
+from jnlab import dyadic_cz, metric, metric_cz
 from jnlab.constants import g_factor, theorem_constants
 from jnlab.functionals import jnp_dyadic
-from jnlab.generators import f_log_distance, gen_line, gen_random_martingale
-from jnlab.metric import Ball
+from jnlab.generators import (f_log_distance, f_random, gen_line, gen_random_cloud,
+                              gen_random_martingale)
+from jnlab.grid import DyadicCube, GridFunction, RootCube
+from jnlab.metric import Ball, build_space
 
 
 def test_report_constant_hand_values():
@@ -164,3 +171,56 @@ def test_bmo_halving_rhs_is_half_the_lower_cover(monkeypatch):
         want = 0.5 * sum(oracle.measure(space, b) for b in lower.balls)
         assert r.rhs == pytest.approx(want, rel=1e-12)
     assert len(reports) == 3 and all(r.rhs > 0 for r in reports)
+
+
+# ------------------------------------------------------------ sum order
+
+
+def sum_order_outputs():
+    """(summands, value) of each of the package's float sums, then the
+    summands of g_factor's exponent sum and g_factor, on inputs where adding
+    left to right and `math.fsum` round differently."""
+    m = 80
+    space = build_space(gen_line(m).d, np.full(m, 0.1))
+    v = np.zeros(m)
+    v[5::8] = 10.0  # ten spikes: cover balls of three and of one 0.1-weight point
+    b0 = Ball(40, 1.5 * float(space.d[40].max()) + 1.0)
+    low, high = metric_cz.nested_cz(space, metric_cz._deviation(space, v, b0), b0,
+                                    (3.0, 6.0)).covers
+    rep = metric_cz.check_toiterate(space, v, b0, 3.0, 2.0)
+    cover = metric_cz.cz_balls(space, v, b0, 3.0)
+
+    grid = GridFunction(RootCube(1, (0.0,), 0.3), 6,
+                        np.random.default_rng(0).exponential(size=64) ** 3)
+    dy = dyadic_cz.cz_decompose_dyadic(grid, DyadicCube(grid.root, 0, (0,)),
+                                       2.0 * float(np.mean(grid.values)))
+
+    cloud = gen_random_cloud(40, 0)
+    w, c0 = f_random(cloud, 0), Ball(0, 1.5 * float(cloud.d[0].max()) + 1.0)
+    centers, radii, terms = metric._jn_pool(cloud, w, c0, 2.0)
+    greedy = terms[metric._greedy_family(cloud, centers, radii, terms)].tolist()
+    q = 3.0  # the conjugate of p = 1.5
+    return [
+        (cover.measures, cover.total_measure),
+        (high.measures, rep.lhs),
+        (low.measures, rep.witness["sum_mu_low"]),
+        ([c.measure for c in dy.cubes], dy.union_measure),
+        (greedy, metric.jnp_metric_lower(cloud, w, c0, 2.0, budget=2).value),
+    ], ([i * q ** -i for i in range(1, 4)], g_factor(4, 1.5, q))
+
+
+def left_to_right(parts):
+    return functools.reduce(operator.add, parts, 0.0)
+
+
+def test_float_sums_do_not_follow_the_interpreter(monkeypatch):
+    # builtin sum() compensates float sums from Python 3.12 on; shadowing
+    # it by math.fsum in every module must not move a value
+    sums, (g_parts, g) = before = sum_order_outputs()
+    for parts, value in sums:
+        assert value == left_to_right(parts) != math.fsum(parts)
+    assert left_to_right(g_parts) != math.fsum(g_parts)
+    for info in pkgutil.iter_modules(jnlab.__path__):
+        monkeypatch.setattr(importlib.import_module(f"jnlab.{info.name}"), "sum", math.fsum,
+                            raising=False)
+    assert sum_order_outputs() == before

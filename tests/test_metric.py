@@ -8,6 +8,7 @@ import pytest
 
 import metric_oracles as oracle
 from jnlab.errors import InvariantViolation, MetricAxiomError, PreconditionError
+from jnlab.generators import gen_line
 from jnlab.metric import (Ball, MetricMeasureSpace, _jn_pool, _radius_at, bmo_norm_metric,
                           build_space, check_admissible, doubling_constant, global_maximal,
                           hl_maximal_restricted, jnp_metric_lower, space_from_csv,
@@ -51,6 +52,25 @@ def test_axioms_reject_bad_weights():
     d = np.array([[0.0, 1.0], [1.0, 0.0]])
     with pytest.raises(MetricAxiomError):
         build_space(dmat=d, weights=np.array([1.0, 0.0]))
+
+
+@pytest.mark.parametrize("dmat,weights,what", [
+    (np.zeros((2, 3)), np.ones(2), "must be square"),
+    (np.zeros((2, 2)), np.ones(3), "need 2 weights"),
+    (np.array([[0.0, np.nan], [np.nan, 0.0]]), np.ones(2), "non-finite distance"),
+    (np.array([[0.0, 1.0], [1.0, 0.5]]), np.ones(2), "nonzero diagonal"),
+])
+def test_axioms_reject_malformed_tables(dmat, weights, what):
+    with pytest.raises(MetricAxiomError, match=what):
+        MetricMeasureSpace(dmat, weights)
+
+
+def test_check_values_rejects_length_and_non_finite():
+    s = gen_line(4)
+    with pytest.raises(ValueError, match="need 4 point values, got 3"):
+        s.check_values(np.zeros(3))
+    with pytest.raises(ValueError, match="non-finite value at point 2: inf"):
+        s.check_values([0.0, 1.0, np.inf, 2.0])
 
 
 def test_axioms_reject_total_weight_overflow():
@@ -402,6 +422,17 @@ def test_check_admissible_flags():
     assert not bad.fifth_disjoint
     outside = check_admissible(s, Ball(3, 0.5), [Ball(6, 0.4)])
     assert not outside.centered
+
+
+@pytest.mark.parametrize("center", [7, -1])
+def test_ball_center_out_of_range(center):
+    # every ball reader refuses the center before it indexes a point table
+    s = gen_line(5)
+    ball, b0 = Ball(center, 1.0), Ball(2, 10.0)
+    for call in (lambda: check_admissible(s, b0, [ball]), lambda: s.members(ball),
+                 lambda: vitali_subcover(s, [ball])):
+        with pytest.raises(ValueError, match=f"center {center} out of range"):
+            call()
 
 
 # ---------------------------------------------------------------------- io

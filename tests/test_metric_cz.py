@@ -331,7 +331,7 @@ def test_verify_mainresult_certified_ladder(p, monkeypatch):
     nest = nested_cz(s, g, b0, [lam0 * 2.0**i for i in range(metric_cz._MAIN_LADDER + 1)])
     assert w["ladder_ball_counts"] == [len(cov.balls) for cov in nest.covers]
     assert w["ladder_ball_counts"][0] > 0
-    assert w["sum_mu_ladder"] == [float(sum(cov.measures)) for cov in nest.covers]
+    assert w["sum_mu_ladder"] == [cov.total_measure for cov in nest.covers]
 
 
 def test_verify_mainresult_degenerate_on_constant():
@@ -340,6 +340,15 @@ def test_verify_mainresult_degenerate_on_constant():
     reports = verify_mainresult(s, np.full(12, 4.0), spanning_ball(s), 2.0)
     assert len(reports) == 1
     assert reports[0].degenerate and reports[0].passed
+
+
+def test_verify_bmo_degenerate_on_constant():
+    s = gen_line(12)
+    reports = verify_bmo_jn(s, np.full(12, 4.0), spanning_ball(s))
+    assert len(reports) == 1
+    r = reports[0]
+    assert r.degenerate and r.passed and r.claim == "bmo-exponential"
+    assert r.witness["reason"] == "constant function, norm 0"
 
 
 def test_extreme_p_raises_unless_constant_on_11_b0():
