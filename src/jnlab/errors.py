@@ -10,6 +10,8 @@ from __future__ import annotations
 import math
 import numbers
 
+import numpy as np
+
 __all__ = [
     "DepthOverflowError",
     "InvariantViolation",
@@ -29,11 +31,12 @@ class DepthOverflowError(ValueError):
 
 class _Detailed(Exception):
     """An error that keeps its keyword numbers in `details` and lists them
-    after its message."""
+    after its message, numpy scalars as Python numbers."""
 
     def __init__(self, message: str, **details):
         self.details = details
-        extra = ", ".join(f"{k}={v!r}" for k, v in details.items())
+        plain = {k: v.item() if isinstance(v, np.generic) else v for k, v in details.items()}
+        extra = ", ".join(f"{k}={v!r}" for k, v in plain.items())
         super().__init__(f"{message} ({extra})" if extra else message)
 
 

@@ -263,6 +263,9 @@ def space_from_points(points, weights=None) -> MetricMeasureSpace:
     return MetricMeasureSpace(d, w)
 
 
+_DOUBLING_ENTRIES = 2**15  # (center, position) entries per block of the doubling scan
+
+
 def doubling_constant(space: MetricMeasureSpace) -> float:
     """Exact sup over centers x and real radii r > 0 of
     mu(B(x, 2r)) / mu(B(x, r)).
@@ -272,20 +275,26 @@ def doubling_constant(space: MetricMeasureSpace) -> float:
     B(x, 2r) grows with r, so the sup over that interval is
     mu(d < 2 a_{j+1}) / mu(d <= a_j).  Past the largest distance the ratio
     is 1.  Both measures are entries of the center's cumulative weights.
+
+    With a_{j+1} first at sorted position k, the ratio is wcum[k2] / wcum[k - 1],
+    k2 + 1 the count of distances below 2 a_{j+1}.  The scan takes it at
+    every position k > 0, over blocks of _DOUBLING_ENTRIES positions, one
+    `searchsorted` per row.  A position inside a tie group shares its
+    numerator with the group's first position and has a larger
+    denominator, so the largest ratio is one taken at a group's start.
     """
     def build():
-        best = 1.0
         sd, wcum = space.sorted_d, space.wcum
-        ends = _tie_group_ends(sd)
-        for c in range(space.m):
-            ds = sd[c]
-            nxt = np.flatnonzero(ends[c, :-1]) + 1  # first position of each group a_{j+1}
-            if nxt.size == 0:
-                continue
-            k_2r = np.searchsorted(ds, 2.0 * ds[nxt], side="left")
-            cand = float(np.max(wcum[c][k_2r - 1] / wcum[c][nxt - 1]))
-            if cand > best:
-                best = cand
+        best = 1.0
+        step = max(1, _DOUBLING_ENTRIES // space.m)
+        for lo in range(0, space.m, step):
+            rows, wc = sd[lo:lo + step], wcum[lo:lo + step]
+            k_2r = np.empty(rows.shape, dtype=np.int64)
+            for r, ds in enumerate(rows):
+                k_2r[r] = np.searchsorted(ds, 2.0 * ds, side="left")
+            ratio = np.take_along_axis(wc, k_2r[:, 1:] - 1, axis=1)
+            ratio /= wc[:, :-1]
+            best = max(best, float(ratio.max(initial=1.0)))
         return best
     return space._memo("doubling", build)
 
@@ -359,6 +368,13 @@ _MERGE_ENTRIES = 2**15  # (center, point) entries per block of the witness merge
 
 
 def _witness_arrays(space: MetricMeasureSpace, g: np.ndarray, mask0: np.ndarray):
+    """`_witness_table` of (g, mask0), built once per space and pair of
+    bitwise-equal inputs; its arrays are read-only."""
+    return space._memo(("witness", g.tobytes(), mask0.tobytes()),
+                       lambda: _witness_table(space, g, mask0))
+
+
+def _witness_table(space: MetricMeasureSpace, g: np.ndarray, mask0: np.ndarray):
     """Per point: the largest g-average over realized balls containing it
     whose member sets sit inside mask0, and the ball attaining it (ties:
     smaller radius, then smaller center).  Returns (values, radii, centers);
@@ -431,7 +447,7 @@ def hl_maximal_restricted(space: MetricMeasureSpace, f, b0: Ball) -> np.ndarray:
     with member set inside b0; NaN outside b0."""
     g = np.abs(space.check_values(f))
     mask0 = space.members(b0)
-    out, _, _ = _witness_arrays(space, g, mask0)
+    out = _witness_arrays(space, g, mask0)[0].copy()
     if np.any(~np.isfinite(out[mask0])):
         # every point of B0 sees at least its own singleton ball
         raise InvariantViolation("point of B0 with no admissible ball")
@@ -442,7 +458,7 @@ def hl_maximal_restricted(space: MetricMeasureSpace, f, b0: Ball) -> np.ndarray:
 def global_maximal(space: MetricMeasureSpace, f) -> np.ndarray:
     """Unrestricted maximal |f|-average over all realized balls."""
     g = np.abs(space.check_values(f))
-    return _witness_arrays(space, g, np.ones(space.m, dtype=bool))[0]
+    return _witness_arrays(space, g, np.ones(space.m, dtype=bool))[0].copy()
 
 
 _EPS = 2.0**-52

@@ -9,8 +9,8 @@ in one pass (for a nonnegative function f with lam_1 >= mean of f over
   with member set inside B0 maximizing the f-average (ties: smaller
   radius, then smaller center index); the witness assignment depends only
   on f and B0, not on lam, so all levels share it, and a cover computes it;
-* each point where that maximum exceeds lam_1 walks its witness ball, one
-  walk a point even where points share a ball: the 5^k dilates, k = 1, 2,
+* the witness ball of each point where that maximum exceeds lam_1 is
+  walked, once however many points share it: the 5^k dilates, k = 1, 2,
   ..., until the average drops to lam_1 or below.  A point's stopping
   exponent n_x(lam) at any level is the first k of its walk with average
   <= lam, and its witness ball dilated by 5^(n_x - 1) is a candidate;
@@ -32,7 +32,7 @@ import numpy as np
 from .constants import _pow, _sum_left, g_factor, theorem_constants
 from .errors import (InvariantViolation, PreconditionError, _check_n_lambda, _check_rhs,
                      _jn_underflow)
-from .metric import (Ball, MetricMeasureSpace, _ball_sums, _escapes, _family_jn_sum,
+from .metric import (_EPS, Ball, MetricMeasureSpace, _ball_sums, _escapes, _family_jn_sum,
                      _family_sums, _member_rows, _prefix_sums,
                      _witness_arrays, bmo_norm_metric, doubling_constant, vitali_subcover)
 from .report import CheckReport, degenerate_report
@@ -94,8 +94,14 @@ class NestedCovers:
 
 
 def _stop_walks(space: MetricMeasureSpace, v, centers, radii, lam: float) -> tuple:
-    """(measures, means) of the 5^k dilates of B(centers[i], radii[i]) in row i,
-    column k = 0, 1, ... up to the first k >= 1 with mean <= lam, NaN after."""
+    """(measures, means, rows): row j of the two arrays holds the 5^k dilates
+    of the j-th distinct ball B(centers[i], radii[i]), in order of first
+    occurrence, in column k = 0, 1, ... up to the first k >= 1 with mean
+    <= lam, NaN after; ball i's row is rows[i]."""
+    key: dict = {}
+    rows = [key.setdefault(b, len(key)) for b in zip(centers.tolist(), radii.tolist())]
+    first = np.unique(rows, return_index=True)[1]
+    centers, radii = centers[first], radii[first]
     fcum = _prefix_sums(space, v, centers)
     meas, means = np.full((2, centers.size, 200), np.nan)
     active = np.arange(centers.size)
@@ -105,13 +111,49 @@ def _stop_walks(space: MetricMeasureSpace, v, centers, radii, lam: float) -> tup
         meas[active, k], means[active, k] = mu, integ / mu
         active = active[~(means[active, k] <= lam) | (k == 0)]  # k = 0 is the ball itself
         if not active.size:
-            return meas, means
+            return meas, means, rows
     raise InvariantViolation("stopping dilation did not terminate", lam=lam,
                              ball=Ball(int(centers[active[0]]), float(radii[active[0]])))
 
 
+def _mean_cap(space: MetricMeasureSpace, v: np.ndarray, mask0: np.ndarray) -> float:
+    """An upper bound on the computed v-average of every realized ball
+    inside mask0, for v >= 0 (see `nested_cz`)."""
+    m, w0 = space.m, space.w[mask0]
+    top = float(np.max(v[mask0]))
+    if not math.isfinite(4.0 * top * max(1.0, float(np.sum(w0)))):
+        return math.inf  # a prefix sum or a mean could overflow
+    tiny = (m + 4.0) * (1.0 + 1.0 / float(np.min(w0))) * 2.0**-1070
+    return top * (1.0 + (2 * m + 32) * _EPS) + tiny
+
+
 def nested_cz(space: MetricMeasureSpace, f, b0: Ball, levels) -> NestedCovers:
-    """Stopping-ball covers at every level, in one pass (module docstring)."""
+    """Stopping-ball covers at every level, in one pass (module docstring).
+
+    No ball is selected at any level when the lowest one is at or above
+    `_mean_cap`, a bound on every computed average the witness table can
+    hold; the table and the stopping walks are then skipped, and the
+    covers are empty, bitwise as the full build makes them.  The bound:
+    the ball ending at sorted position k of a center in B0 has the
+    computed mean fl(F / W) of the prefix sums F of w v and W of w over its
+    n = k + 1 <= m points, and the exact mean of v over it is at most
+    M = max_{B0} v.  With u = eps / 2, each product fl(w_i v_i) is at most
+    (1 + u) w_i v_i, plus 2^-1075 where it underflows; the n - 1 additions
+    of non-negative terms raise F by at most (1 + u)^(n-1) and never
+    underflow; and W is at least (1 + u)^-(n-1) times the exact weight,
+    itself at least w_min, the smallest weight in B0.  So
+
+        fl(F / W) <= (1 + u)^(2n) M + (1 + u)^(2n-1) n 2^-1075 / w_min + 2^-1075.
+
+    The cap is M (1 + (2m + 32) eps) + (m + 4) (1 + 1/w_min) 2^-1070,
+    computed in floats.  1 + (2m + 32) eps is exact; the other roundings
+    lower each of the two terms by at most a factor (1 + u)^-4, and by
+    2^-1075 where a product underflows, which leaves the cap above that
+    bound with room to spare.  The bound assumes that no F overflows: the
+    cap is inf unless 4 M max(1, mu(B0)) is finite, which keeps every F
+    and every mean below half the float range.  Only an infinite lowest
+    level, which no witness value exceeds, is at or above an infinite cap.
+    """
     v = space.check_values(f)  # a verifier's |f - f_B0| may overflow
     if np.any(v < 0):
         i = int(np.flatnonzero(v < 0)[0])
@@ -128,11 +170,15 @@ def nested_cz(space: MetricMeasureSpace, f, b0: Ball, levels) -> NestedCovers:
     if levels[0] < threshold * (1.0 - 1e-12):
         raise PreconditionError("cz level below the 11*B0 mean threshold",
                                 lam=levels[0], threshold=threshold)
-    values, radii, centers = _witness_arrays(space, v, mask0)
-    # every level set lies in the lowest one, and stops at or before it
-    lowest = np.flatnonzero(mask0 & (values > levels[0]))
-    meas, means = _stop_walks(space, v, centers[lowest], radii[lowest], levels[0])
-    row = dict(zip(lowest.tolist(), range(lowest.size)))
+    if levels[0] < _mean_cap(space, v, mask0):
+        values, radii, centers = _witness_arrays(space, v, mask0)
+        # every level set lies in the lowest one, and stops at or before it
+        lowest = np.flatnonzero(mask0 & (values > levels[0]))
+        meas, means, rows = _stop_walks(space, v, centers[lowest], radii[lowest], levels[0])
+        row = dict(zip(lowest.tolist(), rows))
+    else:  # no witness value exceeds a level, so no level point needs a ball
+        values = np.full(space.m, -np.inf)
+        meas = means = np.empty((0, 200))
 
     built = []  # (cover, its balls' member sets, their 5-dilates')
     for lam in levels:

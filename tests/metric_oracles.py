@@ -8,7 +8,8 @@ measure and integral by one left-to-right loop over its points, the
 O(m^3) per-center oscillation table, the distinct-distance critical radii,
 the per-center maximal loop, the per-center witness loop and the
 per-center merge of the witness tables, the doubling
-constant's scan of radii between breakpoints, the pairwise
+constant's scan of radii between breakpoints and its per-center
+scan of tie-group starts, the pairwise
 member-mask loops behind the Vitali, admissibility, CZ-cover and nested-
 cover checks, the CZ cover built one level at a time with one stopping
 walk of loop means per level point, the JN_p search with its greedy and
@@ -199,6 +200,25 @@ def doubling_constant(space):
         mu_r = space.wcum[c][k_r - 1]
         mu_2r = space.wcum[c][k_2r - 1]
         cand = float(np.max(mu_2r / mu_r))
+        if cand > best:
+            best = cand
+    return best
+
+
+def doubling_constant_loop(space):
+    """`metric.doubling_constant`'s scan one center at a time: per center, a
+    `searchsorted` at the first position of each tie group after the first,
+    and the largest ratio of cumulative weights there."""
+    best = 1.0
+    sd, wcum = space.sorted_d, space.wcum
+    ends = _tie_group_ends(sd)
+    for c in range(space.m):
+        ds = sd[c]
+        nxt = np.flatnonzero(ends[c, :-1]) + 1  # first position of each group a_{j+1}
+        if nxt.size == 0:
+            continue
+        k_2r = np.searchsorted(ds, 2.0 * ds[nxt], side="left")
+        cand = float(np.max(wcum[c][k_2r - 1] / wcum[c][nxt - 1]))
         if cand > best:
             best = cand
     return best

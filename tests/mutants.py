@@ -135,6 +135,17 @@ MUTANTS = (
            "    for k, level in enumerate(levels[:-1]):",
            "    for k, level in enumerate(levels[1:-1], 1):",
            ("tests/test_dyadic_cz.py::test_maximal_matches_bruteforce_exact",)),
+    # at g = 0.1 on three points the computed mean exceeds max g by an ulp,
+    # so a cap without its rounding factor skips a table that selects a ball
+    Mutant("mean-cap-unscaled", "src/jnlab/metric_cz.py",
+           "    return top * (1.0 + (2 * m + 32) * _EPS) + tiny\n",
+           "    return top + tiny\n",
+           ("tests/test_metric_cz.py::test_nested_cz_shortcut_matches_full_build",)),
+    # twice a distance is another distance on tied spaces, and B(x, 2r) is open
+    Mutant("doubling-closed-double-ball", "src/jnlab/metric.py",
+           'k_2r[r] = np.searchsorted(ds, 2.0 * ds, side="left")',
+           'k_2r[r] = np.searchsorted(ds, 2.0 * ds, side="right")',
+           ("tests/test_metric_oracles.py::test_doubling_constant_matches_per_center_loop",)),
     # one row list feeds both cz formats; only its JSON rows carry the exponent
     Mutant("cz-json-ball-no-exponent", "src/jnlab/cli.py",
            "average5=a5, measure=mu, exponent=n)",

@@ -399,6 +399,14 @@ def test_bad_numbers_exit_2(argv, capsys):
     assert "jnlab: error:" in one_line_error(capsys)
 
 
+def test_error_details_print_plain_numbers(capsys):
+    # the threshold is a numpy float; the message shows the number alone
+    assert run("cz", "--space", "grid2d", "--side", "6", "--values-kind", "distance",
+               "--lam", "3.4") == 2
+    err = one_line_error(capsys)
+    assert "threshold=5.0" in err and "np.float64" not in err
+
+
 def test_good_lambda_zero_level_exit_2(capsys):
     # the constant function's threshold is 0, so lam = 0 passes that test
     assert run("verify", "good-lambda", "constant", "--lam", "0") == 2

@@ -5,12 +5,13 @@ import numpy as np
 import pytest
 
 import metric_oracles as oracle
-from jnlab import metric_cz
+from jnlab import metric, metric_cz
 from jnlab.constants import g_factor, theorem_constants
-from jnlab.errors import PreconditionError
-from jnlab.generators import f_log_distance, f_random, gen_grid2d, gen_line, gen_random_cloud
-from jnlab.metric import (Ball, _witness_arrays, doubling_constant, hl_maximal_restricted,
-                          space_from_points)
+from jnlab.errors import InvariantViolation, PreconditionError
+from jnlab.generators import (f_log_distance, f_random, gen_grid2d, gen_line, gen_random_cloud,
+                              gen_tree_graph)
+from jnlab.metric import (Ball, MetricMeasureSpace, _witness_arrays, doubling_constant,
+                          global_maximal, hl_maximal_restricted, space_from_points)
 from jnlab.metric_cz import check_toiterate, cz_balls, nested_cz, verify_bmo_jn, verify_mainresult
 from jnlab.report import all_pass
 
@@ -127,6 +128,70 @@ def test_witness_prefers_smaller_balls_on_ties():
     for x in range(5):
         mem = s.members(balls[x])
         assert mem.sum() == 1 and mem[x]
+
+
+def test_witness_table_built_once_per_input(monkeypatch):
+    # at a spanning B0 both maximal functions read the table of (|f|, B0);
+    # each gets its own writable copy, and a third read builds nothing
+    s = gen_grid2d(6)
+    f = f_log_distance(s, 3) - 1.0
+    b0 = spanning_ball(s, 14)
+    builds = []
+    build = metric._witness_table
+    monkeypatch.setattr(metric, "_witness_table", lambda *a: builds.append(a) or build(*a))
+    hl = hl_maximal_restricted(s, f, b0)
+    gm = global_maximal(s, f)
+    cached = _witness_arrays(s, np.abs(f), s.members(b0))
+    assert len(builds) == 1
+    assert hl.flags.writeable and gm.flags.writeable and not np.shares_memory(hl, gm)
+    assert not any(a.flags.writeable for a in cached)
+    assert not any(np.shares_memory(out, a) for out in (hl, gm) for a in cached)
+    want = gm.copy()
+    hl[:] = gm[:] = -1.0
+    assert np.array_equal(global_maximal(s, f), want) and len(builds) == 1
+    # another B0 mask, or other values, is another table
+    hl_maximal_restricted(s, f, Ball(14, 2.5))
+    global_maximal(s, 2.0 * f)
+    assert len(builds) == 3
+
+
+def cap_cases():
+    """(space, g, mask0) for the mean cap: a cloud, a cloud with weights
+    of several scales, tied grid and tree spaces and a line; values in
+    [0, 1), scaled by 2^1000, 2^-1000 and into the subnormals, and constant
+    ones; over a spanning ball, a sub-ball and a small ball."""
+    rng = np.random.default_rng(17)
+    cloud = gen_random_cloud(30, 4)
+    spaces = [cloud,
+              MetricMeasureSpace(cloud.d, rng.choice([0.25, 1.0, 3.0, 7.5], cloud.m)),
+              MetricMeasureSpace(cloud.d, rng.choice([2.0**-1000, 1.0, 2.0**600], cloud.m)),
+              gen_grid2d(5), gen_tree_graph(30, 2), gen_line(9)]
+    for space in spaces:
+        u = rng.uniform(0.0, 1.0, space.m)
+        c = int(np.argmin(space.d.max(axis=1)))
+        sd = space.sorted_d[c]
+        balls = (spanning_ball(space, c), Ball(c, float(sd[space.m // 2]) * (1 + 2**-40)),
+                 Ball(c, float(sd[2]) * (1 + 2**-40)))
+        for g in (u, u * 2.0**1000, u * 2.0**-1000, u * 2.0**-1060, np.full(space.m, 0.1),
+                  np.full(space.m, 5e-324)):
+            for b0 in balls:
+                yield space, g, space.members(b0)
+
+
+def test_mean_cap_bounds_every_witness_value():
+    # the cap is inf where a prefix sum could overflow, as w g does at
+    # weight 2^600 and values near 2^1000
+    above = overflow = 0
+    for space, g, mask0 in cap_cases():
+        cap = metric_cz._mean_cap(space, g, mask0)
+        with np.errstate(over="ignore"):
+            values = metric._witness_table(space, g, mask0)[0][mask0]
+        if math.isfinite(cap):
+            assert np.all(np.isfinite(values))
+        assert np.all(values[np.isfinite(values)] <= cap), (space.m, cap)
+        above += int(np.count_nonzero(values > np.max(g[mask0])))
+        overflow += int(not np.all(np.isfinite(values)))
+    assert above > 0 and overflow > 0  # some computed means exceed max g
 
 
 # ----------------------------------------------------------------- cz_balls
@@ -247,6 +312,71 @@ def test_nested_cz_rejects_decreasing_levels():
     thr = threshold(s, f, b0)
     with pytest.raises(ValueError):
         nested_cz(s, f, b0, (thr * 2.0, thr * 1.5))
+
+
+def covers_key(nest):
+    """Every field of nested covers, arrays by dtype, shape and bytes."""
+    def plain(x):
+        return (x.dtype.str, x.shape, x.tobytes()) if isinstance(x, np.ndarray) else x
+    covers = [tuple(plain(getattr(c, f.name)) for f in dataclasses.fields(c))
+              for c in nest.covers]
+    return nest.levels, nest.containment, covers
+
+
+def cz_outcome(space, g, b0, levels):
+    """`nested_cz`'s covers, or the type and text of the error it raises."""
+    try:
+        return covers_key(nested_cz(space, g, b0, levels))
+    except (PreconditionError, InvariantViolation) as exc:
+        return type(exc), str(exc)
+
+
+def shortcut_cases():
+    """(space, g, b0, levels): three points with g = 0.1, whose computed
+    mean 0.10000000000000002 exceeds max g, at the level 0.1, where the
+    full build's walks never stop; and the cap cases with deviations
+    |f - f_B0|.  Each at levels just below, at and just above the cap,
+    with twice the level as a second level."""
+    line = space_from_points([0.0, 1.0, 2.0])
+    g = np.full(3, 0.1)
+    yield line, g, spanning_ball(line), (0.1, 0.2)
+    rng = np.random.default_rng(3)
+    cases = [(line, g, spanning_ball(line))]
+    for space in (gen_random_cloud(40, 5), gen_grid2d(6), gen_tree_graph(30, 2)):
+        f = rng.uniform(0.0, 1.0, space.m)
+        for b0 in (spanning_ball(space), Ball(0, float(space.sorted_d[0, space.m // 2]))):
+            cases.append((space, shifted_abs(space, f, b0), b0))
+    for space, g, b0 in cases:
+        cap = metric_cz._mean_cap(space, g, space.members(b0))
+        for lam in (np.nextafter(cap, 0.0), cap, np.nextafter(cap, np.inf)):
+            yield space, g, b0, (float(lam), 2.0 * float(lam))
+
+
+def test_nested_cz_shortcut_matches_full_build(monkeypatch):
+    skipped = 0
+    for space, g, b0, levels in shortcut_cases():
+        got = cz_outcome(space, g, b0, levels)
+        with monkeypatch.context() as mp:
+            mp.setattr(metric_cz, "_mean_cap", lambda *a: math.inf)
+            want = cz_outcome(space, g, b0, levels)
+        assert got == want, levels
+        skipped += levels[0] >= metric_cz._mean_cap(space, g, space.members(b0))
+    assert skipped > 0
+
+
+def test_stop_walks_once_per_distinct_ball():
+    # the points of a level set share witness balls; each ball is walked once
+    s = gen_grid2d(7)
+    b0 = spanning_ball(s, 24)
+    g = shifted_abs(s, f_log_distance(s, 24), b0)
+    lam = 1.05 * threshold(s, g, b0)
+    values, radii, centers = _witness_arrays(s, g, s.members(b0))
+    pts = np.flatnonzero(values > lam)
+    meas, means, rows = metric_cz._stop_walks(s, g, centers[pts], radii[pts], lam)
+    balls = list(dict.fromkeys(zip(centers[pts].tolist(), radii[pts].tolist())))
+    assert len(balls) < pts.size and means.shape[0] == len(balls)
+    for x, r in zip(pts.tolist(), rows):
+        assert balls[r] == (int(centers[x]), float(radii[x]))
 
 
 # ---------------------------------------------------------------- verifiers

@@ -134,6 +134,25 @@ def test_doubling_constant_matches_radius_scan(kind):
         assert doubling_constant(space) == oracle.doubling_constant(space)
 
 
+@pytest.mark.parametrize("rows", [None, 1, 3])
+def test_doubling_constant_matches_per_center_loop(rows, monkeypatch):
+    # rows: centers per block of the scan (None: the package's own block).
+    # The corpus, tied grids, trees and lines, weighted spaces, and one
+    # and two points
+    spaces = [sp for sp, _, _ in _corpus()]
+    spaces += [make_space(kind, seed) for kind in ("line", "grid2d", "tree-graph",
+                                                   "random-cloud", "weighted-grid")
+               for seed in (0, 3, 40)]
+    spaces += [gen_grid2d(17), gen_tree_graph(150, 3), gen_line(1), gen_line(2),
+               space_from_points([[0.0], [3.0]], weights=[0.5, 7.0]),
+               MetricMeasureSpace(gen_tree_graph(40, 1).d, np.arange(1.0, 41.0))]
+    for space in spaces:
+        if rows is not None:
+            monkeypatch.setattr(metric, "_DOUBLING_ENTRIES", rows * space.m)
+        space._cache.pop("doubling", None)  # the corpus is shared with other tests
+        assert doubling_constant(space) == oracle.doubling_constant_loop(space), space.m
+
+
 @pytest.mark.parametrize("m", [1, 2, 3, 10, 57, 150, 600])
 def test_tree_graph_matches_lca_loop(m):
     for seed in (0, 1, 7):
@@ -223,7 +242,7 @@ def test_witness_merge_matches_per_center_loop(rows, monkeypatch):
         if rows is not None:
             monkeypatch.setattr(metric, "_MERGE_ENTRIES", rows * space.m)
         with np.errstate(over="ignore", invalid="ignore"):
-            got = metric._witness_arrays(space, f, mask0)
+            got = metric._witness_table(space, f, mask0)
             want = oracle.witness_arrays(space, f, mask0)
         for a, b in zip(got, want):
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
